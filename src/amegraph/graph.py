@@ -199,20 +199,111 @@ def permute(g: Graph, perm) -> Graph:
     return Graph(g.p, g.adj[np.ix_(perm, perm)])
 
 
+@lru_cache(maxsize=None)
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the edge slots, in `combinations(range(n), 2)` order."""
+    return np.triu_indices(n, 1)
+
+
+def edge_word(g: Graph) -> np.ndarray:
+    """Edge word of g: its C(n, 2) upper-triangle weights, slot by slot."""
+    return g.adj[_upper(g.n)]
+
+
+def graph_from_word(p: int, n: int, word) -> Graph:
+    """Inverse of edge_word."""
+    a = np.zeros((n, n), dtype=np.int64)
+    a[_upper(n)] = word
+    return Graph(p, a + a.T)
+
+
 @lru_cache(maxsize=8)
-def _all_perms(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+def _group_perms(gcount: int, gsize: int) -> np.ndarray:
+    """Permutations that map consecutive size-gsize blocks onto blocks;
+    gsize = 1 gives all gcount! permutations."""
+    sigma = np.array(list(itertools.permutations(range(gcount))), dtype=np.int64)
+    taus = np.array(
+        list(itertools.product(itertools.permutations(range(gsize)), repeat=gcount)), dtype=np.int64
+    )
+    # block t goes to block sigma[t], its members reordered by taus[t]
+    perms = sigma[:, None, :, None] * gsize + taus[None]
+    return perms.reshape(-1, gcount * gsize)
 
 
-def _min_over_perms(g: Graph, perms: np.ndarray) -> Graph:
-    mats = g.adj[perms[:, :, None], perms[:, None, :]]
-    flat = mats.reshape(len(perms), -1)
-    if g.p <= 255:
-        small = flat.astype(np.uint8)
-        best = min(range(len(perms)), key=lambda t: small[t].tobytes())
-    else:
-        best = min(range(len(perms)), key=lambda t: tuple(flat[t]))
-    return Graph(g.p, mats[best])
+_EXACT = 1 << 53  # float64 holds every integer up to here
+_BLOCK = 1 << 15  # entries of one (words x relabelings) id block
+
+
+@lru_cache(maxsize=4)
+def _relabelings(gcount: int, gsize: int, base: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Edge-slot gathers and per-limb power matrices of the relabelings in
+    _group_perms.
+
+    Row k of the gathers maps each new edge slot (i, j) to the old slot
+    (perm[i], perm[j]), so word[gathers[k]] is the edge word of
+    permute(g, perm_k) when word is the edge word of g. Limb t's matrix
+    is (E, relabelings): word @ matrix is the big-endian number of digits
+    t*L .. t*L + L - 1 of each relabeled word, L the most base-`base`
+    digits whose number stays within 2^53.
+    """
+    if base > _EXACT:
+        raise ValueError("edge weights beyond 2^53 are not exact in float64")
+    perms = _group_perms(gcount, gsize)
+    n = gcount * gsize
+    i, j = _upper(n)
+    lo = np.minimum(perms[:, i], perms[:, j])
+    hi = np.maximum(perms[:, i], perms[:, j])
+    gathers = lo * (2 * n - lo - 1) // 2 + hi - lo - 1
+    slots = gathers.shape[1]
+    digits = 1
+    while base ** (digits + 1) <= _EXACT:
+        digits += 1
+    # place[k, s]: the new slot that relabeling k moves old slot s to
+    place = np.argsort(gathers, axis=1)
+    limb = place // digits
+    end = np.minimum((limb + 1) * digits, slots)
+    powers = np.array([base**e for e in range(digits)], dtype=np.float64)[end - 1 - place]
+    limbs = [np.where(limb == t, powers, 0.0).T.copy() for t in range(-(-slots // digits))]
+    return gathers, limbs
+
+
+def canonical_words(words, base: int, gcount: int, gsize: int = 1) -> np.ndarray:
+    """Each edge word's minimum over the relabelings that map the gcount
+    consecutive blocks of gsize vertices onto blocks (all permutations
+    when gsize = 1).
+
+    For a symmetric zero-diagonal matrix the first row-major entry where
+    two relabelings differ lies in the upper triangle, so the minimal
+    adjacency is the one whose edge word, read as a big-endian base-`base`
+    number, is smallest. A relabeling's number is one dot product of the
+    word with a power vector, so a block of words is one matrix product
+    and a row minimum. The float64 product is exact below 2^53; longer
+    words are split into limbs of L digits with base^L <= 2^53, and the
+    minimum is taken limb by limb among the relabelings still tied.
+    """
+    words = np.asarray(words)
+    if words.size == 0:
+        return words.copy()
+    gathers, limbs = _relabelings(gcount, gsize, base)
+    out = np.empty_like(words)
+    rows = max(1, _BLOCK // len(gathers))
+    for lo in range(0, len(words), rows):
+        block = words[lo : lo + rows]
+        vals = block.astype(np.float64)
+        tied = None
+        for t, column_powers in enumerate(limbs):
+            ids = vals @ column_powers
+            if tied is not None:
+                ids[~tied] = np.inf
+            best = ids.argmin(axis=1)
+            if t + 1 < len(limbs):
+                tied = ids == ids[np.arange(len(ids)), best][:, None]
+        out[lo : lo + rows] = np.take_along_axis(block, gathers[best], axis=1)
+    return out
+
+
+def _canonical(g: Graph, gcount: int, gsize: int) -> Graph:
+    return graph_from_word(g.p, g.n, canonical_words(edge_word(g)[None, :], g.p, gcount, gsize)[0])
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -221,19 +312,7 @@ def canonical_form(g: Graph) -> Graph:
         raise ValueError("canonical_form enumerates n! permutations; n <= 8 only")
     if g.n <= 1:
         return g
-    return _min_over_perms(g, _all_perms(g.n))
-
-
-@lru_cache(maxsize=8)
-def _group_perms(gcount: int, gsize: int) -> np.ndarray:
-    """Permutations that map consecutive size-gsize blocks onto blocks."""
-    perms = []
-    for sigma in itertools.permutations(range(gcount)):
-        for taus in itertools.product(itertools.permutations(range(gsize)), repeat=gcount):
-            perms.append(
-                [sigma[t] * gsize + taus[t][o] for t in range(gcount) for o in range(gsize)]
-            )
-    return np.array(perms, dtype=np.int64)
+    return _canonical(g, g.n, 1)
 
 
 def canonical_form_grouped(g: Graph, group_size: int) -> Graph:
@@ -249,7 +328,7 @@ def canonical_form_grouped(g: Graph, group_size: int) -> Graph:
         return canonical_form(g)
     if gcount > 5 or g.n > 12:
         raise ValueError("grouped canonical form is desk-scale only")
-    return _min_over_perms(g, _group_perms(gcount, group_size))
+    return _canonical(g, gcount, group_size)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,20 @@ the relevant edge digits are gathered and looked up in a precomputed
 "is full rank" table (bit-packed GF(2) elimination builds the p = 2
 tables, batched Gauss-Jordan the rest), with survivors compacted after
 every cut so almost all graphs are rejected after one or two lookups.
+
+Witnesses are reported one per relabeling class (relabelings that keep
+the groups, when there are groups), as the canonical form of graph.py.
+Canonicalisation stays on edge words: the lexicographically smallest
+adjacency of a class is the relabeling whose edge word is the smallest
+big-endian number, and graph.canonical_words finds it for a whole batch
+of words with one float64 matrix product per block of words and
+relabelings. That product is exact while base^E <= 2^53; longer words
+are compared in limbs of at most 2^53 each, most significant first. An
+exhaustive run canonicalises all raw witnesses at once, dedupes their
+integer ids with np.unique and builds a Graph only for each class. The
+prune_canonical layer uses the same kernel to drop every graph whose
+edge word is not already minimal. A result's `elapsed` covers the whole
+call, canonicalisation included.
 """
 
 from __future__ import annotations
@@ -16,13 +30,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
 from . import gfp
 from .entanglement import is_ame, is_ame_grouped
-from .graph import Graph, canonical_form, canonical_form_grouped
+from .graph import (
+    Graph,
+    canonical_form,
+    canonical_form_grouped,
+    canonical_words,
+    graph_from_word,
+)
 
 _CHUNK = 1 << 16
 _TABLE_CAP = 1 << 22
@@ -65,6 +85,11 @@ class SearchSpec:
     def edge_slots(self) -> int:
         return self.n * (self.n - 1) // 2
 
+    @property
+    def word_dtype(self) -> np.dtype:
+        """Smallest unsigned dtype that holds every edge weight."""
+        return np.min_scalar_type(self.base - 1)
+
 
 @dataclass
 class SearchResult:
@@ -88,13 +113,9 @@ class SearchResult:
         )
 
 
-def _edge_list(n: int) -> list[tuple[int, int]]:
-    return list(combinations(range(n), 2))
-
-
 @lru_cache(maxsize=None)
 def _edge_index_map(n: int) -> dict[tuple[int, int], int]:
-    return {e: t for t, e in enumerate(_edge_list(n))}
+    return {e: t for t, e in enumerate(combinations(range(n), 2))}
 
 
 def _cut_sets(n: int, group_size: int) -> list[tuple[int, ...]]:
@@ -174,6 +195,11 @@ def _predicate_mask(weights: np.ndarray, spec: SearchSpec, plans) -> np.ndarray:
     return mask
 
 
+def _minimal_words(weights: np.ndarray, spec: SearchSpec) -> np.ndarray:
+    """Minimal edge words over the relabelings that keep the groups."""
+    return canonical_words(weights, spec.base, spec.n // spec.group_size, spec.group_size)
+
+
 def _prune_mask(weights: np.ndarray, spec: SearchSpec) -> np.ndarray:
     """True where a pruning layer rejects the graph before the predicate."""
     n = spec.n
@@ -195,42 +221,27 @@ def _prune_mask(weights: np.ndarray, spec: SearchSpec) -> np.ndarray:
             first = wv[np.arange(len(wv)), nz.argmax(axis=1)]
             pruned |= has & (first != 1)
     if spec.prune_canonical:
+        # keep one graph per orbit of the relabelings that preserve the
+        # groups (the predicate is invariant under exactly these): the one
+        # whose edge word is already minimal
         if n > 6:
             raise ValueError("canonical pruning enumerates n! relabelings; n <= 6 only")
-        base = spec.base
-        powers = base ** np.arange(spec.edge_slots - 1, -1, -1, dtype=np.int64)
-        ids = weights.astype(np.int64) @ powers
-        best = ids.copy()
-        edges = _edge_list(n)
-        for perm in permutations(range(n)):
-            if perm == tuple(range(n)):
-                continue
-            gather = [eidx[(min(perm[i], perm[j]), max(perm[i], perm[j]))] for i, j in edges]
-            pid = weights[:, gather].astype(np.int64) @ powers
-            np.minimum(best, pid, out=best)
-        pruned |= best < ids
+        pruned |= (_minimal_words(weights, spec) != weights).any(axis=1)
     return pruned
-
-
-def _graph_from_weights(row: np.ndarray, spec: SearchSpec) -> Graph:
-    a = np.zeros((spec.n, spec.n), dtype=np.int64)
-    for t, (i, j) in enumerate(_edge_list(spec.n)):
-        a[i, j] = a[j, i] = int(row[t])
-    return Graph(spec.p, a)
 
 
 def _weights_from_ids(ids: np.ndarray, spec: SearchSpec) -> np.ndarray:
     E = spec.edge_slots
     base = spec.base
-    out = np.empty((ids.size, E), dtype=np.uint8)
+    out = np.empty((ids.size, E), dtype=spec.word_dtype)
     for e in range(E):
         out[:, e] = (ids // base ** (E - 1 - e)) % base
     return out
 
 
-def _scan_ids(lo: int, hi: int, spec: SearchSpec, plans) -> tuple[list[int], int, int]:
+def _scan_ids(lo: int, hi: int, spec: SearchSpec, plans) -> tuple[np.ndarray, int, int]:
     """Scan an id range; returns (witness ids, examined, pruned)."""
-    wit: list[int] = []
+    wit = [np.empty(0, dtype=np.int64)]
     examined = 0
     pruned_total = 0
     for start in range(lo, hi, _CHUNK):
@@ -242,16 +253,30 @@ def _scan_ids(lo: int, hi: int, spec: SearchSpec, plans) -> tuple[list[int], int
         examined += int(keep.sum())
         mask = _predicate_mask(weights[keep], spec, plans)
         if mask.any():
-            wit.extend(int(v) for v in ids[keep][mask])
-    return wit, examined, pruned_total
+            wit.append(ids[keep][mask])
+    return np.concatenate(wit), examined, pruned_total
 
 
 def _dedupe_canonical(graphs: list[Graph], group_size: int = 1) -> list[Graph]:
+    """Scalar reference dedupe: one canonical_form call per graph."""
     seen: dict[bytes, Graph] = {}
     for g in graphs:
         cf = canonical_form_grouped(g, group_size) if group_size > 1 else canonical_form(g)
         seen.setdefault(cf.adj.tobytes(), cf)
     return [seen[k] for k in sorted(seen)]
+
+
+def _canonical_classes(ids: np.ndarray, spec: SearchSpec) -> list[Graph]:
+    """One canonical Graph per relabeling class of the graphs with these
+    ids, in the order of _dedupe_canonical."""
+    if spec.n > 8:
+        raise ValueError("canonical_form enumerates n! permutations; n <= 8 only")
+    words = _minimal_words(_weights_from_ids(ids, spec), spec)
+    canon = np.zeros(len(words), dtype=np.int64)  # below base^E, as in the scan
+    for digit in words.T:
+        canon = canon * spec.base + digit
+    classes = _weights_from_ids(np.unique(canon), spec)
+    return sorted((graph_from_word(spec.p, spec.n, w) for w in classes), key=lambda g: g.adj.tobytes())
 
 
 def enumerate_graphs(spec: SearchSpec) -> SearchResult:
@@ -260,11 +285,11 @@ def enumerate_graphs(spec: SearchSpec) -> SearchResult:
     The witness list is the canonical forms of all passing graphs,
     deduplicated; it does not depend on worker count or shard order.
     """
+    t0 = time.perf_counter()
     total = spec.base**spec.edge_slots
     if total > spec.budget:
         raise BudgetExceededError(f"{total} graphs exceed the budget of {spec.budget}")
     plans = _cut_plans(spec)
-    t0 = time.perf_counter()
 
     shards = 1
     t_fixed = 0
@@ -282,24 +307,22 @@ def enumerate_graphs(spec: SearchSpec) -> SearchResult:
     else:
         parts = [_scan_ids(lo, hi, spec, plans) for lo, hi in bounds]
 
-    wit_ids = [w for part in parts for w in part[0]]
     examined = sum(part[1] for part in parts)
     pruned = sum(part[2] for part in parts)
-    graphs = [
-        _graph_from_weights(_weights_from_ids(np.array([w]), spec)[0], spec) for w in wit_ids
-    ]
+    witnesses = _canonical_classes(np.concatenate([part[0] for part in parts]), spec)
     elapsed = time.perf_counter() - t0
-    return SearchResult(_dedupe_canonical(graphs, spec.group_size), examined, pruned, elapsed, True, spec)
+    return SearchResult(witnesses, examined, pruned, elapsed, True, spec)
 
 
 def _random_weights(rng: np.random.Generator, count: int, spec: SearchSpec) -> np.ndarray:
+    shape, dtype = (count, spec.edge_slots), spec.word_dtype
     if spec.weights_one:
-        return rng.integers(0, 2, size=(count, spec.edge_slots), dtype=np.uint8)
+        return rng.integers(0, 2, size=shape, dtype=dtype)
     if spec.dense_bias:
-        w = rng.integers(1, spec.p, size=(count, spec.edge_slots), dtype=np.uint8)
-        w[rng.random((count, spec.edge_slots)) < 1.0 / (2 * spec.p)] = 0
+        w = rng.integers(1, spec.p, size=shape, dtype=dtype)
+        w[rng.random(shape) < 1.0 / (2 * spec.p)] = 0
         return w
-    return rng.integers(0, spec.p, size=(count, spec.edge_slots), dtype=np.uint8)
+    return rng.integers(0, spec.p, size=shape, dtype=dtype)
 
 
 def random_search(spec: SearchSpec) -> SearchResult:
@@ -308,9 +331,9 @@ def random_search(spec: SearchSpec) -> SearchResult:
     Stops at the first witness; reproducible for a fixed seed (worker
     count does not enter the sampling stream).
     """
+    t0 = time.perf_counter()
     plans = _cut_plans(spec)
     rng = np.random.default_rng(spec.seed)
-    t0 = time.perf_counter()
     examined = 0
     pruned_total = 0
     drawn = 0
@@ -327,10 +350,9 @@ def random_search(spec: SearchSpec) -> SearchResult:
             first = int(mask.argmax())
             examined += int(keep[: first + 1].sum())
             pruned_total += int(pruned[: first + 1].sum())
-            g = _graph_from_weights(weights[first], spec)
-            elapsed = time.perf_counter() - t0
+            g = graph_from_word(spec.p, spec.n, weights[first])
             cf = canonical_form_grouped(g, spec.group_size) if spec.group_size > 1 else canonical_form(g)
-            return SearchResult([cf], examined, pruned_total, elapsed, False, spec)
+            return SearchResult([cf], examined, pruned_total, time.perf_counter() - t0, False, spec)
         examined += int(keep.sum())
         pruned_total += int(pruned.sum())
     elapsed = time.perf_counter() - t0
@@ -353,6 +375,7 @@ def _reference_search(spec: SearchSpec) -> SearchResult:
     """Scalar reference path used to validate the vectorized engine."""
     if spec.mode != "exhaustive":
         raise ValueError("reference path is exhaustive only")
+    t0 = time.perf_counter()
     total = spec.base**spec.edge_slots
     if total > spec.budget:
         raise BudgetExceededError(f"{total} graphs exceed the budget of {spec.budget}")
@@ -360,7 +383,6 @@ def _reference_search(spec: SearchSpec) -> SearchResult:
         tuple(range(t * spec.group_size, (t + 1) * spec.group_size))
         for t in range(spec.n // spec.group_size)
     ]
-    t0 = time.perf_counter()
     witnesses = []
     examined = 0
     pruned_total = 0
@@ -370,12 +392,12 @@ def _reference_search(spec: SearchSpec) -> SearchResult:
             pruned_total += 1
             continue
         examined += 1
-        g = _graph_from_weights(weights[0], spec)
+        g = graph_from_word(spec.p, spec.n, weights[0])
         if spec.group_size == 1:
             ok = is_ame(g).is_ame if g.n >= 2 else False
         else:
             ok = is_ame_grouped(g, groups).is_ame
         if ok:
             witnesses.append(g)
-    elapsed = time.perf_counter() - t0
-    return SearchResult(_dedupe_canonical(witnesses, spec.group_size), examined, pruned_total, elapsed, True, spec)
+    witnesses = _dedupe_canonical(witnesses, spec.group_size)
+    return SearchResult(witnesses, examined, pruned_total, time.perf_counter() - t0, True, spec)

@@ -1,5 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amegraph import graph as gr
 from amegraph.graph import (
@@ -9,11 +14,13 @@ from amegraph.graph import (
     canonical_form,
     canonical_form_grouped,
     circuit_from_graph,
+    edge_word,
     empty_graph,
     format_circuit,
     format_graph,
     format_graph_line,
     graph_from_edges,
+    graph_from_word,
     op_mult,
     op_star,
     parse_graph,
@@ -167,6 +174,72 @@ def test_canonical_form_grouped_preserves_property():
     groups = [tuple(range(t * gs, (t + 1) * gs)) for t in range(g.n // gs)]
     cf = canonical_form_grouped(g, gs)
     assert is_ame_grouped(cf, groups).is_ame
+
+
+def _brute_min(g: Graph, perms) -> np.ndarray:
+    """Row-major smallest of permute(g, perm).adj over `perms`, by a
+    lexicographic sort of the full flattened adjacencies."""
+    perms = np.asarray(perms)
+    flat = g.adj[perms[:, :, None], perms[:, None, :]].reshape(len(perms), -1)
+    k = np.lexsort(flat.T[::-1])[0]
+    assert (flat[k] == permute(g, perms[k].tolist()).adj.ravel()).all()
+    return flat[k].reshape(g.n, g.n)
+
+
+@st.composite
+def _graphs(draw, sizes=range(2, 7), primes=(2, 3, 5, 257)):
+    n = draw(st.sampled_from(sizes))
+    p = draw(st.sampled_from(primes))
+    word = draw(st.lists(st.integers(0, p - 1), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    return graph_from_word(p, n, word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_graphs())
+def test_canonical_form_is_brute_force_minimum(g):
+    perms = list(itertools.permutations(range(g.n)))
+    assert (canonical_form(g).adj == _brute_min(g, perms)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_graphs(), st.data())
+def test_canonical_form_invariant_under_permute(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    assert canonical_form(permute(g, perm)) == canonical_form(g)
+
+
+def test_canonical_form_multi_limb_n8_p7():
+    # 7^28 exceeds 2^53, so the edge word is compared in two limbs
+    rng = np.random.default_rng(8)
+    upper = np.triu(rng.integers(0, 7, size=(8, 8)), 1)
+    g = Graph(7, upper + upper.T)
+    perms = list(itertools.permutations(range(8)))
+    assert (canonical_form(g).adj == _brute_min(g, perms)).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.sampled_from([2, 3, 5, 257]), st.data())
+def test_canonical_form_grouped_is_brute_force_minimum(shape, p, data):
+    gcount, gsize = shape
+    n = gcount * gsize
+    word = data.draw(st.lists(st.integers(0, p - 1), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    g = graph_from_word(p, n, word)
+    perms = gr._group_perms(gcount, gsize)
+    blocks = np.arange(n) // gsize
+    assert len({tuple(r) for r in perms.tolist()}) == len(perms)
+    assert len(perms) == math.factorial(gcount) * math.factorial(gsize) ** gcount
+    for perm in perms:
+        # every relabeling maps each block onto one block
+        assert all(len(set(blocks[perm[blocks == t]])) == 1 for t in range(gcount))
+    assert (canonical_form_grouped(g, gsize).adj == _brute_min(g, perms)).all()
+    perm = perms[data.draw(st.integers(0, len(perms) - 1))]
+    assert canonical_form_grouped(permute(g, perm.tolist()), gsize) == canonical_form_grouped(g, gsize)
+
+
+def test_edge_word_roundtrip():
+    g = quad()
+    assert edge_word(g).tolist() == [1, 1, 0, 0, 2, 1]
+    assert graph_from_word(3, 4, edge_word(g)) == g
 
 
 def test_format_roundtrip():

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from amegraph import search
 from amegraph.entanglement import is_ame, is_ame_grouped
 from amegraph.graph import canonical_form, graph_from_edges
 from amegraph.search import (
@@ -40,12 +43,20 @@ def test_budget_guard():
         enumerate_graphs(SearchSpec(n=7, p=3))
 
 
-@pytest.mark.parametrize("n,p", [(4, 2), (4, 3), (5, 2)])
+@pytest.mark.parametrize("n,p", [(4, 2), (4, 3), (5, 2), (2, 257)])
 def test_engine_matches_reference(n, p):
     fast = enumerate_graphs(SearchSpec(n=n, p=p))
     ref = _reference_search(SearchSpec(n=n, p=p))
     assert fast.witnesses == ref.witnesses
     assert fast.examined == ref.examined
+
+
+def test_edge_words_wider_than_a_byte():
+    # weight 256 must not wrap to 0 in the edge word
+    res = enumerate_graphs(SearchSpec(n=2, p=257))
+    assert sorted(int(g.adj[0, 1]) for g in res.witnesses) == list(range(1, 257))
+    res = random_search(SearchSpec(n=3, p=263, mode="random", seed=1))
+    assert len(res.witnesses) == 1 and is_ame(res.witnesses[0]).is_ame
 
 
 def test_worker_count_does_not_change_results():
@@ -94,6 +105,19 @@ def test_pruning_layers_preserve_witness_classes():
     base52 = enumerate_graphs(SearchSpec(n=5, p=2))
     pruned52 = enumerate_graphs(SearchSpec(n=5, p=2, prune_zero_row=True, prune_canonical=True))
     assert pruned52.witnesses == base52.witnesses
+
+    base53 = enumerate_graphs(SearchSpec(n=5, p=3))
+    pruned53 = enumerate_graphs(SearchSpec(n=5, p=3, prune_canonical=True))
+    assert len(base53.witnesses) == 219
+    assert pruned53.witnesses == base53.witnesses
+
+    # grouped searches prune by the relabelings that keep the groups, the
+    # symmetry of the grouped predicate, so no grouped class is lost
+    for p, classes in ((2, 6), (3, 72)):
+        grouped = enumerate_graphs(SearchSpec(n=4, p=p, group_size=2))
+        pruned = enumerate_graphs(SearchSpec(n=4, p=p, group_size=2, prune_canonical=True))
+        assert len(grouped.witnesses) == classes
+        assert pruned.witnesses == grouped.witnesses and pruned.pruned > 0
 
 
 def test_random_search_finds_known_witnesses():
@@ -153,6 +177,23 @@ def test_grouped_engine_matches_reference():
     ref = _reference_search(SearchSpec(n=4, p=2, group_size=2))
     assert fast.witnesses == ref.witnesses
     assert fast.examined == ref.examined == 64
+
+
+def test_elapsed_covers_canonicalisation(monkeypatch):
+    delay = 0.05
+
+    def slowed(fn):
+        def call(*args):
+            time.sleep(delay)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(search, "_canonical_classes", slowed(search._canonical_classes))
+    monkeypatch.setattr(search, "_dedupe_canonical", slowed(search._dedupe_canonical))
+    monkeypatch.setattr(search, "canonical_form", slowed(search.canonical_form))
+    assert enumerate_graphs(SearchSpec(n=3, p=2)).elapsed >= delay
+    assert _reference_search(SearchSpec(n=3, p=2)).elapsed >= delay
+    assert random_search(SearchSpec(n=3, p=2, mode="random", seed=1)).elapsed >= delay
 
 
 def test_run_dispatch_and_stats_line():
