@@ -1,9 +1,12 @@
 """Classical linear codes over Z_p and the code-to-AME-graph pipeline.
 
 A code is stored by its n x k generator matrix G with codewords G x for
-x in Z_p^k. A self-orthogonality-free MDS code with n = 2k and minimum
-distance k + 1 yields a full stabilizer matrix [[G^T, 0], [0, H]] whose
-graph reduction is an AME state on n qudits.
+x in Z_p^k. Its codeword superposition is stabilized by [[G^T, 0], [0, H]],
+which to_graph reduces to a graph state. For n = 2k that state is AME
+exactly when the code is MDS (distance k + 1): a size-k cut loses rank
+exactly when a nonzero codeword vanishes on one side of it (weight <= k).
+So the reduced graph's C(n, n/2) cut ranks are the AME gate; min_distance
+enumerates the p^k codewords and stays only as a cross-check.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfp
+from .entanglement import is_ame
 from .graph import Graph
+from .simulator import TooLargeError
 from .stabilizer import GeneratorMatrix, to_graph
 
 
@@ -26,10 +31,6 @@ class PointsNotDistinctError(ValueError):
 
 
 class LengthExceedsFieldError(ValueError):
-    pass
-
-
-class TooLargeError(ValueError):
     pass
 
 
@@ -110,9 +111,13 @@ def is_mds(c: LinearCode, max_words: int = 10**7) -> bool:
     return min_distance(c, max_words) == c.n - c.k + 1
 
 
-def is_ame_code(c: LinearCode, max_words: int = 10**7) -> bool:
+def is_ame_code(c: LinearCode) -> bool:
     """MDS with n = 2k, the shape that produces an AME state."""
-    return c.n == 2 * c.k and is_mds(c, max_words)
+    try:
+        _certified(c)
+    except NotAmeCodeError:
+        return False
+    return True
 
 
 def grs_code(p: int, n: int, k: int, points=None) -> LinearCode:
@@ -138,25 +143,32 @@ def hamming433() -> LinearCode:
     return LinearCode(3, np.array([[1, 0], [0, 1], [1, 1], [2, 1]]))
 
 
+def _certified(c: LinearCode) -> tuple[GeneratorMatrix, Graph]:
+    """The codeword state's stabilizer matrix and its reduced graph, once
+    the graph's n/2 cuts all have full rank; NotAmeCodeError otherwise."""
+    if c.n == 2 * c.k:
+        zeros = np.zeros((c.k, c.n), dtype=np.int64)
+        m = GeneratorMatrix(c.p, np.vstack([c.gen.T, zeros]), np.vstack([zeros, parity_check(c)]))
+        g = to_graph(m)[0]
+        if is_ame(g).is_ame:
+            return m, g
+    raise NotAmeCodeError(f"[{c.n},{c.k}]_{c.p} code is not MDS with n = 2k")
+
+
 def ame_generator_matrix(c: LinearCode) -> GeneratorMatrix:
     """Stabilizer matrix [[G^T, 0], [0, H]] of the codeword superposition.
 
     X-type rows shift by codewords; Z-type rows phase by parity checks.
-    Only defined for codes with n = 2k and distance k + 1.
+    Only defined for codes with n = 2k and distance k + 1, which is
+    decided by the cut ranks of the matrix's reduced graph, without
+    enumerating codewords.
     """
-    if not is_ame_code(c):
-        raise NotAmeCodeError(f"[{c.n},{c.k}]_{c.p} code is not MDS with n = 2k")
-    h = parity_check(c)
-    zeros_top = np.zeros((c.k, c.n), dtype=np.int64)
-    zeros_bot = np.zeros((c.n - c.k, c.n), dtype=np.int64)
-    x = np.vstack([c.gen.T, zeros_bot])
-    z = np.vstack([zeros_top, h])
-    return GeneratorMatrix(c.p, x, z)
+    return _certified(c)[0]
 
 
 def code_to_ame_graph(c: LinearCode) -> Graph:
     """Graph-state form of the code's AME stabilizer state."""
-    return to_graph(ame_generator_matrix(c))[0]
+    return _certified(c)[1]
 
 
 def get_code(name: str) -> LinearCode:

@@ -4,6 +4,13 @@ The entanglement between a vertex set K and its complement, measured in
 edits (units of log p), equals the rank over Z_p of the rows of K
 restricted to the complement's columns. A state is absolutely maximally
 entangled exactly when every cut of size floor(n/2) has full rank.
+
+is_ame and is_ame_grouped decide this by stacking the cut matrices of one
+cut size and ranking them with gfp.rank_batch; cut_edits stays the scalar
+per-cut path. codes certifies [2k, k]_p codes through is_ame on the graph
+their codeword state reduces to: the code is MDS exactly when that graph
+is AME, since a size-k cut loses rank exactly when a nonzero codeword
+vanishes on one side of it.
 """
 
 from __future__ import annotations
@@ -44,6 +51,40 @@ def cut_edits(g: Graph, cut) -> int:
     return gfp.mat_rank(cut_matrix(g, cut), g.p)
 
 
+_BATCH = 1 << 12  # cut matrices ranked per rank_batch call at most
+
+
+def _certify(g: Graph, cut_lists, stop: bool) -> AmeReport:
+    """Rank each list's cuts (one list per cut size) in batches of stacked
+    cut matrices and record them in order; the witness is the first cut
+    ranked below its size. With stop=True the batches grow 1, 8, 64, ...
+    and recording ends at the witness."""
+    report = AmeReport(True, None)
+    for cuts in cut_lists:
+        size = len(cuts[0])
+        if not 0 < size < g.n:
+            raise ValueError("cut must be a proper nonempty vertex subset")
+        start, chunk = 0, 1 if stop else _BATCH
+        while start < len(cuts):
+            batch = cuts[start:start + chunk]
+            inside = np.array(batch, dtype=np.int64)
+            keep = np.ones((len(batch), g.n), dtype=bool)
+            keep[np.arange(len(batch))[:, None], inside] = False
+            rest = np.nonzero(keep)[1].reshape(len(batch), g.n - size)
+            ranks = gfp.rank_batch(g.adj[inside[:, :, None], rest[:, None, :]], g.p)
+            for cut, r in zip(batch, ranks.tolist()):
+                report.cut_ranks[cut] = r
+                if r < size:
+                    report.is_ame = False
+                    if report.witness is None:
+                        report.witness = cut
+                    if stop:
+                        return report
+            start += chunk
+            chunk = min(8 * chunk, _BATCH)
+    return report
+
+
 def is_ame(g: Graph, full: bool = False) -> AmeReport:
     """Check the rank criterion on every cut of size floor(n/2).
 
@@ -56,19 +97,8 @@ def is_ame(g: Graph, full: bool = False) -> AmeReport:
     if g.n < 2:
         raise ValueError("need at least two vertices")
     m = g.n // 2
-    report = AmeReport(True, None)
     sizes = range(1, m + 1) if full else (m,)
-    for size in sizes:
-        for cut in combinations(range(g.n), size):
-            r = cut_edits(g, cut)
-            report.cut_ranks[cut] = r
-            if r < size:
-                report.is_ame = False
-                if report.witness is None:
-                    report.witness = cut
-                if not full:
-                    return report
-    return report
+    return _certify(g, [list(combinations(range(g.n), size)) for size in sizes], stop=not full)
 
 
 def is_ame_grouped(g: Graph, groups) -> AmeReport:
@@ -85,20 +115,19 @@ def is_ame_grouped(g: Graph, groups) -> AmeReport:
     flat = sorted(v for grp in groups for v in grp)
     if flat != list(range(g.n)):
         raise UnequalGroupsError("groups must partition the vertices")
+    return _certify(g, [party_cuts(groups)], stop=False)
+
+
+def party_cuts(groups) -> list[tuple[int, ...]]:
+    """Sorted unions of floor(G/2) of the G groups, in lexicographic order
+    of the chosen groups; for even G only those holding group 0, since the
+    others are complements."""
     gcount = len(groups)
-    half = gcount // 2
-    report = AmeReport(True, None)
-    for chosen in combinations(range(gcount), half):
-        if gcount % 2 == 0 and 0 not in chosen:
-            continue  # complement already covered
-        cut = tuple(sorted(v for t in chosen for v in groups[t]))
-        r = cut_edits(g, cut)
-        report.cut_ranks[cut] = r
-        if r < len(cut):
-            report.is_ame = False
-            if report.witness is None:
-                report.witness = cut
-    return report
+    return [
+        tuple(sorted(v for t in chosen for v in groups[t]))
+        for chosen in combinations(range(gcount), gcount // 2)
+        if gcount % 2 or 0 in chosen
+    ]
 
 
 @dataclass

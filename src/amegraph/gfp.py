@@ -132,16 +132,20 @@ def kernel_basis(mat, p: int) -> np.ndarray:
 def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks mod p of a stack of matrices, shape (B, r, c) -> (B,).
 
-    Vectorized Gauss-Jordan over the batch dimension; products of residues
-    stay below 2^15 for p <= 31, so int16 intermediates are exact.
+    Vectorized Gauss-Jordan over the batch dimension. Intermediates are
+    products of two residues, so int16 is exact while (p - 1)^2 < 2^15
+    (p <= 181) and int64 while (p - 1)^2 < 2^63; larger p is refused.
     """
-    a = np.asarray(mats, dtype=np.int16) % p
+    small = (p - 1) ** 2 < 1 << 15
+    if not small and (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"p = {p} is too large for exact int64 elimination")
+    a = np.asarray(mats, dtype=np.int16 if small else np.int64) % p
     if a.ndim != 3:
         raise ValueError("expected a (B, r, c) stack")
     B, R, C = a.shape
     if B == 0 or R == 0 or C == 0:
         return np.zeros(B, dtype=np.int64)
-    inv = inverse_table(p).astype(np.int16)
+    inv = inverse_table(p).astype(np.int16) if small else None
     piv_row = np.zeros(B, dtype=np.int64)
     rows_idx = np.arange(R)[None, :]
     for col in range(C):
@@ -157,7 +161,11 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
         a[bidx, pr] = a[bidx, fr]
         a[bidx, fr] = tmp
         pivvals = a[bidx, pr, col]
-        a[bidx, pr] = (a[bidx, pr] * inv[pivvals][:, None]) % p
+        if small:
+            pivinv = inv[pivvals]
+        else:  # an inverse table would hold p entries
+            pivinv = np.array([pow(int(v), -1, p) for v in pivvals], dtype=np.int64)
+        a[bidx, pr] = (a[bidx, pr] * pivinv[:, None]) % p
         factors = a[bidx, :, col].copy()
         factors[np.arange(len(bidx)), pr] = 0
         a[bidx] = (a[bidx] - factors[:, :, None] * a[bidx, pr][:, None, :]) % p
@@ -165,15 +173,6 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
         if (piv_row == R).all():
             break
     return piv_row
-
-
-def pack_rows_gf2(mat) -> list[int]:
-    """Pack a 0/1 matrix into one int bitmask per row (column j -> bit j)."""
-    a = as_residues(mat, 2)
-    if a.shape[1] > 63:
-        raise ValueError("too many columns for bit packing")
-    weights = (1 << np.arange(a.shape[1], dtype=np.int64))
-    return [int(x) for x in a @ weights]
 
 
 def rank_gf2(rows: list[int]) -> int:

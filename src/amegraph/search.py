@@ -31,11 +31,12 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 
 import numpy as np
 
 from . import gfp
-from .entanglement import is_ame, is_ame_grouped
+from .entanglement import cut_edits, party_cuts
 from .graph import (
     Graph,
     canonical_form,
@@ -46,6 +47,7 @@ from .graph import (
 
 _CHUNK = 1 << 16
 _TABLE_CAP = 1 << 22
+_PRUNE_RELABELINGS = 720  # most relabelings canonical pruning compares each word with (6! at n = 6)
 
 
 class BudgetExceededError(ValueError):
@@ -86,6 +88,12 @@ class SearchSpec:
         return self.n * (self.n - 1) // 2
 
     @property
+    def groups(self) -> list[range]:
+        """The parties: consecutive blocks of group_size vertices."""
+        gs = self.group_size
+        return [range(t * gs, (t + 1) * gs) for t in range(self.n // gs)]
+
+    @property
     def word_dtype(self) -> np.dtype:
         """Smallest unsigned dtype that holds every edge weight."""
         return np.min_scalar_type(self.base - 1)
@@ -118,26 +126,6 @@ def _edge_index_map(n: int) -> dict[tuple[int, int], int]:
     return {e: t for t, e in enumerate(combinations(range(n), 2))}
 
 
-def _cut_sets(n: int, group_size: int) -> list[tuple[int, ...]]:
-    """Vertex cuts the predicate must certify, complements deduplicated."""
-    if group_size == 1:
-        m = n // 2
-        cuts = []
-        for c in combinations(range(n), m):
-            if 2 * m == n and 0 not in c:
-                continue
-            cuts.append(c)
-        return cuts
-    gcount = n // group_size
-    half = gcount // 2
-    cuts = []
-    for chosen in combinations(range(gcount), half):
-        if gcount % 2 == 0 and 0 not in chosen:
-            continue
-        cuts.append(tuple(v for t in chosen for v in range(t * group_size, (t + 1) * group_size)))
-    return cuts
-
-
 @lru_cache(maxsize=None)
 def _rank_full_table(p: int, rows: int, cols: int) -> np.ndarray:
     """table[v] = True iff the (rows x cols) matrix packed into the base-p
@@ -163,7 +151,7 @@ def _cut_plans(spec: SearchSpec):
     n, p = spec.n, spec.p
     eidx = _edge_index_map(n)
     plans = []
-    for cut in _cut_sets(n, spec.group_size):
+    for cut in party_cuts(spec.groups):
         inside = set(cut)
         rest = [u for u in range(n) if u not in inside]
         cols = [eidx[(min(k, l), max(k, l))] for k in cut for l in rest]
@@ -224,8 +212,12 @@ def _prune_mask(weights: np.ndarray, spec: SearchSpec) -> np.ndarray:
         # keep one graph per orbit of the relabelings that preserve the
         # groups (the predicate is invariant under exactly these): the one
         # whose edge word is already minimal
-        if n > 6:
-            raise ValueError("canonical pruning enumerates n! relabelings; n <= 6 only")
+        gcount, gsize = n // spec.group_size, spec.group_size
+        if factorial(gcount) * factorial(gsize) ** gcount > _PRUNE_RELABELINGS:
+            raise ValueError(
+                f"canonical pruning compares each graph with its relabelings; "
+                f"at most {_PRUNE_RELABELINGS} allowed"
+            )
         pruned |= (_minimal_words(weights, spec) != weights).any(axis=1)
     return pruned
 
@@ -379,9 +371,12 @@ def _reference_search(spec: SearchSpec) -> SearchResult:
     total = spec.base**spec.edge_slots
     if total > spec.budget:
         raise BudgetExceededError(f"{total} graphs exceed the budget of {spec.budget}")
-    groups = [
-        tuple(range(t * spec.group_size, (t + 1) * spec.group_size))
-        for t in range(spec.n // spec.group_size)
+    # every union of floor(G/2) groups, complements included, each ranked
+    # by scalar cut_edits: independent of party_cuts and gfp.rank_batch
+    half = spec.n // spec.group_size // 2 * spec.group_size
+    cuts = [
+        cut for cut in combinations(range(spec.n), half)
+        if all(set(grp) <= set(cut) or set(grp).isdisjoint(cut) for grp in spec.groups)
     ]
     witnesses = []
     examined = 0
@@ -393,11 +388,7 @@ def _reference_search(spec: SearchSpec) -> SearchResult:
             continue
         examined += 1
         g = graph_from_word(spec.p, spec.n, weights[0])
-        if spec.group_size == 1:
-            ok = is_ame(g).is_ame if g.n >= 2 else False
-        else:
-            ok = is_ame_grouped(g, groups).is_ame
-        if ok:
+        if all(cut_edits(g, cut) == len(cut) for cut in cuts):
             witnesses.append(g)
     witnesses = _dedupe_canonical(witnesses, spec.group_size)
     return SearchResult(witnesses, examined, pruned_total, time.perf_counter() - t0, True, spec)

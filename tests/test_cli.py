@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from amegraph.cli import main
@@ -123,6 +125,28 @@ def test_code2graph(capsys):
     assert out[0] == "3 4 4"
     assert out[1] == "1 0 1 2 0 0 0 0"
     assert "3 4" in out  # graph header follows
+
+
+def test_code2graph_beyond_codeword_enumeration(tmp_path, capsys):
+    # 17^7 codewords, but only C(14, 7) = 3432 cuts of the reduced graph
+    assert main(["code2graph", "grs:17,14,7"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("17 14\n")
+    target = tmp_path / "grs17.graph"
+    target.write_text(out)
+    assert main(["verify", str(target)]) == 0
+    assert capsys.readouterr().out.startswith("AME yes")
+
+
+@pytest.mark.parametrize("code,digest", [
+    ("hamming433", "05f39bc57a6ef461da737003536ababc25cb985fbb997a184d217b3414baf132"),
+    ("grs:7,6,3", "1f915564f08fd5d21335296f4a941a41236b97c94fb9d66be360dc2bab703ca6"),
+    ("grs:13,12,6", "e2848570a6c7ab71366154bed8c91d0a43dd381046ca9f29c53abe06d7a69864"),
+])
+def test_code2graph_output_unchanged(code, digest, capsys):
+    # SHA-256 of the expected output, byte for byte
+    assert main(["code2graph", code]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_code2graph_rejects_non_ame_code(capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from amegraph import codes
 from amegraph import gfp
@@ -116,6 +118,23 @@ def test_code_to_ame_graph(code):
     g = codes.code_to_ame_graph(code)
     assert g.p == code.p and g.n == code.n
     assert is_ame(g).is_ame
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.data())
+def test_cut_rank_gate_matches_min_distance(p, k, data):
+    # [2k, k] codes: AME through the graph's cut ranks exactly when MDS
+    n = 2 * k
+    gen = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=n * k, max_size=n * k))).reshape(n, k)
+    assume(gfp.mat_rank(gen, p) == k)
+    c = codes.LinearCode(p, gen)
+    mds = codes.min_distance(c) == k + 1
+    assert codes.is_ame_code(c) == mds
+    if mds:
+        assert is_ame(codes.code_to_ame_graph(c)).is_ame
+    else:
+        with pytest.raises(codes.NotAmeCodeError):
+            codes.code_to_ame_graph(c)
 
 
 @pytest.mark.parametrize("code", [codes.hamming433(), codes.grs_code(5, 4, 2)],

@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amegraph.entanglement import (
+    AmeReport,
     UnequalGroupsError,
     cut_edits,
     format_report,
@@ -13,7 +16,15 @@ from amegraph.entanglement import (
     lc_orbit_canonical,
     min_edge_representative,
 )
-from amegraph.graph import Graph, empty_graph, graph_from_edges, op_mult, op_star
+from amegraph.graph import (
+    Graph,
+    empty_graph,
+    graph_from_edges,
+    graph_from_word,
+    op_mult,
+    op_star,
+    permute,
+)
 from amegraph.simulator import build_graph_state, cut_entropy_edits
 from amegraph.witnesses import ame44_grouped, ame62, c5, quad_weighted
 
@@ -161,3 +172,60 @@ def test_format_report():
     assert lines[1] == "WITNESS 1,4"
     assert "CUT {1,4} RANK 1" in lines
     assert format_report(is_ame(quad_weighted(3))).splitlines()[0] == "AME yes"
+
+
+def _scalar_report(g, cut_lists, stop) -> AmeReport:
+    """Reference report: one scalar cut_edits per cut, in enumeration order."""
+    rep = AmeReport(True, None)
+    for cuts in cut_lists:
+        for cut in cuts:
+            r = cut_edits(g, cut)
+            rep.cut_ranks[cut] = r
+            if r < len(cut):
+                rep.is_ame = False
+                if rep.witness is None:
+                    rep.witness = cut
+                if stop:
+                    return rep
+    return rep
+
+
+def _same_report(got, want):
+    assert got == want and list(got.cut_ranks) == list(want.cut_ranks)
+
+
+@st.composite
+def _cert_graphs(draw):
+    """Random graphs with p in {2, 3, 5, 7, 191} and n <= 8, and relabeled
+    AME witnesses (which pass every cut, so no early exit)."""
+    if draw(st.booleans()):
+        g = draw(st.sampled_from([quad_weighted(3), quad_weighted(7), c5(2), c5(5), ame62()]))
+        return permute(g, draw(st.permutations(range(g.n))))
+    n = draw(st.integers(2, 8))
+    p = draw(st.sampled_from([2, 3, 5, 7, 191]))
+    slots = n * (n - 1) // 2
+    return graph_from_word(p, n, draw(st.lists(st.integers(0, p - 1), min_size=slots, max_size=slots)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cert_graphs())
+def test_is_ame_matches_scalar_reference(g):
+    m = g.n // 2
+    _same_report(is_ame(g), _scalar_report(g, [list(itertools.combinations(range(g.n), m))], True))
+    every = [list(itertools.combinations(range(g.n), s)) for s in range(1, m + 1)]
+    _same_report(is_ame(g, full=True), _scalar_report(g, every, False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cert_graphs(), st.data())
+def test_is_ame_grouped_matches_scalar_reference(g, data):
+    size = data.draw(st.sampled_from([s for s in range(1, g.n // 2 + 1) if g.n % s == 0]))
+    order = data.draw(st.permutations(range(g.n)))
+    groups = [tuple(order[t:t + size]) for t in range(0, g.n, size)]
+    gcount = len(groups)
+    cuts = [
+        tuple(sorted(v for t in chosen for v in groups[t]))
+        for chosen in itertools.combinations(range(gcount), gcount // 2)
+        if gcount % 2 or 0 in chosen
+    ]
+    _same_report(is_ame_grouped(g, groups), _scalar_report(g, [cuts], False))

@@ -124,9 +124,30 @@ def test_rank_batch_matches_scalar():
         assert got.tolist() == want
 
 
+@pytest.mark.parametrize("p", [31, 181, 191, 251, 257, 65537])
+def test_rank_batch_exact_for_large_p(p):
+    # products of two (3 x 2) and (2 x 3) factors: rank at most 2, and the
+    # elimination multiplies residues up to (p - 1)^2
+    rng = np.random.default_rng(p)
+    left = rng.integers(0, p, size=(300, 3, 2))
+    right = rng.integers(0, p, size=(300, 2, 3))
+    mats = np.einsum("bij,bjk->bik", left, right) % p
+    mats[:100, :, 2] = mats[:100, :, 0]  # some of rank at most 1
+    mats[:100, :, 1] = (7 * mats[:100, :, 0]) % p
+    want = [gfp.mat_rank(m, p) for m in mats]
+    assert gfp.rank_batch(mats, p).tolist() == want
+    assert set(want) >= {1, 2}
+
+
+def test_rank_batch_refuses_inexact_p():
+    with pytest.raises(ValueError):
+        gfp.rank_batch(np.ones((1, 2, 2), dtype=np.int64), 3037000507)
+
+
 def test_bitpacked_rank_matches_generic():
     rng = np.random.default_rng(5)
     for _ in range(300):
         r, c = int(rng.integers(1, 6)), int(rng.integers(1, 8))
         m = rng.integers(0, 2, size=(r, c))
-        assert gfp.rank_gf2(gfp.pack_rows_gf2(m)) == gfp.mat_rank(m, 2)
+        rows = [int(row @ (1 << np.arange(c))) for row in m]  # column j -> bit j
+        assert gfp.rank_gf2(rows) == gfp.mat_rank(m, 2)

@@ -5,10 +5,17 @@ import pytest
 
 from amegraph import search
 from amegraph.entanglement import is_ame, is_ame_grouped
-from amegraph.graph import canonical_form, graph_from_edges
+from amegraph.graph import (
+    canonical_form,
+    canonical_form_grouped,
+    edge_word,
+    graph_from_edges,
+    graph_from_word,
+)
 from amegraph.search import (
     BudgetExceededError,
     SearchSpec,
+    _prune_mask,
     _reference_search,
     enumerate_graphs,
     grouped_search,
@@ -118,6 +125,24 @@ def test_pruning_layers_preserve_witness_classes():
         pruned = enumerate_graphs(SearchSpec(n=4, p=p, group_size=2, prune_canonical=True))
         assert len(grouped.witnesses) == classes
         assert pruned.witnesses == grouped.witnesses and pruned.pruned > 0
+
+
+def test_prune_canonical_bounded_by_relabelings():
+    # 4 parties of 2 qudits: 4! * 2^4 = 384 relabelings, within the 720 of n = 6
+    spec = SearchSpec(n=8, p=2, group_size=2, mode="random", seed=1, samples=1000, prune_canonical=True)
+    res = random_search(spec)
+    assert res.examined + res.pruned == 1000 and res.pruned > 0
+    rng = np.random.default_rng(9)
+    words = rng.integers(0, 2, size=(60, spec.edge_slots), dtype=spec.word_dtype)
+    minimal = [edge_word(canonical_form_grouped(graph_from_word(2, 8, w), 2)) for w in words]
+    words = np.vstack([words, minimal])
+    keep = ~_prune_mask(words, spec)
+    assert keep.tolist() == [bool((edge_word(canonical_form_grouped(graph_from_word(2, 8, w), 2)) == w).all())
+                             for w in words]
+    assert keep[60:].all()
+    # 7! = 5040 relabelings of 7 single qudits
+    with pytest.raises(ValueError):
+        random_search(SearchSpec(n=7, p=2, mode="random", seed=1, samples=10, prune_canonical=True))
 
 
 def test_random_search_finds_known_witnesses():
