@@ -118,14 +118,14 @@ def cmd_code2graph(args) -> int:
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     try:
-        g = codes.code_to_ame_graph(code)
+        m, g = codes.certified(code)
     except codes.NotAmeCodeError as exc:
         print(f"FAIL {exc}")
         return 1
     if args.matrix:
         from .stabilizer import format_generator_matrix
 
-        sys.stdout.write(format_generator_matrix(codes.ame_generator_matrix(code)))
+        sys.stdout.write(format_generator_matrix(m))
     text = format_graph(g)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--graph", required=True)
     q.add_argument("--mode", choices=("threshold", "ramp"), required=True)
     q.add_argument("--dealers", default="1", help="comma-separated 1-indexed dealers")
-    q.add_argument("--check", default="all")
     q.add_argument("--secrets", type=int, default=5)
     q.add_argument("--seed", type=int, required=True)
     q.set_defaults(func=cmd_qss)

@@ -82,11 +82,7 @@ def parity_check(c: LinearCode) -> np.ndarray:
 
 def message_words(p: int, k: int) -> np.ndarray:
     """All p^k message vectors as a (p^k, k) array, index little-endian."""
-    idx = np.arange(p**k)
-    out = np.empty((p**k, k), dtype=np.int64)
-    for i in range(k):
-        out[:, i] = (idx // p**i) % p
-    return out
+    return gfp.digits(np.arange(p**k), p, k)
 
 
 def min_distance(c: LinearCode, max_words: int = 10**7) -> int:
@@ -97,10 +93,7 @@ def min_distance(c: LinearCode, max_words: int = 10**7) -> int:
     best = c.n
     chunk = 1 << 16
     for lo in range(1, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total))
-        msgs = np.empty((idx.size, c.k), dtype=np.int64)
-        for i in range(c.k):
-            msgs[:, i] = (idx // c.p**i) % c.p
+        msgs = gfp.digits(np.arange(lo, min(lo + chunk, total)), c.p, c.k)
         words = (msgs @ c.gen.T) % c.p
         best = min(best, int(np.count_nonzero(words, axis=1).min()))
     return best
@@ -114,7 +107,7 @@ def is_mds(c: LinearCode, max_words: int = 10**7) -> bool:
 def is_ame_code(c: LinearCode) -> bool:
     """MDS with n = 2k, the shape that produces an AME state."""
     try:
-        _certified(c)
+        certified(c)
     except NotAmeCodeError:
         return False
     return True
@@ -143,9 +136,10 @@ def hamming433() -> LinearCode:
     return LinearCode(3, np.array([[1, 0], [0, 1], [1, 1], [2, 1]]))
 
 
-def _certified(c: LinearCode) -> tuple[GeneratorMatrix, Graph]:
+def certified(c: LinearCode) -> tuple[GeneratorMatrix, Graph]:
     """The codeword state's stabilizer matrix and its reduced graph, once
-    the graph's n/2 cuts all have full rank; NotAmeCodeError otherwise."""
+    the graph's n/2 cuts all have full rank; NotAmeCodeError otherwise.
+    This is the one AME gate for codes: call it once when both are needed."""
     if c.n == 2 * c.k:
         zeros = np.zeros((c.k, c.n), dtype=np.int64)
         m = GeneratorMatrix(c.p, np.vstack([c.gen.T, zeros]), np.vstack([zeros, parity_check(c)]))
@@ -163,12 +157,12 @@ def ame_generator_matrix(c: LinearCode) -> GeneratorMatrix:
     decided by the cut ranks of the matrix's reduced graph, without
     enumerating codewords.
     """
-    return _certified(c)[0]
+    return certified(c)[0]
 
 
 def code_to_ame_graph(c: LinearCode) -> Graph:
     """Graph-state form of the code's AME stabilizer state."""
-    return _certified(c)[1]
+    return certified(c)[1]
 
 
 def get_code(name: str) -> LinearCode:

@@ -14,28 +14,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .entanglement import AmeReport, is_ame, is_ame_grouped
+from .gfp import factorize
 from .graph import Graph, load_graph
 from . import witnesses
 
 
 class MissingWitnessError(ValueError):
     pass
-
-
-def factorize(d: int) -> list[int]:
-    """Prime factors of d with multiplicity, ascending."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    out = []
-    q = 2
-    while q * q <= d:
-        while d % q == 0:
-            out.append(q)
-            d //= q
-        q += 1
-    if d > 1:
-        out.append(d)
-    return out
 
 
 @dataclass(frozen=True)

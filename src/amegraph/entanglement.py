@@ -118,15 +118,16 @@ def is_ame_grouped(g: Graph, groups) -> AmeReport:
     return _certify(g, [party_cuts(groups)], stop=False)
 
 
-def party_cuts(groups) -> list[tuple[int, ...]]:
-    """Sorted unions of floor(G/2) of the G groups, in lexicographic order
-    of the chosen groups; for even G only those holding group 0, since the
-    others are complements."""
+def party_cuts(groups, size: int | None = None) -> list[tuple[int, ...]]:
+    """Sorted unions of `size` (default floor(G/2)) of the G groups, in
+    lexicographic order of the chosen groups; when 2 * size = G only those
+    holding group 0, since the others are complements."""
     gcount = len(groups)
+    size = gcount // 2 if size is None else size
     return [
         tuple(sorted(v for t in chosen for v in groups[t]))
-        for chosen in combinations(range(gcount), gcount // 2)
-        if gcount % 2 or 0 in chosen
+        for chosen in combinations(range(gcount), size)
+        if 2 * size != gcount or 0 in chosen
     ]
 
 

@@ -24,16 +24,25 @@ class SingularMatrixError(ValueError):
     pass
 
 
+def factorize(d: int) -> list[int]:
+    """Prime factors of d with multiplicity, ascending, by trial division;
+    fields here are desk-scale."""
+    if d < 2:
+        raise ValueError("need d >= 2")
+    out = []
+    q = 2
+    while q * q <= d:
+        while d % q == 0:
+            out.append(q)
+            d //= q
+        q += 1
+    if d > 1:
+        out.append(d)
+    return out
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic trial division; fields here are desk-scale."""
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and factorize(p) == [p]
 
 
 def ensure_prime(p: int) -> int:
@@ -60,12 +69,33 @@ def as_residues(mat, p: int) -> np.ndarray:
     return np.asarray(mat, dtype=np.int64) % p
 
 
+def digits(values, base: int, width: int, dtype=np.int64) -> np.ndarray:
+    """Little-endian base-`base` digits: column i of the (..., width)
+    result is the coefficient of base^i in each value, the simulator's
+    amplitude-index convention. The inverse is
+    digits @ base ** np.arange(width). Each digit column is written
+    straight into `dtype`."""
+    rest = np.asarray(values, dtype=np.int64)
+    out = np.empty(rest.shape + (width,), dtype=dtype)
+    for i in range(width):
+        rest, out[..., i] = np.divmod(rest, base)
+    return out
+
+
+def _check_exact(p: int) -> None:
+    """Elimination forms products of two residues; int64 holds them exactly
+    only while (p - 1)^2 < 2^63."""
+    if (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"p = {p} is too large for exact int64 elimination")
+
+
 def row_reduce(mat, p: int) -> tuple[np.ndarray, list[int]]:
     """Gauss-Jordan reduction mod p with first-nonzero pivoting.
 
     Returns the reduced matrix and the list of pivot columns; pivoting is
     deterministic so ranks and kernels are reproducible.
     """
+    _check_exact(p)
     a = as_residues(mat, p).copy()
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
@@ -136,9 +166,8 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     products of two residues, so int16 is exact while (p - 1)^2 < 2^15
     (p <= 181) and int64 while (p - 1)^2 < 2^63; larger p is refused.
     """
+    _check_exact(p)
     small = (p - 1) ** 2 < 1 << 15
-    if not small and (p - 1) ** 2 >= 1 << 63:
-        raise ValueError(f"p = {p} is too large for exact int64 elimination")
     a = np.asarray(mats, dtype=np.int16 if small else np.int64) % p
     if a.ndim != 3:
         raise ValueError("expected a (B, r, c) stack")

@@ -205,6 +205,17 @@ def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
 
 
+@lru_cache(maxsize=None)
+def slot_matrix(n: int) -> np.ndarray:
+    """n x n matrix whose (i, j) and (j, i) entries are the edge slot of
+    {i, j} in an edge word; the diagonal is -1."""
+    slot = np.full((n, n), -1, dtype=np.int64)
+    i, j = _upper(n)
+    slot[i, j] = slot[j, i] = np.arange(len(i))
+    slot.setflags(write=False)
+    return slot
+
+
 def edge_word(g: Graph) -> np.ndarray:
     """Edge word of g: its C(n, 2) upper-triangle weights, slot by slot."""
     return g.adj[_upper(g.n)]
@@ -251,9 +262,7 @@ def _relabelings(gcount: int, gsize: int, base: int) -> tuple[np.ndarray, list[n
     perms = _group_perms(gcount, gsize)
     n = gcount * gsize
     i, j = _upper(n)
-    lo = np.minimum(perms[:, i], perms[:, j])
-    hi = np.maximum(perms[:, i], perms[:, j])
-    gathers = lo * (2 * n - lo - 1) // 2 + hi - lo - 1
+    gathers = slot_matrix(n)[perms[:, i], perms[:, j]]
     slots = gathers.shape[1]
     digits = 1
     while base ** (digits + 1) <= _EXACT:

@@ -165,8 +165,7 @@ def encode_symbolic(scheme, secret, outcomes):
     rows = [row_restrict(g, d, dealers) for d in dealers]
     trunc = truncate(g, dealers)
     terms = []
-    for flat in range(p**L):
-        digits = [(flat // p**l) % p for l in range(L)]
+    for flat, digits in enumerate(gfp.digits(np.arange(p**L), p, L).tolist()):
         coeff = s[flat]
         label = np.zeros(trunc.n, dtype=np.int64)
         shifted = []
@@ -225,13 +224,9 @@ def recovery_map(scheme, authorized) -> np.ndarray:
     sub = truncate(g, removed)
     base = graph_state_amplitudes(sub)
     dim = p ** len(B)
-    digits = np.empty((dim, len(B)), dtype=np.int64)
-    idx = np.arange(dim)
-    for t in range(len(B)):
-        digits[:, t] = (idx // p**t) % p
-    labels = digits  # all label vectors, little-endian enumeration
+    labels = gfp.digits(np.arange(dim), p, len(B))  # all label vectors, little-endian enumeration
     # row z of `phases` turns the base graph state into the label-z state
-    phases = omega_powers(p)[(labels @ digits.T) % p]
+    phases = omega_powers(p)[(labels @ labels.T) % p]
     coords = (labels @ rinv) % p
     cidx = coords @ (p ** np.arange(len(B), dtype=np.int64))
     # a projection outcome with coordinates c comes with the phase

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codes, composite, entanglement, gfp, qss, search, simulator, witnesses
-from .graph import Graph, graph_from_edges, op_mult, op_star
+from .graph import Graph, graph_from_edges, graph_from_word, op_mult, op_star, slot_matrix
 from .simulator import omega_powers
 
 
@@ -35,15 +35,6 @@ def _c4() -> Graph:
     return graph_from_edges(2, 4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)])
 
 
-def _bipartitions(n: int):
-    """All (cut, rest) splits with 1 <= |cut| <= n/2, complements deduped."""
-    for size in range(1, n // 2 + 1):
-        for cut in itertools.combinations(range(n), size):
-            if 2 * size == n and 0 not in cut:
-                continue
-            yield cut
-
-
 def _entropy_rank_delta(p: int, n: int, weights: np.ndarray) -> float:
     """Max |dense cut entropy - cut rank| over all graphs and bipartitions.
 
@@ -51,13 +42,17 @@ def _entropy_rank_delta(p: int, n: int, weights: np.ndarray) -> float:
     edge slots. Vectorized: states are built in bulk and each bipartition
     is handled with one batched SVD and one batched rank computation.
     """
-    edges = list(itertools.combinations(range(n), 2))
-    eidx = {e: t for t, e in enumerate(edges)}
-    digits = np.empty((p**n, n), dtype=np.int64)
-    idx = np.arange(p**n)
-    for i in range(n):
-        digits[:, i] = (idx // p**i) % p
+    edges = itertools.combinations(range(n), 2)
+    digits = gfp.digits(np.arange(p**n), p, n)
     quad = np.stack([(digits[:, i] * digits[:, j]) % p for i, j in edges])
+    slot = slot_matrix(n)
+    plans = []  # per bipartition: cut-matrix edge slots, |cut|, amplitude indices
+    for m in range(1, n // 2 + 1):
+        for cut in entanglement.party_cuts([(v,) for v in range(n)], m):
+            rest = [u for u in range(n) if u not in cut]
+            rowpart = gfp.digits(np.arange(p**m), p, m) @ p ** np.array(cut)
+            colpart = gfp.digits(np.arange(p ** (n - m)), p, n - m) @ p ** np.array(rest)
+            plans.append((slot[np.ix_(cut, rest)].ravel(), m, rowpart[:, None] + colpart[None, :]))
     w = omega_powers(p)
     worst = 0.0
     chunk = 2048
@@ -65,32 +60,14 @@ def _entropy_rank_delta(p: int, n: int, weights: np.ndarray) -> float:
     for lo in range(0, weights.shape[0], chunk):
         batch = weights[lo : lo + chunk].astype(np.int64)
         amps = w[(batch @ quad) % p] * p ** (-n / 2)
-        for cut in _bipartitions(n):
-            rest = [u for u in range(n) if u not in set(cut)]
-            m = len(cut)
-            cols = [eidx[(min(k, l), max(k, l))] for k in cut for l in rest]
+        for cols, m, index in plans:
             ranks = gfp.rank_batch(batch[:, cols].reshape(-1, m, n - m), p)
-            rowpart = np.zeros(p**m, dtype=np.int64)
-            for t, v in enumerate(cut):
-                rowpart += ((np.arange(p**m) // p**t) % p) * p**v
-            colpart = np.zeros(p ** (n - m), dtype=np.int64)
-            for t, v in enumerate(rest):
-                colpart += ((np.arange(p ** (n - m)) // p**t) % p) * p**v
-            mats = amps[:, (rowpart[:, None] + colpart[None, :])]
+            mats = amps[:, index]
             sv = np.linalg.svd(mats, compute_uv=False)
             lam = sv**2
             ent = -np.where(lam > 1e-12, lam * np.log(np.where(lam > 1e-12, lam, 1.0)), 0.0).sum(axis=1) / logp
             worst = max(worst, float(np.abs(ent - ranks).max()))
     return worst
-
-
-def _all_weight_words(p: int, n: int) -> np.ndarray:
-    e = n * (n - 1) // 2
-    idx = np.arange(p**e)
-    out = np.empty((p**e, e), dtype=np.int64)
-    for t in range(e):
-        out[:, t] = (idx // p**t) % p
-    return out
 
 
 def check_oracle_equivalence(quick: bool = False) -> CheckResult:
@@ -101,7 +78,8 @@ def check_oracle_equivalence(quick: bool = False) -> CheckResult:
     checked = 0
     for p in (2, 3):
         for n in range(2, 6):
-            words = _all_weight_words(p, n)
+            e = n * (n - 1) // 2
+            words = gfp.digits(np.arange(p**e), p, e)
             worst = max(worst, _entropy_rank_delta(p, n, words))
             checked += words.shape[0]
     rng = np.random.default_rng(20240601)
@@ -201,11 +179,10 @@ def _stabilized_by_displacements(c: codes.LinearCode) -> bool:
 def check_mds_pipeline(quick: bool = False) -> CheckResult:
     t0 = time.perf_counter()
     ham = codes.hamming433()
-    m = codes.ame_generator_matrix(ham)
+    m, g = codes.certified(ham)
     expected_x = np.array([[1, 0, 1, 2], [0, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0]])
     expected_z = np.array([[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 1, 2], [0, 1, 1, 1]])
     exact = bool((m.x == expected_x).all() and (m.z == expected_z).all())
-    g = codes.code_to_ame_graph(ham)
     graph_ok = entanglement.is_ame(g).is_ame
     dense_ok = _stabilized_by_displacements(ham) and _stabilized_by_displacements(
         codes.grs_code(5, 4, 2)
@@ -251,12 +228,9 @@ def check_measurement_consistency(quick: bool = False) -> CheckResult:
     worst_overlap = 1.0
     for p in (2, 3):
         for n in (2, 3, 4):
-            for word in _all_weight_words(p, n):
-                edges = list(itertools.combinations(range(n), 2))
-                adj = np.zeros((n, n), dtype=np.int64)
-                for t, (i, j) in enumerate(edges):
-                    adj[i, j] = adj[j, i] = word[t]
-                g = Graph(p, adj)
+            e = n * (n - 1) // 2
+            for word in gfp.digits(np.arange(p**e), p, e):
+                g = graph_from_word(p, n, word)
                 dense = simulator.build_graph_state(g)
                 for size in (1, 2):
                     if size >= n:
@@ -344,10 +318,11 @@ def check_composite_4_4(quick: bool = False) -> CheckResult:
 
 def _oracle_verifies(g: Graph) -> bool:
     state = simulator.build_graph_state(g)
-    for cut in _bipartitions(g.n):
-        if abs(simulator.cut_entropy_edits(state, cut) - entanglement.cut_edits(g, cut)) > 1e-6:
-            return False
-    return True
+    return all(
+        abs(simulator.cut_entropy_edits(state, cut) - entanglement.cut_edits(g, cut)) <= 1e-6
+        for size in range(1, g.n // 2 + 1)
+        for cut in entanglement.party_cuts([(v,) for v in range(g.n)], size)
+    )
 
 
 def check_witness_discovery(quick: bool = False) -> CheckResult:

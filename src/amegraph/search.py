@@ -2,13 +2,13 @@
 
 Graphs on n vertices are encoded as weight words over the C(n, 2) edge
 slots in lexicographic order; an exhaustive run scans all base^E words
-(base = p, or 2 under the weight-one restriction) as big-endian integers,
-so sharding on the first t edge weights splits the id range into
-contiguous blocks. The rank predicate is evaluated in bulk: for each cut
-the relevant edge digits are gathered and looked up in a precomputed
-"is full rank" table (bit-packed GF(2) elimination builds the p = 2
-tables, batched Gauss-Jordan the rest), with survivors compacted after
-every cut so almost all graphs are rejected after one or two lookups.
+(base = p, or 2 under the weight-one restriction) as the little-endian
+integers of gfp.digits, so sharding on the last t edge weights splits the
+id range into contiguous blocks. The rank predicate is evaluated in bulk:
+for each cut the relevant edge digits are gathered and looked up in a
+precomputed "is full rank" table (built by gfp.rank_batch), with
+survivors compacted after every cut so almost all graphs are rejected
+after one or two lookups.
 
 Witnesses are reported one per relabeling class (relabelings that keep
 the groups, when there are groups), as the canonical form of graph.py.
@@ -43,6 +43,7 @@ from .graph import (
     canonical_form_grouped,
     canonical_words,
     graph_from_word,
+    slot_matrix,
 )
 
 _CHUNK = 1 << 16
@@ -122,44 +123,31 @@ class SearchResult:
 
 
 @lru_cache(maxsize=None)
-def _edge_index_map(n: int) -> dict[tuple[int, int], int]:
-    return {e: t for t, e in enumerate(combinations(range(n), 2))}
-
-
-@lru_cache(maxsize=None)
 def _rank_full_table(p: int, rows: int, cols: int) -> np.ndarray:
     """table[v] = True iff the (rows x cols) matrix packed into the base-p
-    digits of v (row-major, digit 0 first) has full row rank."""
+    digits of v (row-major, digit 0 first) has full row rank; ranked in
+    chunks of _CHUNK matrices."""
     total = p ** (rows * cols)
-    if p == 2:
-        # bit-packed elimination, the GF(2) fast path
-        out = np.empty(total, dtype=bool)
-        for v in range(total):
-            packed = [(v >> (r * cols)) & ((1 << cols) - 1) for r in range(rows)]
-            out[v] = gfp.rank_gf2(packed) == rows
-        return out
-    idx = np.arange(total)
-    digits = np.empty((total, rows * cols), dtype=np.int16)
-    for t in range(rows * cols):
-        digits[:, t] = (idx // p**t) % p
-    mats = digits.reshape(total, rows, cols)
-    return gfp.rank_batch(mats, p) == rows
+    out = np.empty(total, dtype=bool)
+    for lo in range(0, total, _CHUNK):
+        ids = np.arange(lo, min(lo + _CHUNK, total))
+        mats = gfp.digits(ids, p, rows * cols, np.min_scalar_type(p - 1))
+        out[lo : lo + len(ids)] = gfp.rank_batch(mats.reshape(-1, rows, cols), p) == rows
+    return out
 
 
 def _cut_plans(spec: SearchSpec):
     """Per cut: gather columns, expected rank, and lookup table if small."""
     n, p = spec.n, spec.p
-    eidx = _edge_index_map(n)
+    slot = slot_matrix(n)
     plans = []
     for cut in party_cuts(spec.groups):
-        inside = set(cut)
-        rest = [u for u in range(n) if u not in inside]
-        cols = [eidx[(min(k, l), max(k, l))] for k in cut for l in rest]
+        rest = [u for u in range(n) if u not in cut]
         rows, width = len(cut), len(rest)
         table = None
         if p ** (rows * width) <= _TABLE_CAP:
             table = _rank_full_table(p, rows, width)
-        plans.append((np.array(cols), rows, width, table))
+        plans.append((slot[np.ix_(cut, rest)].ravel(), rows, width, table))
     # most selective first is irrelevant by symmetry; keep deterministic order
     return plans
 
@@ -191,19 +179,17 @@ def _minimal_words(weights: np.ndarray, spec: SearchSpec) -> np.ndarray:
 def _prune_mask(weights: np.ndarray, spec: SearchSpec) -> np.ndarray:
     """True where a pruning layer rejects the graph before the predicate."""
     n = spec.n
-    eidx = _edge_index_map(n)
+    slot = slot_matrix(n)
     pruned = np.zeros(weights.shape[0], dtype=bool)
     if spec.prune_zero_row:
         for v in range(n):
-            inc = [eidx[(min(u, v), max(u, v))] for u in range(n) if u != v]
-            pruned |= (weights[:, inc] == 0).all(axis=1)
+            pruned |= (weights[:, np.delete(slot[v], v)] == 0).all(axis=1)
     if spec.prune_rescale and spec.p > 2:
         # a graph is scale-normal when each vertex's first nonzero incident
         # weight (neighbors in ascending order) is 1; every rescaling orbit
         # contains exactly such representatives
         for v in range(n):
-            inc = [eidx[(min(u, v), max(u, v))] for u in range(n) if u != v]
-            wv = weights[:, inc]
+            wv = weights[:, np.delete(slot[v], v)]
             nz = wv != 0
             has = nz.any(axis=1)
             first = wv[np.arange(len(wv)), nz.argmax(axis=1)]
@@ -223,12 +209,7 @@ def _prune_mask(weights: np.ndarray, spec: SearchSpec) -> np.ndarray:
 
 
 def _weights_from_ids(ids: np.ndarray, spec: SearchSpec) -> np.ndarray:
-    E = spec.edge_slots
-    base = spec.base
-    out = np.empty((ids.size, E), dtype=spec.word_dtype)
-    for e in range(E):
-        out[:, e] = (ids // base ** (E - 1 - e)) % base
-    return out
+    return gfp.digits(ids, spec.base, spec.edge_slots, spec.word_dtype)
 
 
 def _scan_ids(lo: int, hi: int, spec: SearchSpec, plans) -> tuple[np.ndarray, int, int]:
@@ -264,8 +245,8 @@ def _canonical_classes(ids: np.ndarray, spec: SearchSpec) -> list[Graph]:
     if spec.n > 8:
         raise ValueError("canonical_form enumerates n! permutations; n <= 8 only")
     words = _minimal_words(_weights_from_ids(ids, spec), spec)
-    canon = np.zeros(len(words), dtype=np.int64)  # below base^E, as in the scan
-    for digit in words.T:
+    canon = np.zeros(len(words), dtype=np.int64)  # their scan ids, without an int64 copy of words
+    for digit in words.T[::-1]:
         canon = canon * spec.base + digit
     classes = _weights_from_ids(np.unique(canon), spec)
     return sorted((graph_from_word(spec.p, spec.n, w) for w in classes), key=lambda g: g.adj.tobytes())

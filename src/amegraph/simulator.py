@@ -61,10 +61,7 @@ def omega_powers(p: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _digits(p: int, n: int) -> np.ndarray:
     """(p^n, n) table: _digits(p, n)[idx, i] = base-p digit i of idx."""
-    idx = np.arange(p**n)
-    d = np.empty((p**n, n), dtype=np.int64)
-    for i in range(n):
-        d[:, i] = (idx // p**i) % p
+    d = gfp.digits(np.arange(p**n), p, n)
     d.setflags(write=False)
     return d
 

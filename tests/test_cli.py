@@ -149,6 +149,19 @@ def test_code2graph_output_unchanged(code, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_code2graph_matrix_certifies_once(monkeypatch, capsys):
+    from amegraph import codes
+
+    calls, real = [], codes.is_ame
+    monkeypatch.setattr(codes, "is_ame", lambda g, **kw: calls.append(g) or real(g, **kw))
+    assert main(["code2graph", "hamming433", "--matrix"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2a33ef6ae154780132b889d842db6b7022a80a8e457d2cbafbab3e69643b2ce1"
+    )
+    assert len(calls) == 1
+
+
 def test_code2graph_rejects_non_ame_code(capsys):
     assert main(["code2graph", "grs:5,4,1"]) == 1
     assert capsys.readouterr().out.startswith("FAIL")
@@ -160,7 +173,7 @@ def test_code2graph_unknown(capsys):
 
 def test_qss_threshold_audit(quad_file, capsys):
     rc = main(["qss", "--graph", quad_file, "--mode", "threshold",
-               "--dealers", "1", "--check", "all", "--seed", "3", "--secrets", "2"])
+               "--dealers", "1", "--seed", "3", "--secrets", "2"])
     assert rc == 0
     out = capsys.readouterr().out.splitlines()
     assert any(line.startswith("AUTH {2,3}") for line in out)

@@ -15,6 +15,7 @@ from amegraph.entanglement import (
     lc_orbit,
     lc_orbit_canonical,
     min_edge_representative,
+    party_cuts,
 )
 from amegraph.graph import (
     Graph,
@@ -229,3 +230,20 @@ def test_is_ame_grouped_matches_scalar_reference(g, data):
         if gcount % 2 or 0 in chosen
     ]
     _same_report(is_ame_grouped(g, groups), _scalar_report(g, [cuts], False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 3), st.data())
+def test_party_cuts_matches_brute_force(gcount, gsize, data):
+    order = data.draw(st.permutations(range(gcount * gsize)))
+    groups = [tuple(order[t * gsize:(t + 1) * gsize]) for t in range(gcount)]
+    assert party_cuts(groups) == party_cuts(groups, gcount // 2)
+    for size in range(1, gcount // 2 + 1):
+        # every subset of the groups as a bitmask; complements only once
+        chosen = sorted(
+            tuple(t for t in range(gcount) if mask >> t & 1)
+            for mask in range(1 << gcount)
+            if bin(mask).count("1") == size and (2 * size != gcount or mask & 1)
+        )
+        want = [tuple(sorted(v for t in c for v in groups[t])) for c in chosen]
+        assert party_cuts(groups, size) == want

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amegraph import gfp
+from amegraph import composite, gfp
 
 
 def test_is_prime():
@@ -151,3 +153,40 @@ def test_bitpacked_rank_matches_generic():
         m = rng.integers(0, 2, size=(r, c))
         rows = [int(row @ (1 << np.arange(c))) for row in m]  # column j -> bit j
         assert gfp.rank_gf2(rows) == gfp.mat_rank(m, 2)
+
+
+def test_is_prime_is_one_factor():
+    assert composite.factorize is gfp.factorize
+    assert all(gfp.is_prime(d) == (gfp.factorize(d) == [d]) for d in range(2, 500))
+
+
+def test_row_reduce_refuses_inexact_p():
+    # [[p-1, p-2], [1, 2]] is -1 times its second row, so rank 1; at
+    # p = 4294967311 the int64 products (p-1)^2 overflow and gave rank 2
+    p = 2147483647  # (p - 1)^2 < 2^63: still exact
+    assert gfp.mat_rank([[p - 1, p - 2], [1, 2]], p) == 1
+    p = 4294967311
+    for fn in (gfp.mat_rank, gfp.row_reduce, gfp.kernel_basis):
+        with pytest.raises(ValueError):
+            fn([[p - 1, p - 2], [1, 2]], p)
+
+
+_FITS = {2: [np.uint8, np.int16, np.int64], 3: [np.uint8, np.int16, np.int64],
+         5: [np.uint8, np.int16, np.int64], 257: [np.uint16, np.int16, np.int32, np.int64]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_FITS)), st.data())
+def test_digits_round_trip(base, data):
+    width = data.draw(st.integers(1, 7))
+    dtype = data.draw(st.sampled_from(_FITS[base]))
+    values = data.draw(st.lists(st.integers(0, base**width - 1), max_size=20))
+    got = gfp.digits(values, base, width, dtype)
+    assert got.dtype == dtype and got.shape == (len(values), width)
+    for v, row in zip(values, got.tolist()):
+        want = []
+        for _ in range(width):
+            v, d = divmod(v, base)
+            want.append(d)
+        assert row == want  # little-endian: column i is the coefficient of base^i
+    assert (got.astype(np.int64) @ base ** np.arange(width) == np.array(values, dtype=np.int64)).all()

@@ -27,6 +27,7 @@ from amegraph.graph import (
     parse_graph_line,
     permute,
     row_restrict,
+    slot_matrix,
     to_dot,
     truncate,
     z_measure_symbolic,
@@ -284,3 +285,20 @@ def test_single_edge_circuit():
 
 def test_empty_graph_circuit():
     assert format_circuit(circuit_from_graph(empty_graph(2, 2))) == "PREP_ALL |0bar>\n"
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_slot_matrix_is_combinations_order(n):
+    slot = slot_matrix(n)
+    want = np.full((n, n), -1)
+    for t, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        want[i, j] = want[j, i] = t
+    assert (slot == want).all()
+    assert not slot.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(_graphs(sizes=range(2, 9)))
+def test_slot_matrix_indexes_edge_word(g):
+    off = ~np.eye(g.n, dtype=bool)
+    assert (edge_word(g)[slot_matrix(g.n)[off]] == g.adj[off]).all()

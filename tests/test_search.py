@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from amegraph import search
+from amegraph import gfp, search
 from amegraph.entanglement import is_ame, is_ame_grouped
 from amegraph.graph import (
     canonical_form,
@@ -226,3 +226,16 @@ def test_run_dispatch_and_stats_line():
     line = res.stats_line()
     assert line.startswith("examined=64 pruned=0 witnesses=0 rate=")
     assert line.endswith("/s exhaustive=yes")
+
+
+@pytest.mark.parametrize("p,rows,cols", [(2, 2, 3), (2, 3, 3), (3, 2, 2), (5, 1, 3)])
+def test_rank_tables_match_scalar_rank(p, rows, cols):
+    table = search._rank_full_table(p, rows, cols)
+    mats = gfp.digits(np.arange(p ** (rows * cols)), p, rows * cols).reshape(-1, rows, cols)
+    assert table.tolist() == [gfp.mat_rank(m, p) == rows for m in mats]
+
+
+def test_rank_tables_hold_weights_beyond_int16():
+    # the n = 2 cut is one weight; every nonzero weight, also above 32767, is full rank
+    table = search._rank_full_table(65537, 1, 1)
+    assert not table[0] and table[1:].all()
