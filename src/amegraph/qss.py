@@ -262,13 +262,14 @@ def _recovered_state(scheme, secret, B, outcomes) -> np.ndarray:
     rho = reduced_density(state, positions)
     v = recovery_map(scheme, B)
     rho = v @ rho @ v.conj().T
+    t = rho.reshape([p] * (2 * len(B)))  # row axes, then column axes
     for l, (bg, bh) in enumerate(outcomes):
         if (bg % p, bh % p) != (0, 0):
             u = ugh_matrix(p, bg, bh)
-            lift = np.kron(np.eye(p ** (len(B) - l - 1), dtype=np.complex128), u)
-            lift = np.kron(lift, np.eye(p**l, dtype=np.complex128))
-            rho = lift @ rho @ lift.conj().T
-    return _trace_to_registers(rho, p, L)
+            # register l is row axis len(B)-1-l: U on the rows, conj(U) on the columns
+            for ax, op in ((len(B) - 1 - l, u), (2 * len(B) - 1 - l, u.conj())):
+                t = np.moveaxis(np.tensordot(op, t, axes=(1, ax)), 0, ax)
+    return _trace_to_registers(t.reshape(rho.shape), p, L)
 
 
 def run_threshold(scheme: ThresholdScheme, secret, authorized, outcome=(0, 0)) -> float:

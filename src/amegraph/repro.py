@@ -26,6 +26,7 @@ class CheckResult:
     status: str  # PASS | FAIL | SKIP
     detail: str
     warnings: list[str] = field(default_factory=list)
+    elapsed: float = 0.0  # seconds, set by run_all; not part of line()
 
     def line(self) -> str:
         return f"{self.status} {self.ident} {self.name}: {self.detail}"
@@ -40,7 +41,8 @@ def _entropy_rank_delta(p: int, n: int, weights: np.ndarray) -> float:
 
     `weights` holds one base-p weight word per graph over the lexicographic
     edge slots. Vectorized: states are built in bulk and each bipartition
-    is handled with one batched SVD and one batched rank computation.
+    is handled with one batched Gram-spectrum entropy and one batched rank
+    computation.
     """
     edges = itertools.combinations(range(n), 2)
     digits = gfp.digits(np.arange(p**n), p, n)
@@ -56,16 +58,12 @@ def _entropy_rank_delta(p: int, n: int, weights: np.ndarray) -> float:
     w = omega_powers(p)
     worst = 0.0
     chunk = 2048
-    logp = np.log(p)
     for lo in range(0, weights.shape[0], chunk):
         batch = weights[lo : lo + chunk].astype(np.int64)
         amps = w[(batch @ quad) % p] * p ** (-n / 2)
         for cols, m, index in plans:
             ranks = gfp.rank_batch(batch[:, cols].reshape(-1, m, n - m), p)
-            mats = amps[:, index]
-            sv = np.linalg.svd(mats, compute_uv=False)
-            lam = sv**2
-            ent = -np.where(lam > 1e-12, lam * np.log(np.where(lam > 1e-12, lam, 1.0)), 0.0).sum(axis=1) / logp
+            ent = simulator._gram_entropies(amps[:, index], p)
             worst = max(worst, float(np.abs(ent - ranks).max()))
     return worst
 
@@ -363,5 +361,8 @@ def run_all(quick: bool = False, only=None) -> list[CheckResult]:
     for ident, fn in enumerate(CHECKS, start=1):
         if only is not None and ident not in only:
             continue
-        results.append(fn(quick=quick))
+        t0 = time.perf_counter()
+        res = fn(quick=quick)
+        res.elapsed = time.perf_counter() - t0
+        results.append(res)
     return results

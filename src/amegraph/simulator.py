@@ -13,7 +13,7 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,17 +171,27 @@ def reduced_density(s: StateVector, keep) -> np.ndarray:
 
 def entropy_edits(rho: np.ndarray, p: int) -> float:
     """Von Neumann entropy of a density matrix in units of log p."""
-    vals = np.linalg.eigvalsh(rho)
-    vals = vals[vals > 1e-12]
-    return float(-(vals * np.log(vals)).sum() / np.log(p))
+    return float(_spectrum_edits(np.linalg.eigvalsh(rho), p))
+
+
+def _spectrum_edits(lam: np.ndarray, p: int) -> np.ndarray:
+    """-sum lam log lam / log p over the last axis, eigenvalues <= 1e-12 dropped."""
+    lam = np.where(lam > 1e-12, lam, 1.0)  # 1 log 1 = 0
+    return -(lam * np.log(lam)).sum(axis=-1) / np.log(p)
+
+
+def _gram_entropies(mats: np.ndarray, p: int) -> np.ndarray:
+    """Entanglement entropies, in units of log p, of a stack of amplitude
+    matrices (..., r, c): the eigenvalues of the smaller side's Gram
+    matrix M M^dagger are the squared singular values."""
+    if mats.shape[-2] > mats.shape[-1]:
+        mats = mats.swapaxes(-1, -2)
+    return _spectrum_edits(np.linalg.eigvalsh(mats @ mats.conj().swapaxes(-1, -2)), p)
 
 
 def cut_entropy_edits(s: StateVector, cut) -> float:
-    """Entanglement entropy across (cut, rest) in edits, via singular values."""
-    sv = np.linalg.svd(_split_axes(s, cut), compute_uv=False)
-    lam = sv**2
-    lam = lam[lam > 1e-12]
-    return float(-(lam * np.log(lam)).sum() / np.log(s.p))
+    """Entanglement entropy across (cut, rest) in edits."""
+    return float(_gram_entropies(_split_axes(s, cut), s.p))
 
 
 def z_measure_dense(s: StateVector, i: int, outcome: int) -> tuple[float, StateVector]:
@@ -249,61 +259,83 @@ def overlap(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def _single_site_op(p: int, a: int, b: int) -> np.ndarray:
-    """X^a Z^b on one qudit, with the order-p phase normalization.
+def _apply_pauli(t: np.ndarray, p: int, xvec, zvec) -> np.ndarray:
+    """Normalised X^a Z^b (a = xvec, b = zvec) on an amplitude tensor of
+    shape [p] * n, matrix-free: X^a Z^b |k> = omega^(b.k) |k + a>.
 
-    For p = 2 an X^a Z^b with a = b = 1 squares to -I, so the operator is
-    rescaled by i^(ab); for odd p the bare product already has order p.
+    For p = 2 an X^a Z^b with a = b = 1 on a site squares to -I, so the
+    operator is rescaled by i^(a.b); for odd p the bare product already
+    has order p.
     """
+    n = t.ndim
+    out = np.roll(t, tuple(int(a) for a in xvec[::-1]), axis=tuple(range(n)))
     w = omega_powers(p)
-    op = np.zeros((p, p), dtype=np.complex128)
-    for k in range(p):
-        op[(k + a) % p, k] = w[(b * k) % p]
-    if p == 2 and a % 2 and b % 2:
-        op = 1j * op
-    return op
+    for i, (a, b) in enumerate(zip(xvec, zvec)):
+        if b:
+            shape = [1] * n
+            shape[_axis(n, i)] = p
+            out *= w[(b * (np.arange(p) - a)) % p].reshape(shape)
+    if p == 2:
+        out *= 1j ** (int(xvec @ zvec) % 4)
+    return out
 
 
-def pauli_operator(p: int, xvec, zvec) -> np.ndarray:
-    """Tensor product over sites of normalized X^a Z^b factors."""
-    xvec = gfp.as_residues(xvec, p)
-    zvec = gfp.as_residues(zvec, p)
-    ops = [_single_site_op(p, int(a), int(b)) for a, b in zip(xvec, zvec)]
-    # qudit 0 is least significant, so it goes last in the kron chain
-    return reduce(np.kron, reversed(ops))
+def _support_seed(p: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Digits of the lowest basis index in the stabilizer state's support.
+
+    Each generator combination c with zero X part is a group element
+    omega^phi Z^(c z), whose phase shows on |0>; the support solves
+    (c z) . k = -phi mod p for all of them. With qudit 0 in the first
+    column every pivot qudit depends only on more significant free ones,
+    so the free qudits at 0 give the lowest index.
+    """
+    n = x.shape[1]
+    unit = 2 if p == 2 else 1  # phases in quarter turns at p = 2 (i^(a.b))
+    rows = []
+    for c in gfp.kernel_basis(x.T, p):
+        k = np.zeros(n, dtype=np.int64)
+        turns = 0
+        for r, times in enumerate(c):
+            for _ in range(times):
+                turns += unit * int(z[r] @ k) + (int(x[r] @ z[r]) if p == 2 else 0)
+                k = (k + x[r]) % p
+        if turns % unit:
+            raise ValueError("a Z-type group element has eigenvalue +-i; invalid stabilizer?")
+        rows.append(np.append((c @ z) % p, -(turns // unit) % p))
+    seed = np.zeros(n, dtype=np.int64)
+    if rows:
+        red, pivots = gfp.row_reduce(np.array(rows), p)
+        if n in pivots:
+            raise ValueError("no +1 joint eigenvector found; invalid stabilizer?")
+        seed[pivots] = red[: len(pivots), n]
+    return seed
 
 
 def stabilizer_state(p: int, x: np.ndarray, z: np.ndarray, cap: int = DEFAULT_CAP) -> StateVector:
     """Unique +1 joint eigenvector of the generators rows of (x | z).
 
-    Built by applying the eigenvalue-1 projector of each generator to a
-    basis seed. Requires a valid full stabilizer (n independent, mutually
-    commuting rows).
+    Built by applying the eigenvalue-1 projector (1/p) sum_j g^j of each
+    generator g, matrix-free, to the lowest-index basis state in the
+    state's support. Memory stays O(p^n). Requires a valid full
+    stabilizer (n independent, mutually commuting rows).
     """
     x = gfp.as_residues(x, p)
     z = gfp.as_residues(z, p)
-    k, n = x.shape
+    n = x.shape[1]
     _check_cap(p, n, cap)
-    dim = p**n
-    ops = [pauli_operator(p, x[row], z[row]) for row in range(k)]
-    psi = None
-    for seed in range(dim):
-        v = np.zeros(dim, dtype=np.complex128)
-        v[seed] = 1.0
-        for op in ops:
-            acc = v.copy()
-            cur = v
-            for _ in range(p - 1):
-                cur = op @ cur
-                acc += cur
-            v = acc / p
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            psi = v / norm
-            break
-    if psi is None:
+    t = np.zeros([p] * n, dtype=np.complex128)
+    t[tuple(_support_seed(p, x, z)[::-1])] = 1.0  # axis n-1-i holds qudit i
+    for a, b in zip(x, z):
+        acc = t.copy()
+        for _ in range(p - 1):
+            t = _apply_pauli(t, p, a, b)
+            acc += t
+        acc /= p
+        t = acc
+    norm = np.linalg.norm(t)
+    if norm <= 1e-8:
         raise ValueError("no +1 joint eigenvector found; invalid stabilizer?")
-    return StateVector(p, n, psi)
+    return StateVector(p, n, (t / norm).reshape(-1))
 
 
 def format_state(s: StateVector) -> str:

@@ -247,3 +247,15 @@ def test_party_cuts_matches_brute_force(gcount, gsize, data):
         )
         want = [tuple(sorted(v for t in c for v in groups[t])) for c in chosen]
         assert party_cuts(groups, size) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.sampled_from([2, 3, 5]), st.data())
+def test_cut_rank_equals_dense_entropy(n, p, data):
+    # the rank-entropy identity for graph states: S(A) = rank_p Gamma_{A, rest}
+    slots = n * (n - 1) // 2
+    g = graph_from_word(p, n, data.draw(st.lists(st.integers(0, p - 1), min_size=slots, max_size=slots)))
+    state = build_graph_state(g)
+    for size in range(1, n):
+        for cut in itertools.combinations(range(n), size):
+            assert abs(cut_entropy_edits(state, cut) - cut_edits(g, cut)) < 1e-9

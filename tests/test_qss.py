@@ -172,6 +172,34 @@ def test_ramp_l1_equals_threshold_bitwise():
         assert qss.run_threshold(thr, s, b, (0, 0)) == qss.run_ramp(ramp, s, b)
 
 
+def _recovered_by_kron(scheme, secret, B, outcomes):
+    """Reference recovery: each Bell correction lifted to the full register
+    space as I (x) U_gh (x) I, register l being little-endian digit l."""
+    p, B = scheme.graph.p, sorted(B)
+    state = qss.encode(scheme, secret, outcomes)
+    rho = sim.reduced_density(state, [scheme.players.index(b) for b in B])
+    v = qss.recovery_map(scheme, B)
+    rho = v @ rho @ v.conj().T
+    for l, (g, h) in enumerate(outcomes):
+        lift = np.kron(np.eye(p ** (len(B) - l - 1)), sim.ugh_matrix(p, g, h))
+        lift = np.kron(lift, np.eye(p**l))
+        rho = lift @ rho @ lift.conj().T
+    return qss._trace_to_registers(rho, p, len(outcomes))
+
+
+def test_recovery_corrections_match_kron_lift(quad_scheme):
+    rng = np.random.default_rng(31)
+    ramp = qss.RampScheme(ame62(), (0, 1))
+    cases = [(quad_scheme, (1, 2), [(1, 2)]), (quad_scheme, (1, 2, 3), [(2, 1)]),
+             (ramp, (2, 4, 5), [(1, 1), (0, 1)]), (ramp, (2, 3, 4, 5), [(1, 0), (1, 1)])]
+    for scheme, B, outcomes in cases:
+        s = qss.random_secret(scheme.graph.p, len(outcomes), rng)
+        want = _recovered_by_kron(scheme, s, B, outcomes)
+        got = qss._recovered_state(scheme, s, B, outcomes)
+        assert np.allclose(got, want, atol=1e-12)
+        assert abs(np.vdot(s, got @ s).real - 1) < 1e-9
+
+
 def test_trace_distance_basics():
     a = np.diag([1.0, 0.0]).astype(complex)
     b = np.diag([0.0, 1.0]).astype(complex)

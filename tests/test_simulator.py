@@ -1,11 +1,16 @@
 import itertools
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amegraph import simulator as sim
 from amegraph.graph import Graph, LabeledGraph, graph_from_edges, z_measure_symbolic
-from amegraph.stabilizer import from_graph
+from amegraph.stabilizer import apply_local_clifford, from_graph
+from test_stabilizer import random_invertible, random_y
 
 
 def single_edge(p=2):
@@ -236,6 +241,95 @@ def test_stabilizer_state_matches_graph_state():
             psi = sim.stabilizer_state(m.p, m.x, m.z)
             ref = sim.build_graph_state(g)
             assert abs(abs(sim.overlap(psi, ref)) - 1) < 1e-9
+
+
+def kron_pauli(p, xvec, zvec) -> np.ndarray:
+    """Reference: the p^n x p^n matrix of the normalised X^a Z^b as a kron
+    chain of single-site factors X^a Z^b |k> = omega^(bk) |k + a>, each
+    times i at p = 2 when a = b = 1."""
+    w = sim.omega_powers(p)
+    ops = []
+    for a, b in zip(xvec, zvec):
+        op = np.zeros((p, p), dtype=np.complex128)
+        for k in range(p):
+            op[(k + a) % p, k] = w[(b * k) % p]
+        ops.append(1j * op if p == 2 and a and b else op)
+    # qudit 0 is least significant, so it goes last in the kron chain
+    return reduce(np.kron, reversed(ops))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.data())
+def test_matrix_free_pauli_matches_kron(p, n, data):
+    xvec, zvec = (np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+                  for _ in range(2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    v = rng.standard_normal(p**n) + 1j * rng.standard_normal(p**n)
+    got = sim._apply_pauli(v.reshape([p] * n), p, xvec, zvec).reshape(-1)
+    assert np.allclose(got, kron_pauli(p, xvec, zvec) @ v, atol=1e-12)
+
+
+def scan_stabilizer_state(p, x, z) -> np.ndarray:
+    """Reference: the kron projectors (1/p) sum_j g^j applied to basis
+    seeds in index order; the first nonzero projection, normalised."""
+    ops = [kron_pauli(p, a, b) for a, b in zip(x, z)]
+    for v in np.eye(p ** x.shape[1], dtype=np.complex128):
+        for op in ops:
+            v = sum(np.linalg.matrix_power(op, j) @ v for j in range(p)) / p
+        if np.linalg.norm(v) > 1e-8:
+            return v / np.linalg.norm(v)
+    raise AssertionError("no +1 joint eigenvector")
+
+
+def test_stabilizer_state_matches_kron_projector_scan():
+    # local Cliffords move the support off |0...0>; the global phase must match too
+    rng = np.random.default_rng(10)
+    seeds_off_zero = 0
+    for p, n in ((2, 1), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):
+        for _ in range(4):
+            adj = rng.integers(0, p, size=(n, n))
+            adj = np.triu(adj, 1)
+            m = apply_local_clifford(from_graph(Graph(p, (adj + adj.T) % p)),
+                                     random_invertible(rng, p, n), random_y(rng, p, n))
+            want = scan_stabilizer_state(p, m.x, m.z)
+            assert np.allclose(sim.stabilizer_state(p, m.x, m.z).amps, want, atol=1e-12)
+            seeds_off_zero += abs(want[0]) < 1e-9
+    assert seeds_off_zero > 0
+
+
+def test_stabilizer_state_seed_outside_zero():
+    # Y x Y and X x X: their product is -Z x Z, so |00> has zero amplitude
+    psi = sim.stabilizer_state(2, [[1, 1], [1, 1]], [[1, 1], [0, 0]])
+    want = sim.StateVector(2, 2, np.array([0, 1, 1, 0]) / np.sqrt(2))
+    assert abs(abs(sim.overlap(psi, want)) - 1) < 1e-12
+
+
+def test_stabilizer_state_memory_linear_in_amplitudes():
+    # a kron generator would take 2^28 x 16 B = 4 GiB here
+    path = graph_from_edges(2, 14, [(i, i + 1, 1) for i in range(13)])
+    m = from_graph(path)
+    tracemalloc.start()
+    try:
+        psi = sim.stabilizer_state(2, m.x, m.z, cap=1 << 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * 2**14
+    assert abs(abs(sim.overlap(psi, sim.build_graph_state(path))) - 1) < 1e-9
+
+
+def test_gram_entropies_match_svd():
+    # non-graph states have non-flat spectra; every cut size, both orientations
+    rng = np.random.default_rng(9)
+    for p, n in ((2, 5), (3, 4), (5, 3)):
+        for _ in range(3):
+            s = random_state(p, n, rng)
+            for size in range(1, n):
+                for cut in itertools.combinations(range(n), size):
+                    lam = np.linalg.svd(sim._split_axes(s, cut), compute_uv=False) ** 2
+                    lam = lam[lam > 1e-12]
+                    want = -(lam * np.log(lam)).sum() / np.log(p)
+                    assert abs(sim.cut_entropy_edits(s, cut) - want) <= 1e-9
 
 
 def test_format_state():
