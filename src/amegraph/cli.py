@@ -41,8 +41,7 @@ def cmd_verify(args) -> int:
     report = entanglement.is_ame(g, full=args.full)
     sys.stdout.write(entanglement.format_report(report))
     if args.oracle:
-        cap = 1 << 20
-        if g.p**g.n > cap:
+        if g.p**g.n > simulator.DEFAULT_CAP:
             print("ORACLE skipped (state too large)")
         else:
             state = simulator.build_graph_state(g)

@@ -16,6 +16,7 @@ dealer l's secret coordinate (register 0 first).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -23,7 +24,10 @@ from . import gfp
 from .entanglement import is_ame
 from .graph import Graph, row_restrict, truncate
 from .simulator import (
+    DEFAULT_CAP,
     StateVector,
+    _check_cap,
+    _phase_exponents,
     bell_measure,
     graph_state_amplitudes,
     omega_powers,
@@ -131,7 +135,7 @@ def encode(scheme, secret, outcomes) -> StateVector:
     if len(outcomes) != L:
         raise ValueError("one Bell outcome per dealer required")
     s = _secret_array(scheme, secret)
-
+    _check_cap(p, n + L, DEFAULT_CAP)
     amps = np.kron(s, graph_state_amplitudes(g))  # ancillas are qudits n..n+L-1
     state = StateVector(p, n + L, amps)
     labels = list(range(n)) + [("anc", l) for l in range(L)]
@@ -233,11 +237,8 @@ def recovery_map(scheme, authorized) -> np.ndarray:
     # omega^(sum_{t<t'} A[v_t, v_t'] c_t c_t') from edges inside the
     # dealer-plus-traced set; V must absorb it to reach |c> exactly
     src = dealers + traced
-    quad = np.zeros(dim, dtype=np.int64)
-    for t in range(len(src)):
-        for t2 in range(t + 1, len(src)):
-            quad += int(g.adj[src[t], src[t2]]) * coords[:, t] * coords[:, t2]
-    fix = np.conj(omega_powers(p)[quad % p])
+    quad = _phase_exponents(p, len(src), [g.adj[a, b] for a, b in combinations(src, 2)])
+    fix = np.conj(omega_powers(p)[quad[tuple(coords[:, : len(src)].T[::-1])]])
     v = np.zeros((dim, dim), dtype=np.complex128)
     v[cidx, :] = fix[:, None] * np.conj(phases * base[None, :])
     return v

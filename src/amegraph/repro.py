@@ -44,26 +44,21 @@ def _entropy_rank_delta(p: int, n: int, weights: np.ndarray) -> float:
     is handled with one batched Gram-spectrum entropy and one batched rank
     computation.
     """
-    edges = itertools.combinations(range(n), 2)
-    digits = gfp.digits(np.arange(p**n), p, n)
-    quad = np.stack([(digits[:, i] * digits[:, j]) % p for i, j in edges])
     slot = slot_matrix(n)
-    plans = []  # per bipartition: cut-matrix edge slots, |cut|, amplitude indices
+    plans = []  # per bipartition: the cut, and its cut matrix's edge slots
     for m in range(1, n // 2 + 1):
         for cut in entanglement.party_cuts([(v,) for v in range(n)], m):
             rest = [u for u in range(n) if u not in cut]
-            rowpart = gfp.digits(np.arange(p**m), p, m) @ p ** np.array(cut)
-            colpart = gfp.digits(np.arange(p ** (n - m)), p, n - m) @ p ** np.array(rest)
-            plans.append((slot[np.ix_(cut, rest)].ravel(), m, rowpart[:, None] + colpart[None, :]))
-    w = omega_powers(p)
+            plans.append((cut, slot[np.ix_(cut, rest)].ravel()))
+    amp = omega_powers(p) * p ** (-n / 2)
     worst = 0.0
     chunk = 2048
     for lo in range(0, weights.shape[0], chunk):
         batch = weights[lo : lo + chunk].astype(np.int64)
-        amps = w[(batch @ quad) % p] * p ** (-n / 2)
-        for cols, m, index in plans:
-            ranks = gfp.rank_batch(batch[:, cols].reshape(-1, m, n - m), p)
-            ent = simulator._gram_entropies(amps[:, index], p)
+        amps = amp[simulator._phase_exponents(p, n, batch)]
+        for cut, cols in plans:
+            ranks = gfp.rank_batch(batch[:, cols].reshape(-1, len(cut), n - len(cut)), p)
+            ent = simulator._gram_entropies(simulator._split_axes(amps, n, cut), p)
             worst = max(worst, float(np.abs(ent - ranks).max()))
     return worst
 
@@ -146,12 +141,10 @@ def check_dimension_discriminator(quick: bool = False) -> CheckResult:
 
 def _codeword_state(c: codes.LinearCode) -> simulator.StateVector:
     """Uniform superposition over the codewords of c."""
-    amps = np.zeros(c.p**c.n, dtype=np.complex128)
-    powers = c.p ** np.arange(c.n, dtype=np.int64)
-    msgs = codes.message_words(c.p, c.k)
-    words = (msgs @ c.gen.T) % c.p
-    amps[words @ powers] = 1.0
-    return simulator.StateVector(c.p, c.n, amps / np.sqrt(c.p**c.k))
+    amps = np.zeros([c.p] * c.n, dtype=np.complex128)
+    words = (codes.message_words(c.p, c.k) @ c.gen.T) % c.p
+    amps[tuple(words.T[::-1])] = 1.0  # axis n-1-i holds qudit i
+    return simulator.StateVector(c.p, c.n, amps.reshape(-1) / np.sqrt(c.p**c.k))
 
 
 def _stabilized_by_displacements(c: codes.LinearCode) -> bool:

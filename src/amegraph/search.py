@@ -6,9 +6,9 @@ slots in lexicographic order; an exhaustive run scans all base^E words
 integers of gfp.digits, so sharding on the last t edge weights splits the
 id range into contiguous blocks. The rank predicate is evaluated in bulk:
 for each cut the relevant edge digits are gathered and looked up in a
-precomputed "is full rank" table (built by gfp.rank_batch), with
-survivors compacted after every cut so almost all graphs are rejected
-after one or two lookups.
+precomputed "is full rank" table (built by gfp.rank_batch). Survivors
+are compacted after every cut, so each cut looks up only the graphs that
+passed the cuts before it.
 
 Witnesses are reported one per relabeling class (relabelings that keep
 the groups, when there are groups), as the canonical form of graph.py.

@@ -8,17 +8,21 @@ Conventions, fixed once for the whole package:
 - Global phase is never stripped; compare states with |overlap| ~ 1.
 - Dense objects are capped at DEFAULT_CAP amplitudes unless a larger
   cap is passed explicitly.
+- Graph-state phases come from one kernel, _phase_exponents, that
+  broadcasts on the [p] * n amplitude tensor. No per-(p, n) table is
+  kept: a state holds its amplitudes and transient buffers of that size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from . import gfp
-from .graph import Graph, LabeledGraph
+from .graph import Graph, LabeledGraph, edge_word, slot_matrix
 
 DEFAULT_CAP = 1 << 20
 _NORM_TOL = 1e-9
@@ -58,26 +62,23 @@ def omega_powers(p: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=64)
-def _digits(p: int, n: int) -> np.ndarray:
-    """(p^n, n) table: _digits(p, n)[idx, i] = base-p digit i of idx."""
-    d = gfp.digits(np.arange(p**n), p, n)
-    d.setflags(write=False)
-    return d
-
-
 def _check_cap(p: int, n: int, cap: int) -> None:
     if p**n > cap:
         raise TooLargeError(f"{p}^{n} amplitudes exceed the cap of {cap}")
 
 
 def _axis(n: int, i: int) -> int:
-    # reshape([p]*n) is row-major, so qudit i lives on axis n-1-i
+    """Tensor axis of qudit i: reshape([p]*n) is row-major, so it is n-1-i."""
+    if not 0 <= i < n:
+        raise ValueError(f"qudit {i} is not in [0, {n})")
     return n - 1 - i
 
 
 def basis_state(p: int, n: int, digits) -> StateVector:
     digits = list(digits)
+    if len(digits) != n:
+        raise ValueError(f"expected {n} digits, got {len(digits)}")
+    _check_cap(p, n, DEFAULT_CAP)
     idx = sum(int(d) % p * p**i for i, d in enumerate(digits))
     amps = np.zeros(p**n, dtype=np.complex128)
     amps[idx] = 1.0
@@ -91,16 +92,20 @@ def uniform_state(p: int, n: int, cap: int = DEFAULT_CAP) -> StateVector:
     return StateVector(p, n, amps)
 
 
+def _site_pauli(s: StateVector, i: int, a: int, b: int) -> StateVector:
+    """X^a Z^b on qudit i alone."""
+    _axis(s.n, i)  # rejects i outside [0, n)
+    xz = np.zeros((2, s.n), dtype=np.int64)
+    xz[:, i] = a, b
+    return StateVector(s.p, s.n, _apply_pauli(s.amps.reshape([s.p] * s.n), s.p, *xz).reshape(-1))
+
+
 def apply_z(s: StateVector, i: int, power: int = 1) -> StateVector:
-    w = omega_powers(s.p)
-    d = _digits(s.p, s.n)[:, i]
-    return StateVector(s.p, s.n, s.amps * w[(power * d) % s.p])
+    return _site_pauli(s, i, 0, power)
 
 
 def apply_x(s: StateVector, i: int, power: int = 1) -> StateVector:
-    t = s.amps.reshape([s.p] * s.n)
-    t = np.roll(t, shift=power % s.p, axis=_axis(s.n, i))
-    return StateVector(s.p, s.n, t.reshape(-1))
+    return _site_pauli(s, i, power, 0)
 
 
 def _apply_single(s: StateVector, i: int, mat: np.ndarray) -> StateVector:
@@ -122,24 +127,44 @@ def apply_f(s: StateVector, i: int) -> StateVector:
 
 
 def apply_cz(s: StateVector, i: int, j: int, power: int = 1) -> StateVector:
-    if i == j:
+    if _axis(s.n, i) == _axis(s.n, j):
         raise ValueError("CZ needs two distinct qudits")
-    w = omega_powers(s.p)
-    d = _digits(s.p, s.n)
-    phase = (power * d[:, i] * d[:, j]) % s.p
-    return StateVector(s.p, s.n, s.amps * w[phase])
+    word = np.zeros(s.n * (s.n - 1) // 2, dtype=np.int64)
+    word[slot_matrix(s.n)[i, j]] = power
+    phase = omega_powers(s.p)[_phase_exponents(s.p, s.n, word)]
+    return StateVector(s.p, s.n, s.amps * phase.reshape(-1))
+
+
+def _phase_exponents(p: int, n: int, words, label=None) -> np.ndarray:
+    """sum_{i<j} w_ij k_i k_j + sum_i label_i k_i mod p on the [p] * n tensor, after
+    the stack axes of words (..., C(n, 2)) and labels (..., n): one broadcast
+    outer product k_i k_j per edge, one axis vector k_i per label entry."""
+    words = np.asarray(words, dtype=np.int64)
+    ones = (1,) * n  # qudit i lives on axis -1-i
+    k = np.arange(p)
+    expo = np.zeros(words.shape[:-1] + (p,) * n, dtype=np.int64)
+    edges = _nonzero_slots(words, combinations(range(n), 2), ones)
+    kk = k[:, None] * k if edges else None  # p x p, built only when an edge needs it
+    for (i, j), w in edges:
+        expo += w * kk.reshape((p,) + ones[i + 1 : j] + (p,) + ones[:i])
+    if label is not None:
+        for i, w in _nonzero_slots(np.asarray(label, dtype=np.int64), range(n), ones):
+            expo += w * k.reshape((p,) + ones[:i])
+    return np.remainder(expo, p, out=expo)
+
+
+def _nonzero_slots(a: np.ndarray, keys, ones: tuple) -> list:
+    """(key, weight) per slot of a's last axis that is nonzero somewhere: a Python
+    int for a vector, else the slot's stack values shaped to broadcast on the tensor."""
+    if a.ndim == 1:
+        return [(key, w) for key, w in zip(keys, a.tolist()) if w]
+    return [(key, w.reshape(w.shape + ones)) for key, w in zip(keys, np.moveaxis(a, -1, 0)) if w.any()]
 
 
 def graph_state_amplitudes(g: Graph, label=None) -> np.ndarray:
     """Raw amplitude array of a (labeled) graph state, without cap checks."""
-    p, n = g.p, g.n
-    d = _digits(p, n)
-    expo = np.zeros(p**n, dtype=np.int64)
-    for i, j, w in g.edges():
-        expo += w * d[:, i] * d[:, j]
-    if label is not None:
-        expo += d @ gfp.as_residues(label, p)
-    return omega_powers(p)[expo % p] * p ** (-n / 2)
+    amp = omega_powers(g.p) * g.p ** (-g.n / 2)
+    return amp[_phase_exponents(g.p, g.n, edge_word(g), label)].reshape(-1)
 
 
 def build_graph_state(g: Graph, cap: int = DEFAULT_CAP) -> StateVector:
@@ -154,18 +179,20 @@ def build_labeled(s: LabeledGraph, cap: int = DEFAULT_CAP) -> StateVector:
     return StateVector(g.p, g.n, graph_state_amplitudes(g, s.label))
 
 
-def _split_axes(s: StateVector, keep) -> np.ndarray:
-    """Reshape to (p^m, p^(n-m)) with the kept qudits little-endian in rows."""
+def _split_axes(t: np.ndarray, n: int, keep) -> np.ndarray:
+    """Reshape an amplitude tensor (..., p, ..., p), its last n axes the
+    qudits, to matrices (..., p^m, p^(n-m)): the m kept qudits
+    little-endian in rows, the rest in columns, stack axes in front."""
     keep = sorted(keep)
-    rest = [q for q in range(s.n) if q not in set(keep)]
-    axes = [_axis(s.n, q) for q in reversed(keep)] + [_axis(s.n, q) for q in reversed(rest)]
-    t = s.amps.reshape([s.p] * s.n).transpose(axes)
-    return t.reshape(s.p ** len(keep), -1)
+    rest = [q for q in range(n) if q not in keep]
+    lead = t.ndim - n
+    axes = [*range(lead)] + [t.ndim - 1 - q for q in keep[::-1] + rest[::-1]]
+    return t.transpose(axes).reshape(t.shape[:lead] + (t.shape[-1] ** len(keep), -1))
 
 
 def reduced_density(s: StateVector, keep) -> np.ndarray:
     """Reduced density matrix of the qudits in `keep` (sorted ascending)."""
-    m = _split_axes(s, keep)
+    m = _split_axes(s.amps.reshape([s.p] * s.n), s.n, keep)
     return m @ m.conj().T
 
 
@@ -191,7 +218,7 @@ def _gram_entropies(mats: np.ndarray, p: int) -> np.ndarray:
 
 def cut_entropy_edits(s: StateVector, cut) -> float:
     """Entanglement entropy across (cut, rest) in edits."""
-    return float(_gram_entropies(_split_axes(s, cut), s.p))
+    return float(_gram_entropies(_split_axes(s.amps.reshape([s.p] * s.n), s.n, cut), s.p))
 
 
 def z_measure_dense(s: StateVector, i: int, outcome: int) -> tuple[float, StateVector]:
@@ -234,10 +261,9 @@ def bell_measure(s: StateVector, pair, g: int, h: int) -> tuple[float, StateVect
 
 def ugh_matrix(p: int, g: int, h: int) -> np.ndarray:
     """U_gh = sum_j omega^(jg) |j><j+h|, the Bell-outcome correction."""
-    w = omega_powers(p)
+    j = np.arange(p)
     u = np.zeros((p, p), dtype=np.complex128)
-    for j in range(p):
-        u[j, (j + h) % p] = w[(j * g) % p]
+    u[j, (j + h) % p] = omega_powers(p)[(j * g) % p]
     return u
 
 
@@ -246,11 +272,8 @@ def apply_ugh(s: StateVector, i: int, g: int, h: int) -> StateVector:
 
 
 def bell_state(p: int, g: int, h: int) -> StateVector:
-    w = omega_powers(p)
-    amps = np.zeros(p * p, dtype=np.complex128)
-    for j in range(p):
-        amps[j + p * ((j + h) % p)] = w[(j * g) % p]
-    return StateVector(p, 2, amps / np.sqrt(p))
+    # amplitude omega^(jg) at |j>|j+h>, first qudit least significant
+    return StateVector(p, 2, ugh_matrix(p, g, h).T.reshape(-1) / np.sqrt(p))
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:
@@ -275,8 +298,9 @@ def _apply_pauli(t: np.ndarray, p: int, xvec, zvec) -> np.ndarray:
             shape = [1] * n
             shape[_axis(n, i)] = p
             out *= w[(b * (np.arange(p) - a)) % p].reshape(shape)
-    if p == 2:
-        out *= 1j ** (int(xvec @ zvec) % 4)
+    turns = int(xvec @ zvec) % 4 if p == 2 else 0
+    if turns:
+        out *= 1j**turns
     return out
 
 

@@ -197,6 +197,19 @@ def test_qss_ramp_audit(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "ALL PASS"
 
 
+def test_qss_over_the_cap_exits_2(tmp_path, capsys):
+    # the threshold encoding holds 17^15 amplitudes: refused like entropy --oracle
+    path = str(tmp_path / "grs17.graph")
+    assert main(["code2graph", "grs:17,14,7", "--out", path]) == 0
+    assert main(["qss", "--graph", path, "--mode", "threshold",
+                 "--dealers", "1", "--seed", "7"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: 17^15 amplitudes exceed the cap of 1048576\n"
+    assert main(["entropy", path, "--oracle"]) == 2
+    assert capsys.readouterr().err == "error: 17^14 amplitudes exceed the cap of 1048576\n"
+
+
 def test_composite_verify(tmp_path, capsys):
     save_graph(c5(2), tmp_path / "f2.graph")
     save_graph(c5(3), tmp_path / "f3.graph")

@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from amegraph import gfp, search
 from amegraph.entanglement import is_ame, is_ame_grouped
@@ -56,6 +58,20 @@ def test_engine_matches_reference(n, p):
     ref = _reference_search(SearchSpec(n=n, p=p))
     assert fast.witnesses == ref.witnesses
     assert fast.examined == ref.examined
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.sampled_from([(2, 1), (3, 1), (4, 1), (4, 2)]),
+       st.booleans(), st.booleans(), st.booleans(), st.booleans())
+def test_engine_matches_reference_on_random_specs(p, shape, weights_one, zero_row, rescale,
+                                                  canonical):
+    n, group_size = shape
+    spec = SearchSpec(n=n, p=p, group_size=group_size, weights_one=weights_one,
+                      prune_zero_row=zero_row, prune_rescale=rescale, prune_canonical=canonical)
+    assume(spec.base**spec.edge_slots <= 729)  # the scalar reference stays fast
+    fast, ref = enumerate_graphs(spec), _reference_search(spec)
+    assert fast.witnesses == ref.witnesses
+    assert (fast.examined, fast.pruned) == (ref.examined, ref.pruned)
 
 
 def test_edge_words_wider_than_a_byte():

@@ -326,10 +326,110 @@ def test_gram_entropies_match_svd():
             s = random_state(p, n, rng)
             for size in range(1, n):
                 for cut in itertools.combinations(range(n), size):
-                    lam = np.linalg.svd(sim._split_axes(s, cut), compute_uv=False) ** 2
+                    lam = np.linalg.svd(sim._split_axes(s.amps.reshape([p] * n), n, cut), compute_uv=False) ** 2
                     lam = lam[lam > 1e-12]
                     want = -(lam * np.log(lam)).sum() / np.log(p)
                     assert abs(sim.cut_entropy_edits(s, cut) - want) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 5), st.sampled_from([(), (3,), (2, 2)]),
+       st.sampled_from(["none", "single", "stacked"]), st.data())
+def test_phase_exponents_match_scalar_sum(p, n, stack, labels, data):
+    if p == 5 and n == 5:
+        stack = ()  # keeps the scalar reference under a second
+    edges = list(itertools.combinations(range(n), 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    words = rng.integers(0, p, size=stack + (len(edges),))
+    words[..., rng.random(len(edges)) < 0.3] = 0  # slots empty across the whole stack
+    label = {"none": None, "single": rng.integers(0, p, size=n),
+             "stacked": rng.integers(0, p, size=stack + (n,))}[labels]
+    got = sim._phase_exponents(p, n, words, label)
+    assert got.shape == stack + (p,) * n
+    for pos in np.ndindex(*stack):
+        lab = None if label is None else label if label.ndim == 1 else label[pos]
+        for k in itertools.product(range(p), repeat=n):  # k[i]: digit of qudit i
+            want = sum(int(w) * k[i] * k[j] for w, (i, j) in zip(words[pos], edges))
+            if lab is not None:
+                want += sum(int(l) * ki for l, ki in zip(lab, k))
+            assert got[pos + k[::-1]] == want % p  # axis n-1-i holds qudit i
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (5, 2)])
+def test_single_qudit_paulis_match_kron(p, n):
+    rng = np.random.default_rng(11)
+    s = random_state(p, n, rng)
+    for i in range(n):
+        for power in (1, p - 1, p + 1, -1):
+            e = np.zeros(n, dtype=np.int64)
+            e[i] = power % p
+            want_x = kron_pauli(p, e, 0 * e) @ s.amps
+            want_z = kron_pauli(p, 0 * e, e) @ s.amps
+            assert np.allclose(sim.apply_x(s, i, power).amps, want_x, atol=1e-12)
+            assert np.allclose(sim.apply_z(s, i, power).amps, want_z, atol=1e-12)
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (5, 3), (3, 4)])
+def test_cz_matches_diagonal(p, n):
+    rng = np.random.default_rng(12)
+    s = random_state(p, n, rng)
+    w = sim.omega_powers(p)
+    for i, j in itertools.permutations(range(n), 2):
+        power = int(rng.integers(-p, 2 * p))
+        diag = np.array([w[(power * k[i] * k[j]) % p]
+                         for k in itertools.product(range(p), repeat=n)])
+        # product() runs qudit 0 slowest; the amplitude index has it least significant
+        diag = diag.reshape([p] * n).transpose().reshape(-1)
+        assert np.allclose(sim.apply_cz(s, i, j, power).amps, diag * s.amps, atol=1e-12)
+
+
+def test_build_graph_state_holds_no_tables():
+    path = graph_from_edges(2, 16, [(i, i + 1, 1) for i in range(15)])
+    state_bytes = 16 * 2**16
+    tracemalloc.start()
+    try:
+        s = sim.build_graph_state(path)
+        peak = tracemalloc.get_traced_memory()[1]
+        del s
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * state_bytes
+    assert left <= state_bytes // 64
+
+
+def test_single_qudit_state_at_large_p():
+    # no edge, so no p x p product table (65537^2 entries) may be built
+    p = 65537
+    s = sim.build_labeled(LabeledGraph(Graph(p, [[0]]), [3]))
+    assert np.allclose(s.amps, np.exp(2j * np.pi * 3 * np.arange(p) / p) / np.sqrt(p))
+
+
+@pytest.mark.parametrize("act", [
+    lambda s: sim.apply_x(s, 2),
+    lambda s: sim.apply_x(s, -1),
+    lambda s: sim.apply_z(s, -1),
+    lambda s: sim.apply_cz(s, 0, -2),
+    lambda s: sim.apply_cz(s, 0, 2),
+    lambda s: sim.apply_f(s, 2),
+    lambda s: sim.apply_ugh(s, -1, 1, 1),
+    lambda s: sim.z_measure_dense(s, 2, 0),
+    lambda s: sim.z_measure_dense(s, -1, 0),
+    lambda s: sim.bell_measure(s, (0, 2), 0, 0),
+], ids=["x-n", "x-neg", "z-neg", "cz-neg", "cz-n", "f-n", "ugh-neg", "zmeas-n", "zmeas-neg", "bell-n"])
+def test_qudit_index_out_of_range(act):
+    s = sim.build_graph_state(single_edge(3))
+    with pytest.raises(ValueError, match=r"qudit -?\d+ is not in \[0, 2\)"):
+        act(s)
+
+
+def test_basis_state_checks_cap_and_digit_count():
+    with pytest.raises(sim.TooLargeError):
+        sim.basis_state(2, 30, [0] * 30)
+    for digits in ([1, 1, 1], [1]):
+        with pytest.raises(ValueError, match="expected 2 digits"):
+            sim.basis_state(2, 2, digits)
+    assert sim.basis_state(3, 2, [1, 2]).amps[m_idx(3, [1, 2])] == 1
 
 
 def test_format_state():
