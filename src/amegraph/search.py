@@ -1,14 +1,39 @@
 """High-throughput exhaustive and randomized search for AME graph states.
 
 Graphs on n vertices are encoded as weight words over the C(n, 2) edge
-slots in lexicographic order; an exhaustive run scans all base^E words
+slots in lexicographic order. An exhaustive run scans all base^E words
 (base = p, or 2 under the weight-one restriction) as the little-endian
-integers of gfp.digits, so sharding on the last t edge weights splits the
-id range into contiguous blocks. The rank predicate is evaluated in bulk:
-for each cut the relevant edge digits are gathered and looked up in a
-precomputed "is full rank" table (built by gfp.rank_batch). Survivors
-are compacted after every cut, so each cut looks up only the graphs that
-passed the cuts before it.
+integers of gfp.digits.
+
+The rank predicate is a table lookup per cut: the cut's cross block,
+read row-major, packs into the index sum_k w_k p^k of a precomputed "is
+full rank" table (built by gfp.rank_batch). The exhaustive scan never
+expands an id into digits to form that index. A scan id is
+hi * base^L + lo, where lo holds the L lowest edge slots and base^L is
+at most _LOW_IDS. Each slot owns its own positions in a cut's index, so
+the index is A_cut[lo] + B_cut(hi) with no carries. A_cut is an array
+over every low id, built once per run. B_cut(hi) is the block's high
+digits times the cut's coefficients, one number per block of base^L ids.
+Per cut, a block takes A_cut at its surviving low ids and looks them up
+in the table shifted by B_cut(hi); survivors are compacted after every
+cut, so each cut sees only the graphs that passed the cuts before it.
+The first cut is the one with the fewest high slots, and a block's
+survivors of it depend only on its B and its row key (below), so they
+are kept and reused by later blocks. Workers take contiguous ranges of
+blocks. Random search packs each sample's gathered weights with the same
+coefficients.
+
+The zero-row and rescale pruning layers are row plans split the same
+way. A vertex's slots ascend with its neighbours, so its low slots are a
+prefix of its row: the row is zero iff both parts are, and its first
+nonzero weight lies in the low part unless that part is zero. Two flags
+per vertex over the low ids ("low part zero", "low part leads with a
+weight other than 1") and a row key per block (a bit per vertex whose
+high part decides) give the ids both layers prune. Digits are still
+expanded where no such index exists, on the ids of a block that are
+still alive: for cuts whose table would exceed _TABLE_CAP (ranked with
+gfp.rank_batch) and for the prune_canonical layer. The high digits are
+expanded once per block.
 
 Witnesses are reported one per relabeling class (relabelings that keep
 the groups, when there are groups), as the canonical form of graph.py.
@@ -18,8 +43,10 @@ big-endian number, and graph.canonical_words finds it for a whole batch
 of words with one float64 matrix product per block of words and
 relabelings. That product is exact while base^E <= 2^53; longer words
 are compared in limbs of at most 2^53 each, most significant first. An
-exhaustive run canonicalises all raw witnesses at once, dedupes their
-integer ids with np.unique and builds a Graph only for each class. The
+exhaustive run first drops the raw witnesses that one swap of adjacent
+vertices or groups makes smaller (no class loses its minimal word), then
+canonicalises the rest at once, dedupes their integer ids with np.unique
+and builds a Graph only for each class. The
 prune_canonical layer uses the same kernel to drop every graph whose
 edge word is not already minimal. A result's `elapsed` covers the whole
 call, canonicalisation included.
@@ -28,7 +55,7 @@ call, canonicalisation included.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
@@ -47,6 +74,9 @@ from .graph import (
 )
 
 _CHUNK = 1 << 16
+_LOW_IDS = 1 << 14  # most ids in one block of the exhaustive scan
+_BLOCK_BATCH = 1 << 10  # blocks whose high digits are expanded together
+_REUSE_CAP = 256  # most first-cut survivor arrays one worker keeps for reuse
 _TABLE_CAP = 1 << 22
 _PRUNE_RELABELINGS = 720  # most relabelings canonical pruning compares each word with (6! at n = 6)
 
@@ -136,39 +166,188 @@ def _rank_full_table(p: int, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def _cut_plans(spec: SearchSpec):
-    """Per cut: gather columns, expected rank, and lookup table if small."""
+class _Cut:
+    """One cut's plan: `cols`, the edge slots of its rows x width cross
+    block, row-major; `table`, the full-rank flag of each packed index,
+    when there are at most _TABLE_CAP; `coef`, the p^k that pack the
+    gathered weights into that index."""
+
+    def __init__(self, cols: np.ndarray, rows: int, width: int, table: np.ndarray | None,
+                 coef: np.ndarray | None):
+        self.cols, self.rows, self.width, self.table, self.coef = cols, rows, width, table, coef
+
+
+def _cut_plans(spec: SearchSpec) -> list[_Cut]:
+    """One plan per cut of the groups, in party_cuts order."""
     n, p = spec.n, spec.p
     slot = slot_matrix(n)
     plans = []
     for cut in party_cuts(spec.groups):
         rest = [u for u in range(n) if u not in cut]
         rows, width = len(cut), len(rest)
-        table = None
+        table = coef = None
         if p ** (rows * width) <= _TABLE_CAP:
             table = _rank_full_table(p, rows, width)
-        plans.append((slot[np.ix_(cut, rest)].ravel(), rows, width, table))
-    # most selective first is irrelevant by symmetry; keep deterministic order
+            coef = p ** np.arange(rows * width, dtype=np.int64)
+        plans.append(_Cut(slot[np.ix_(cut, rest)].ravel(), rows, width, table, coef))
     return plans
 
 
-def _predicate_mask(weights: np.ndarray, spec: SearchSpec, plans) -> np.ndarray:
+def _predicate_mask(weights: np.ndarray, spec: SearchSpec, plans: list[_Cut]) -> np.ndarray:
     """Boolean mask of rows of `weights` whose graphs pass every cut."""
-    p = spec.p
     alive = np.arange(weights.shape[0])
-    for cols, rows, width, table in plans:
-        sub = weights[alive][:, cols].astype(np.int64)
-        if table is not None:
-            packed = sub @ (p ** np.arange(rows * width, dtype=np.int64))
-            ok = table[packed]
+    for cut in plans:
+        sub = weights[alive][:, cut.cols]
+        if cut.table is not None:
+            ok = cut.table[sub.astype(np.int64) @ cut.coef]  # faster than a mixed-type product
         else:
-            ok = gfp.rank_batch(sub.reshape(-1, rows, width), p) == rows
+            ok = gfp.rank_batch(sub.reshape(-1, cut.rows, cut.width), spec.p) == cut.rows
         alive = alive[ok]
         if alive.size == 0:
             break
     mask = np.zeros(weights.shape[0], dtype=bool)
     mask[alive] = True
     return mask
+
+
+def _low_slots(spec: SearchSpec) -> int:
+    """Edge slots in a block's low part: as many as keep base^low within
+    _LOW_IDS, at least one, at most all."""
+    low = 1
+    while low < spec.edge_slots and spec.base ** (low + 1) <= _LOW_IDS:
+        low += 1
+    return low
+
+
+def _first_nonzero_not_one(part: np.ndarray) -> np.ndarray:
+    """Per row of `part`: it has a nonzero entry and the first is not 1."""
+    if part.shape[1] == 0:
+        return np.zeros(part.shape[0], dtype=bool)
+    nz = part != 0
+    return nz.any(axis=1) & (part[np.arange(len(part)), nz.argmax(axis=1)] != 1)
+
+
+class _BlockScan:
+    """What the exhaustive scan looks up per block of `size` ids, built
+    over every low id: per cut with a table, A_cut (`index`) and the
+    coefficients of the high digits (`coef_high`, B_cut(hi) = high digits
+    @ coef_high); per vertex, its row's high slots (`row_high`) and, when a
+    row layer is on, whether the row's low part is zero (`row_zero`); and
+    whether some row's low part leads with a weight other than 1
+    (`static`, under rescale)."""
+
+    def __init__(self, spec: SearchSpec):
+        n = spec.n
+        self.low = low = _low_slots(spec)
+        self.size = spec.base**low
+        # first the cut with a table and the fewest high slots: its offset
+        # then takes the fewest values, so its survivors repeat the most
+        plans = _cut_plans(spec)
+        high_slots = [np.count_nonzero(cut.cols >= low) for cut in plans]
+        first = min(range(len(plans)), key=lambda c: (plans[c].table is None, high_slots[c]))
+        plans.insert(0, plans.pop(first))
+        self.plans, self.index = plans, []
+        self.coef_high = np.zeros((spec.edge_slots - low, len(plans)), dtype=np.int64)
+        for c, cut in enumerate(plans):
+            if cut.table is None:
+                self.index.append(None)
+                continue
+            coef = np.zeros(spec.edge_slots, dtype=np.int64)
+            coef[cut.cols] = cut.coef
+            a = np.zeros(1, dtype=np.intp)  # intp, which take() indexes with no cast
+            for weight in coef[:low]:  # lo = digit_s * base^s + (the lower slots' id)
+                a = (weight * np.arange(spec.base)[:, None] + a).ravel()
+            self.index.append(a)
+            self.coef_high[:, c] = coef[low:]
+
+        rescale = spec.prune_rescale and spec.p > 2
+        slot = slot_matrix(n)
+        rows = [np.delete(slot[v], v) for v in range(n)]  # slots ascend with the neighbour
+        self.row_high = [r[r >= low] - low for r in rows]
+        self.row_zero = self.static = None
+        if spec.prune_zero_row or rescale:
+            digits = gfp.digits(np.arange(self.size), spec.base, low, spec.word_dtype)
+            low_parts = [digits[:, r[r < low]] for r in rows]
+            self.row_zero = np.stack([~part.any(axis=1) for part in low_parts])
+            if rescale:
+                self.static = np.logical_or.reduce([_first_nonzero_not_one(part) for part in low_parts])
+        self.canonical = None  # the spec with only the prune_canonical layer, if that is on
+        if spec.prune_canonical:
+            self.canonical = replace(spec, prune_zero_row=False, prune_rescale=False)
+
+
+def _row_keys(high: np.ndarray, spec: SearchSpec, scan: _BlockScan) -> list[int]:
+    """Per block of `high` digits: bit v set when vertex v's row is pruned
+    wherever its low part is zero (the high part is zero under the
+    zero-row layer, or leads with a weight other than 1 under rescale)."""
+    keys = np.zeros(len(high), dtype=np.int64)
+    if scan.row_zero is None:
+        return keys.tolist()
+    for v, r in enumerate(scan.row_high):
+        part = high[:, r]
+        hit = _first_nonzero_not_one(part) if scan.static is not None else np.zeros(len(high), bool)
+        if spec.prune_zero_row:
+            hit |= ~part.any(axis=1)
+        keys |= hit.astype(np.int64) << v
+    return keys.tolist()
+
+
+def _row_survivors(key: int, scan: _BlockScan) -> np.ndarray:
+    """Low ids that the zero-row and rescale layers keep in a block with this row key."""
+    mask = np.zeros(scan.size, dtype=bool) if scan.static is None else scan.static.copy()
+    for v, zero in enumerate(scan.row_zero):
+        if key >> v & 1:
+            mask |= zero
+    return np.flatnonzero(~mask)
+
+
+def _scan_blocks(start: int, stop: int, spec: SearchSpec,
+                 scan: _BlockScan) -> tuple[np.ndarray, int, int]:
+    """Scan blocks start..stop-1, block hi holding the ids hi * size + lo;
+    returns (witness ids, examined, pruned).
+
+    Without the canonical layer, what a block keeps up to its first cut
+    depends only on its row key and its first cut's offset, so the
+    survivors of the first cut are kept for the next block with both."""
+    wit = [np.empty(0, dtype=np.int64)]
+    examined = 0
+    pruned_total = 0
+    every = np.arange(scan.size)
+    reuse = scan.canonical is None and scan.plans[0].table is not None
+    # (row key, first offset) -> (ids the prune layers keep, survivors of the first cut)
+    starts: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
+    for first in range(start, stop, _BLOCK_BATCH):
+        his = np.arange(first, min(first + _BLOCK_BATCH, stop))
+        high = gfp.digits(his, spec.base, spec.edge_slots - scan.low, spec.word_dtype)
+        offsets = (high @ scan.coef_high).tolist()
+        keys = _row_keys(high, spec, scan)
+        for hi, key, b in zip(his.tolist(), keys, offsets):
+            cached = starts.get((key, b[0]))
+            if cached is not None:
+                kept, alive = cached
+            else:
+                alive = every if scan.row_zero is None else _row_survivors(key, scan)
+                if scan.canonical is not None:
+                    weights = _weights_from_ids(hi * scan.size + alive, spec)
+                    alive = alive[~_prune_mask(weights, scan.canonical)]
+                kept = alive.size
+            examined += kept
+            pruned_total += scan.size - kept
+            for c in range(cached is not None, len(scan.plans)):
+                cut, index = scan.plans[c], scan.index[c]
+                if index is not None:  # table[A[lo] + b] as a lookup in the table shifted by b
+                    ok = cut.table[b[c]:].take(index if alive is every else index.take(alive))
+                else:
+                    sub = _weights_from_ids(hi * scan.size + alive, spec)[:, cut.cols]
+                    ok = gfp.rank_batch(sub.reshape(-1, cut.rows, cut.width), spec.p) == cut.rows
+                alive = alive.compress(ok)
+                if c == 0 and reuse and len(starts) < _REUSE_CAP:
+                    starts[key, b[0]] = kept, alive
+                if alive.size == 0:
+                    break
+            if alive.size:
+                wit.append(hi * scan.size + alive)
+    return np.concatenate(wit), examined, pruned_total
 
 
 def _minimal_words(weights: np.ndarray, spec: SearchSpec) -> np.ndarray:
@@ -212,24 +391,6 @@ def _weights_from_ids(ids: np.ndarray, spec: SearchSpec) -> np.ndarray:
     return gfp.digits(ids, spec.base, spec.edge_slots, spec.word_dtype)
 
 
-def _scan_ids(lo: int, hi: int, spec: SearchSpec, plans) -> tuple[np.ndarray, int, int]:
-    """Scan an id range; returns (witness ids, examined, pruned)."""
-    wit = [np.empty(0, dtype=np.int64)]
-    examined = 0
-    pruned_total = 0
-    for start in range(lo, hi, _CHUNK):
-        ids = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
-        weights = _weights_from_ids(ids, spec)
-        pruned = _prune_mask(weights, spec)
-        keep = ~pruned
-        pruned_total += int(pruned.sum())
-        examined += int(keep.sum())
-        mask = _predicate_mask(weights[keep], spec, plans)
-        if mask.any():
-            wit.append(ids[keep][mask])
-    return np.concatenate(wit), examined, pruned_total
-
-
 def _dedupe_canonical(graphs: list[Graph], group_size: int = 1) -> list[Graph]:
     """Scalar reference dedupe: one canonical_form call per graph."""
     seen: dict[bytes, Graph] = {}
@@ -237,6 +398,45 @@ def _dedupe_canonical(graphs: list[Graph], group_size: int = 1) -> list[Graph]:
         cf = canonical_form_grouped(g, group_size) if group_size > 1 else canonical_form(g)
         seen.setdefault(cf.adj.tobytes(), cf)
     return [seen[k] for k in sorted(seen)]
+
+
+def _class_candidates(ids: np.ndarray, spec: SearchSpec) -> np.ndarray:
+    """The raw witness ids that may be the minimal word of their class.
+
+    The predicate and the zero-row and canonical layers are invariant
+    under the relabelings that keep the groups, so the raw witnesses hold
+    the minimal word of each of their classes, and _canonical_classes of
+    any subset that keeps those words finds the same classes. A word made
+    smaller (read big-endian) by swapping two adjacent groups or two
+    adjacent vertices of a group is not minimal and is dropped. Each
+    relabeled word is one float64 product, exact while base^E <= 2^53.
+    Scale-normal witnesses (prune_rescale) are not closed under
+    relabeling, so all of them are kept.
+    """
+    n, gs, base, slots = spec.n, spec.group_size, spec.base, spec.edge_slots
+    if (spec.prune_rescale and spec.p > 2) or base**slots > 1 << 53:
+        return ids
+    perms = np.tile(np.arange(n), (n - 1, 1))
+    for v, perm in enumerate(perms):
+        if (v + 1) % gs:  # v and v + 1 share a group: swap them
+            perm[[v, v + 1]] = v + 1, v
+        else:  # v ends a group: swap that group with the next
+            first = v + 1 - gs
+            perm[first : first + 2 * gs] = np.roll(perm[first : first + 2 * gs], gs)
+    i, j = np.triu_indices(n, 1)
+    gathers = slot_matrix(n)[perms[:, i], perms[:, j]]
+    big = float(base) ** np.arange(slots - 1, -1, -1)
+    powers = np.zeros((slots, 1 + len(perms)))
+    powers[:, 0] = big
+    for k, gather in enumerate(gathers, 1):
+        powers[gather, k] = big  # the relabeled word holds word[gather[s]] at slot s
+    keep = [np.empty(0, dtype=np.int64)]
+    rows = _CHUNK // n  # the keys of a chunk hold _CHUNK numbers
+    for start in range(0, len(ids), rows):
+        chunk = ids[start : start + rows]
+        keys = _weights_from_ids(chunk, spec) @ powers
+        keep.append(chunk[(keys[:, 1:] >= keys[:, :1]).all(axis=1)])
+    return np.concatenate(keep)
 
 
 def _canonical_classes(ids: np.ndarray, spec: SearchSpec) -> list[Graph]:
@@ -262,27 +462,24 @@ def enumerate_graphs(spec: SearchSpec) -> SearchResult:
     total = spec.base**spec.edge_slots
     if total > spec.budget:
         raise BudgetExceededError(f"{total} graphs exceed the budget of {spec.budget}")
-    plans = _cut_plans(spec)
-
-    shards = 1
-    t_fixed = 0
-    while shards < spec.workers and t_fixed < spec.edge_slots:
-        shards *= spec.base
-        t_fixed += 1
-    step = total // shards
-    bounds = [(s * step, total if s == shards - 1 else (s + 1) * step) for s in range(shards)]
-
-    if spec.workers > 1 and len(bounds) > 1:
+    if spec.n > 8:  # _canonical_classes would refuse the witnesses after the scan
+        raise ValueError("canonical_form enumerates n! permutations; n <= 8 only")
+    scan = _BlockScan(spec)
+    blocks = total // scan.size
+    shards = max(1, min(spec.workers, blocks))
+    bounds = [(s * blocks // shards, (s + 1) * blocks // shards) for s in range(shards)]
+    if shards > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            parts = list(pool.map(lambda b: _scan_ids(b[0], b[1], spec, plans), bounds))
+        with ThreadPoolExecutor(max_workers=shards) as pool:
+            parts = list(pool.map(lambda b: _scan_blocks(b[0], b[1], spec, scan), bounds))
     else:
-        parts = [_scan_ids(lo, hi, spec, plans) for lo, hi in bounds]
+        parts = [_scan_blocks(0, blocks, spec, scan)]
 
     examined = sum(part[1] for part in parts)
     pruned = sum(part[2] for part in parts)
-    witnesses = _canonical_classes(np.concatenate([part[0] for part in parts]), spec)
+    candidates = _class_candidates(np.concatenate([part[0] for part in parts]), spec)
+    witnesses = _canonical_classes(candidates, spec)
     elapsed = time.perf_counter() - t0
     return SearchResult(witnesses, examined, pruned, elapsed, True, spec)
 

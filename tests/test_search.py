@@ -1,3 +1,4 @@
+import concurrent.futures
 import time
 
 import numpy as np
@@ -72,6 +73,134 @@ def test_engine_matches_reference_on_random_specs(p, shape, weights_one, zero_ro
     fast, ref = enumerate_graphs(spec), _reference_search(spec)
     assert fast.witnesses == ref.witnesses
     assert (fast.examined, fast.pruned) == (ref.examined, ref.pruned)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.sampled_from([(2, 1), (3, 1), (4, 1), (4, 2)]),
+       st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+       st.sampled_from([1, 3, 9, 27]), st.sampled_from([1, 3]))
+def test_many_blocks_match_reference(p, shape, weights_one, zero_row, rescale, canonical, low_ids,
+                                     workers):
+    # blocks of at most low_ids ids, so every spec spans many high parts
+    n, group_size = shape
+    spec = SearchSpec(n=n, p=p, group_size=group_size, weights_one=weights_one, workers=workers,
+                      prune_zero_row=zero_row, prune_rescale=rescale, prune_canonical=canonical)
+    assume(spec.base**spec.edge_slots <= 729)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_LOW_IDS", low_ids)
+        fast = enumerate_graphs(spec)
+        raw = _raw_scan(spec)
+    ref = _reference_search(spec)
+    assert fast.witnesses == ref.witnesses
+    assert (fast.examined, fast.pruned) == (ref.examined, ref.pruned)
+    # the raw witness ids, in order, are those of the digit path: every id
+    # expanded, pruned by _prune_mask and ranked by _predicate_mask
+    ids = np.arange(spec.base**spec.edge_slots)
+    weights = search._weights_from_ids(ids, spec)
+    keep = ~_prune_mask(weights, spec)
+    passed = search._predicate_mask(weights[keep], spec, search._cut_plans(spec))
+    assert raw[0].tolist() == ids[keep][passed].tolist()
+
+
+@pytest.mark.parametrize("flags", [
+    dict(n=5, p=2, prune_zero_row=True, prune_canonical=True, workers=3),
+    dict(n=4, p=3, weights_one=True, prune_zero_row=True, prune_rescale=True),
+    dict(n=4, p=3, group_size=2, prune_rescale=True, workers=3),
+    dict(n=4, p=5, prune_zero_row=True, prune_rescale=True),
+])
+def test_many_blocks_match_reference_on_pruned_specs(monkeypatch, flags):
+    spec = SearchSpec(**flags)
+    monkeypatch.setattr(search, "_LOW_IDS", spec.base)  # one edge slot per low part
+    fast, ref = enumerate_graphs(spec), _reference_search(spec)
+    assert fast.witnesses == ref.witnesses
+    assert (fast.examined, fast.pruned) == (ref.examined, ref.pruned) and fast.pruned > 0
+
+
+def _raw_scan(spec):
+    scan = search._BlockScan(spec)
+    return search._scan_blocks(0, spec.base**spec.edge_slots // scan.size, spec, scan)
+
+
+@pytest.mark.parametrize("flags", [dict(n=5, p=3), dict(n=4, p=5, prune_rescale=True),
+                                   dict(n=4, p=3, group_size=2, prune_zero_row=True)])
+def test_rank_fallback_matches_tables(monkeypatch, flags):
+    spec = SearchSpec(**flags)
+    monkeypatch.setattr(search, "_LOW_IDS", 243)
+    ids, examined, pruned = _raw_scan(spec)
+    assert len(ids) > 0
+    with_tables = enumerate_graphs(spec)
+    monkeypatch.setattr(search, "_TABLE_CAP", 1)  # no cut has a table: gfp.rank_batch ranks each
+    assert all(cut.table is None for cut in search._cut_plans(spec))
+    fallback_ids, fallback_examined, fallback_pruned = _raw_scan(spec)
+    assert fallback_ids.tolist() == ids.tolist()
+    assert (fallback_examined, fallback_pruned) == (examined, pruned)
+    assert enumerate_graphs(spec).witnesses == with_tables.witnesses
+
+
+@pytest.mark.parametrize("flags", [dict(n=6, p=2), dict(n=5, p=3, prune_zero_row=True),
+                                   dict(n=4, p=5, prune_zero_row=True, prune_rescale=True)])
+def test_first_cut_reuse_matches_fresh_blocks(monkeypatch, flags):
+    # blocks of at most 27 ids; reusing first-cut survivors across blocks
+    # with the same row key and offset changes no id or count
+    spec = SearchSpec(**flags)
+    monkeypatch.setattr(search, "_LOW_IDS", 27)
+    reused = _raw_scan(spec)
+    for cap in (0, 1):
+        monkeypatch.setattr(search, "_REUSE_CAP", cap)
+        fresh = _raw_scan(spec)
+        assert fresh[0].tolist() == reused[0].tolist() and fresh[1:] == reused[1:]
+
+
+@pytest.mark.parametrize("flags", [dict(n=5, p=3), dict(n=4, p=5), dict(n=4, p=3, group_size=2),
+                                   dict(n=4, p=5, group_size=2, prune_zero_row=True),
+                                   dict(n=4, p=5, prune_rescale=True), dict(n=5, p=5, weights_one=True)])
+def test_class_candidates_keep_every_class(flags):
+    spec = SearchSpec(**flags)
+    ids = _raw_scan(spec)[0]
+    candidates = search._class_candidates(ids, spec)
+    assert set(candidates.tolist()) <= set(ids.tolist())
+    assert search._canonical_classes(candidates, spec) == search._canonical_classes(ids, spec)
+    if not spec.prune_rescale:
+        assert len(candidates) < len(ids)
+
+
+def test_exhaustive_refuses_n_over_8_before_scanning(monkeypatch):
+    def scan(*args):
+        raise AssertionError("scanned before refusing")
+
+    monkeypatch.setattr(search, "_scan_blocks", scan)
+    with pytest.raises(ValueError, match="n <= 8 only"):
+        enumerate_graphs(SearchSpec(n=9, p=2, budget=2**36))
+    with pytest.raises(BudgetExceededError):  # the budget is still checked first
+        enumerate_graphs(SearchSpec(n=9, p=2))
+
+
+def test_thread_pool_bounded_by_blocks(monkeypatch):
+    sizes = []
+
+    class Spy:
+        """Records max_workers and maps in the calling thread."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+    monkeypatch.setattr(search, "_LOW_IDS", 16)  # n=5, p=2: 2^10 ids in 64 blocks of 2^4
+    single = enumerate_graphs(SearchSpec(n=5, p=2))
+    many = enumerate_graphs(SearchSpec(n=5, p=2, workers=5000))
+    assert sizes == [64]
+    assert (many.witnesses, many.examined) == (single.witnesses, single.examined)
+    enumerate_graphs(SearchSpec(n=3, p=2, workers=5000))  # 8 ids in one block: no pool
+    assert sizes == [64]
 
 
 def test_edge_words_wider_than_a_byte():
