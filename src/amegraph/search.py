@@ -7,11 +7,19 @@ integers of gfp.digits.
 
 The rank predicate is a table lookup per cut: the cut's cross block,
 read row-major, packs into the index sum_k w_k p^k of a precomputed "is
-full rank" table (built by gfp.rank_batch). The exhaustive scan never
-expands an id into digits to form that index. A scan id is
-hi * base^L + lo, where lo holds the L lowest edge slots and base^L is
-at most _LOW_IDS. Each slot owns its own positions in a cut's index, so
-the index is A_cut[lo] + B_cut(hi) with no carries. A_cut is an array
+full rank" table. Tables are built by row peeling, with no elimination:
+a matrix whose first row is nonzero has full row rank exactly when its
+other rows, reduced by the first and with the first's pivot column
+dropped, have full rank. A cut whose table would exceed _TABLE_CAP bytes
+is ranked row by row: a cached peel table maps (first row, other row) to
+the reduced row, and _full_rank peels until the rows left have a table.
+gfp.rank_batch runs only where that peel table would itself exceed the
+cap (large p), or where a row's index would not fit int64.
+
+The exhaustive scan never expands an id into digits to form a cut's
+index. A scan id is hi * base^L + lo, where lo holds the L lowest edge
+slots and base^L is at most _LOW_IDS. Each slot owns its own positions
+in a cut's index, so the index is A_cut[lo] + B_cut(hi) with no carries. A_cut is an array
 over every low id, built once per run. B_cut(hi) is the block's high
 digits times the cut's coefficients, one number per block of base^L ids.
 Per cut, a block takes A_cut at its surviving low ids and looks them up
@@ -20,8 +28,18 @@ cut, so each cut sees only the graphs that passed the cuts before it.
 The first cut is the one with the fewest high slots, and a block's
 survivors of it depend only on its B and its row key (below), so they
 are kept and reused by later blocks. Workers take contiguous ranges of
-blocks. Random search packs each sample's gathered weights with the same
-coefficients.
+blocks.
+
+Random search packs each batch of sampled words once, into chunk ids:
+chunk c holds the L edge slots from c * L on (L as in the scan's low
+part), so each id is below base^L <= _LOW_IDS and one float64 product
+packs them exactly. A cut's index, or each row's index for a peeled
+cut, is the sum of the cut's per-chunk partial-index tables at those
+ids; chunk 0's table is the scan's A_cut, built by the same broadcast
+sum. A cut's chunk tables are built when a batch first reaches it and
+are dropped when the call returns. Survivors are compacted together
+with their chunk ids after every cut, and a batch is copied only when
+a prune layer dropped some of it.
 
 The zero-row and rescale pruning layers are row plans split the same
 way. A vertex's slots ascend with its neighbours, so its low slots are a
@@ -31,9 +49,9 @@ per vertex over the low ids ("low part zero", "low part leads with a
 weight other than 1") and a row key per block (a bit per vertex whose
 high part decides) give the ids both layers prune. Digits are still
 expanded where no such index exists, on the ids of a block that are
-still alive: for cuts whose table would exceed _TABLE_CAP (ranked with
-gfp.rank_batch) and for the prune_canonical layer. The high digits are
-expanded once per block.
+still alive: for cuts whose table would exceed _TABLE_CAP (their rows
+packed and ranked by _full_rank) and for the prune_canonical layer. The
+high digits are expanded once per block.
 
 Witnesses are reported one per relabeling class (relabelings that keep
 the groups, when there are groups), as the canonical form of graph.py.
@@ -77,7 +95,7 @@ _CHUNK = 1 << 16
 _LOW_IDS = 1 << 14  # most ids in one block of the exhaustive scan
 _BLOCK_BATCH = 1 << 10  # blocks whose high digits are expanded together
 _REUSE_CAP = 256  # most first-cut survivor arrays one worker keeps for reuse
-_TABLE_CAP = 1 << 22
+_TABLE_CAP = 1 << 22  # most bytes one rank or peel table may allocate
 _PRUNE_RELABELINGS = 720  # most relabelings canonical pruning compares each word with (6! at n = 6)
 
 
@@ -105,10 +123,16 @@ class SearchSpec:
         gfp.ensure_prime(self.p)
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.group_size < 1:
+            raise ValueError(f"group size must be at least 1, got {self.group_size}")
         if self.n % self.group_size:
             raise ValueError("group size must divide the vertex count")
         if self.n // self.group_size < 2:
             raise ValueError("need at least two parties")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.samples < 0:
+            raise ValueError(f"samples must be at least 0, got {self.samples}")
 
     @property
     def base(self) -> int:
@@ -152,29 +176,130 @@ class SearchResult:
         )
 
 
-@lru_cache(maxsize=None)
-def _rank_full_table(p: int, rows: int, cols: int) -> np.ndarray:
-    """table[v] = True iff the (rows x cols) matrix packed into the base-p
-    digits of v (row-major, digit 0 first) has full row rank; ranked in
-    chunks of _CHUNK matrices."""
-    total = p ** (rows * cols)
-    out = np.empty(total, dtype=bool)
-    for lo in range(0, total, _CHUNK):
-        ids = np.arange(lo, min(lo + _CHUNK, total))
-        mats = gfp.digits(ids, p, rows * cols, np.min_scalar_type(p - 1))
-        out[lo : lo + len(ids)] = gfp.rank_batch(mats.reshape(-1, rows, cols), p) == rows
+def _digit_sums(parts, dtype=np.intp) -> np.ndarray:
+    """out[x] = sum_k parts[k][digit k of x] for every mixed-radix number x
+    (digit 0 lowest, digit k below len(parts[k])), broadcast one digit at a
+    time with no digit expansion. Every sum must fit `dtype`."""
+    out = np.zeros(1, dtype=dtype)
+    for part in parts:
+        out = (np.asarray(part, dtype=dtype)[:, None] + out).ravel()
     return out
+
+
+def _peel_bytes(p: int, width: int) -> int:
+    """Bytes of _peel(p, width) as allocated."""
+    return p ** (2 * width) * np.min_scalar_type(p ** (width - 1) - 1).itemsize
+
+
+def _peel_row(digits: np.ndarray, p: int, first: int) -> np.ndarray:
+    """Every row of `digits` (width base-p digits per packed row) peeled by
+    the nonzero packed row `first`: minus the multiple of `first` that
+    clears first's pivot column (its first nonzero digit), with that column
+    dropped, packed again over width - 1 digits."""
+    lead = digits[first]
+    pivot = int(np.flatnonzero(lead)[0])
+    scale = digits[:, pivot] * gfp.field_inv(int(lead[pivot]), p) % p
+    reduced = np.delete((digits - scale[:, None] * lead) % p, pivot, axis=1)
+    return reduced @ p ** np.arange(digits.shape[1] - 1)
+
+
+@lru_cache(maxsize=None)
+def _peel(p: int, width: int) -> np.ndarray:
+    """The row-peeling table: entry first * p^width + row is the packed
+    `row` peeled by the packed `first` (_peel_row). Entries with first = 0
+    are 0, so a zero first row leaves only zero rows, never of full rank."""
+    size = p**width
+    digits = gfp.digits(np.arange(size), p, width)
+    out = np.zeros((size, size), dtype=np.min_scalar_type(p ** (width - 1) - 1))
+    for first in range(1, size):
+        out[first] = _peel_row(digits, p, first)
+    return out.ravel()
+
+
+@lru_cache(maxsize=None)
+def _rank_full_table(p: int, rows: int, width: int) -> np.ndarray:
+    """table[v] = True iff the rows x width matrix packed into the base-p
+    digits of v (row-major, digit 0 first) has full row rank; rows <= width.
+
+    Built by row peeling, with no elimination: a matrix whose first row
+    (the lowest `width` digits of v) is nonzero has full row rank exactly
+    when its other rows, peeled by the first (_peel_row), have full rank
+    as a (rows - 1) x (width - 1) matrix; that table is built the same
+    way. Peeled rows are computed per first row, so the build holds no
+    peel table, which can be larger than the table."""
+    size = p**width
+    if rows == 1:
+        return np.arange(size) != 0
+    rest = _rank_full_table(p, rows - 1, width - 1)
+    digits = gfp.digits(np.arange(size), p, width)
+    out = np.zeros((p ** ((rows - 1) * width), size), dtype=bool)  # [other rows, first row]
+    for first in range(1, size):
+        peeled = _peel_row(digits, p, first)
+        out[:, first] = rest[_digit_sums([peeled * (size // p) ** k for k in range(rows - 1)])]
+    return out.ravel()
+
+
+def _full_rank(rows, p: int, width: int) -> np.ndarray:
+    """Full-row-rank flags of a stack of len(rows) x width matrices
+    (len(rows) <= width) given by their packed rows: rows[i][b] holds row
+    i of matrix b, its base-p digits (digit 0 first) the row's entries.
+
+    Peels the first row (_peel) until the rows left have a
+    _rank_full_table within _TABLE_CAP bytes. Where the next peel table
+    would itself exceed the cap (large p), the rows left are expanded
+    into digits and ranked by gfp.rank_batch."""
+    rows = list(rows)
+    while len(rows) > 1 and p ** (len(rows) * width) > _TABLE_CAP:
+        if _peel_bytes(p, width) > _TABLE_CAP:
+            mats = np.stack([gfp.digits(r, p, width) for r in rows], axis=1)
+            return gfp.rank_batch(mats, p) == len(rows)
+        peel, first = _peel(p, width), rows[0].astype(np.intp) * p**width
+        rows = [peel.take(first + r) for r in rows[1:]]
+        width -= 1
+    if len(rows) == 1:
+        return rows[0] != 0
+    index = np.zeros(len(rows[0]), dtype=np.intp)
+    for r in reversed(rows):
+        index = index * p**width + r
+    return _rank_full_table(p, len(rows), width).take(index)
 
 
 class _Cut:
     """One cut's plan: `cols`, the edge slots of its rows x width cross
-    block, row-major; `table`, the full-rank flag of each packed index,
-    when there are at most _TABLE_CAP; `coef`, the p^k that pack the
-    gathered weights into that index."""
+    block, row-major; `table`, the full-rank flag of each packed index of
+    the block, when that table fits _TABLE_CAP bytes; `coef`, one row per
+    part of the block, the p^k that pack each edge slot of the part into
+    the part's index (0 off the part). The one part is the whole block
+    when there is a table, else each row is a part and _full_rank ranks
+    the rows; `coef` is None when a row's index would not fit int64.
+    `chunk_tables` holds the parts' partial indices per chunk of edge
+    slots, built when first asked for."""
 
     def __init__(self, cols: np.ndarray, rows: int, width: int, table: np.ndarray | None,
                  coef: np.ndarray | None):
         self.cols, self.rows, self.width, self.table, self.coef = cols, rows, width, table, coef
+        self._chunks = None
+
+    def chunk_tables(self, low: int, base: int) -> list[list[tuple[int, np.ndarray]]]:
+        """Per part, (c, its partial index over every id of chunk c) for each
+        chunk c of `low` edge slots that holds some of the part's slots. A
+        part's index is the sum of these tables at the word's chunk ids."""
+        if self._chunks is None:
+            self._chunks = []
+            for coef in self.coef:
+                dtype = np.min_scalar_type(int(coef.sum()) * (base - 1))  # holds the part's largest index
+                self._chunks.append([
+                    (c, _digit_sums([w * np.arange(base) for w in coef[s : s + low]], dtype))
+                    for c, s in enumerate(range(0, coef.size, low)) if coef[s : s + low].any()
+                ])
+        return self._chunks
+
+    def passes(self, words: np.ndarray, p: int) -> np.ndarray:
+        """Full-rank flags of this cut's block in each edge word of `words`."""
+        sub = words[:, self.cols].reshape(-1, self.rows, self.width)
+        if self.coef is None:
+            return gfp.rank_batch(sub, p) == self.rows
+        return _full_rank((sub.astype(np.int64) @ p ** np.arange(self.width)).T, p, self.width)
 
 
 def _cut_plans(spec: SearchSpec) -> list[_Cut]:
@@ -185,28 +310,67 @@ def _cut_plans(spec: SearchSpec) -> list[_Cut]:
     for cut in party_cuts(spec.groups):
         rest = [u for u in range(n) if u not in cut]
         rows, width = len(cut), len(rest)
+        cols = slot[np.ix_(cut, rest)].ravel()
         table = coef = None
         if p ** (rows * width) <= _TABLE_CAP:
             table = _rank_full_table(p, rows, width)
-            coef = p ** np.arange(rows * width, dtype=np.int64)
-        plans.append(_Cut(slot[np.ix_(cut, rest)].ravel(), rows, width, table, coef))
+            parts = [cols]
+        else:
+            parts = cols.reshape(rows, width)
+        if p ** len(parts[0]) <= 1 << 62:  # each part's index fits int64
+            coef = np.zeros((len(parts), spec.edge_slots), dtype=np.int64)
+            for k, part in enumerate(parts):
+                coef[k, part] = p ** np.arange(len(part))
+        plans.append(_Cut(cols, rows, width, table, coef))
     return plans
 
 
+def _chunk_ids(weights: np.ndarray, spec: SearchSpec, low: int) -> np.ndarray:
+    """ids[c, b]: word b's id over chunk c, its edge slots c * low onwards
+    (the last chunk may be shorter) read as a little-endian base-`base`
+    number. One float64 product packs every chunk, exact since each id is
+    below max(base, _LOW_IDS). It runs on blocks of about _CHUNK weights,
+    which bounds its float64 copy of them."""
+    slots = np.arange(spec.edge_slots)
+    powers = np.zeros((spec.edge_slots, -(-spec.edge_slots // low)))
+    powers[slots, slots // low] = float(spec.base) ** (slots % low)
+    ids = np.empty((powers.shape[1], len(weights)), dtype=np.intp)
+    rows = _CHUNK // spec.edge_slots
+    for start in range(0, len(weights), rows):
+        ids[:, start : start + rows] = (weights[start : start + rows] @ powers).T
+    return ids
+
+
+def _part_index(chunks: list[tuple[int, np.ndarray]], ids: np.ndarray) -> np.ndarray:
+    """A part's index for each word: its chunk tables summed at the word's chunk ids."""
+    (c, table), *rest = chunks
+    index = table.take(ids[c])
+    for c, table in rest:
+        index += table.take(ids[c])
+    return index
+
+
 def _predicate_mask(weights: np.ndarray, spec: SearchSpec, plans: list[_Cut]) -> np.ndarray:
-    """Boolean mask of rows of `weights` whose graphs pass every cut."""
-    alive = np.arange(weights.shape[0])
+    """Boolean mask of rows of `weights` whose graphs pass every cut.
+
+    Each word is packed once into its chunk ids of _low_slots edge slots
+    each. A cut's part indices are sums of its chunk tables at those ids,
+    looked up in its table or ranked by _full_rank; the survivors of each
+    cut are compacted together with their chunk ids."""
+    low = _low_slots(spec)
+    # the chunk ids, then a last row with each word's position in `weights`
+    ids = np.vstack([_chunk_ids(weights, spec, low), np.arange(weights.shape[0])])
     for cut in plans:
-        sub = weights[alive][:, cut.cols]
-        if cut.table is not None:
-            ok = cut.table[sub.astype(np.int64) @ cut.coef]  # faster than a mixed-type product
+        if cut.coef is None:
+            ok = cut.passes(weights[ids[-1]], spec.p)
         else:
-            ok = gfp.rank_batch(sub.reshape(-1, cut.rows, cut.width), spec.p) == cut.rows
-        alive = alive[ok]
-        if alive.size == 0:
+            parts = [_part_index(chunks, ids) for chunks in cut.chunk_tables(low, spec.base)]
+            ok = cut.table.take(parts[0]) if cut.table is not None else _full_rank(parts, spec.p, cut.width)
+        ids = ids.compress(ok, axis=1)
+        if ids.shape[1] == 0:
             break
     mask = np.zeros(weights.shape[0], dtype=bool)
-    mask[alive] = True
+    mask[ids[-1]] = True
     return mask
 
 
@@ -252,13 +416,9 @@ class _BlockScan:
             if cut.table is None:
                 self.index.append(None)
                 continue
-            coef = np.zeros(spec.edge_slots, dtype=np.int64)
-            coef[cut.cols] = cut.coef
-            a = np.zeros(1, dtype=np.intp)  # intp, which take() indexes with no cast
-            for weight in coef[:low]:  # lo = digit_s * base^s + (the lower slots' id)
-                a = (weight * np.arange(spec.base)[:, None] + a).ravel()
-            self.index.append(a)
-            self.coef_high[:, c] = coef[low:]
+            # intp, which take() indexes with no cast
+            self.index.append(_digit_sums([w * np.arange(spec.base) for w in cut.coef[0, :low]]))
+            self.coef_high[:, c] = cut.coef[0, low:]
 
         rescale = spec.prune_rescale and spec.p > 2
         slot = slot_matrix(n)
@@ -338,8 +498,7 @@ def _scan_blocks(start: int, stop: int, spec: SearchSpec,
                 if index is not None:  # table[A[lo] + b] as a lookup in the table shifted by b
                     ok = cut.table[b[c]:].take(index if alive is every else index.take(alive))
                 else:
-                    sub = _weights_from_ids(hi * scan.size + alive, spec)[:, cut.cols]
-                    ok = gfp.rank_batch(sub.reshape(-1, cut.rows, cut.width), spec.p) == cut.rows
+                    ok = cut.passes(_weights_from_ids(hi * scan.size + alive, spec), spec.p)
                 alive = alive.compress(ok)
                 if c == 0 and reuse and len(starts) < _REUSE_CAP:
                     starts[key, b[0]] = kept, alive
@@ -514,8 +673,11 @@ def random_search(spec: SearchSpec) -> SearchResult:
         drawn += count
         pruned = _prune_mask(weights, spec)
         keep = ~pruned
-        mask = np.zeros(count, dtype=bool)
-        mask[keep] = _predicate_mask(weights[keep], spec, plans)
+        if pruned.any():
+            mask = np.zeros(count, dtype=bool)
+            mask[keep] = _predicate_mask(weights[keep], spec, plans)
+        else:  # no copy of the batch
+            mask = _predicate_mask(weights, spec, plans)
         if mask.any():
             first = int(mask.argmax())
             examined += int(keep[: first + 1].sum())

@@ -106,6 +106,14 @@ def test_search_random_requires_seed(capsys):
     assert main(["search", "--n", "5", "--p", "2", "--mode", "random"]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--samples", "-3"], ["--workers", "0"], ["--workers", "-2"],
+                                   ["--group-size", "0"]])
+def test_search_refuses_invalid_sizes(flags, capsys):
+    assert main(["search", "--n", "5", "--p", "2", "--mode", "random", "--seed", "1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_search_witness_file(tmp_path, capsys):
     out_path = tmp_path / "witnesses.txt"
     rc = main(["search", "--n", "5", "--p", "2", "--mode", "random",

@@ -94,6 +94,22 @@ def test_rewrite_invariance():
                 assert cut_edits(g, cut) == cut_edits(g2, cut)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.sampled_from([2, 3, 5, 7]), st.data())
+def test_local_rewrites_keep_every_cut_rank(n, p, data):
+    # op_mult and op_star are local Cliffords on the graph state, so no
+    # cut's rank changes; the rescale prune layer relies on this
+    slots = n * (n - 1) // 2
+    g = graph_from_word(p, n, data.draw(st.lists(st.integers(0, p - 1), min_size=slots, max_size=slots)))
+    h = g
+    for star, v, a in data.draw(st.lists(st.tuples(st.booleans(), st.integers(0, n - 1),
+                                                   st.integers(1, p - 1)), max_size=4)):
+        h = op_star(h, v, a) if star else op_mult(h, v, a)
+    for size in range(1, n // 2 + 1):
+        for cut in itertools.combinations(range(n), size):
+            assert cut_edits(h, cut) == cut_edits(g, cut)
+
+
 def test_dense_oracle_agreement_small():
     rng = np.random.default_rng(23)
     for p in (2, 3):

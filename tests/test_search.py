@@ -7,11 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amegraph import gfp, search
-from amegraph.entanglement import is_ame, is_ame_grouped
+from amegraph.entanglement import cut_edits, is_ame, is_ame_grouped
 from amegraph.graph import (
     canonical_form,
     canonical_form_grouped,
     edge_word,
+    format_graph_line,
     graph_from_edges,
     graph_from_word,
 )
@@ -373,14 +374,141 @@ def test_run_dispatch_and_stats_line():
     assert line.endswith("/s exhaustive=yes")
 
 
-@pytest.mark.parametrize("p,rows,cols", [(2, 2, 3), (2, 3, 3), (3, 2, 2), (5, 1, 3)])
+@pytest.mark.parametrize("p,rows,cols", [(2, 2, 3), (2, 3, 3), (3, 2, 2), (5, 1, 3),
+                                         (3, 3, 3), (7, 2, 2), (2, 4, 4)])
 def test_rank_tables_match_scalar_rank(p, rows, cols):
     table = search._rank_full_table(p, rows, cols)
     mats = gfp.digits(np.arange(p ** (rows * cols)), p, rows * cols).reshape(-1, rows, cols)
-    assert table.tolist() == [gfp.mat_rank(m, p) == rows for m in mats]
+    if p == 2:  # scalar bitwise elimination on packed rows, about 20 times faster than mat_rank
+        packed = (mats @ 2 ** np.arange(cols)).tolist()
+        assert table.tolist() == [gfp.rank_gf2(m) == rows for m in packed]
+    else:
+        assert table.tolist() == [gfp.mat_rank(m, p) == rows for m in mats]
 
 
 def test_rank_tables_hold_weights_beyond_int16():
     # the n = 2 cut is one weight; every nonzero weight, also above 32767, is full rank
     table = search._rank_full_table(65537, 1, 1)
     assert not table[0] and table[1:].all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_full_rank_matches_scalar_rank(p, rows, width, seed):
+    assume(rows <= width)
+    rng = np.random.default_rng(seed)
+    mats = rng.integers(0, p, size=(40, rows, width))
+    for m in mats[::2]:  # every other matrix gets a row that depends on the others
+        r = int(rng.integers(rows))
+        m[r] = rng.integers(0, p, size=rows - 1) @ np.delete(m, r, axis=0) % p if rows > 1 else 0
+    packed = (mats @ p ** np.arange(width)).T
+    want = [gfp.mat_rank(m, p) == rows for m in mats]
+    # every cap up to the default: table lookups, one or more peels, rank_batch
+    caps = {1, 1 << 22} | {search._peel_bytes(p, w) for w in range(1, width + 1)}
+    caps |= {p ** (r * (r + width - rows)) for r in range(1, rows + 1)}
+    for cap in sorted(c for c in caps if c <= 1 << 22):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_TABLE_CAP", cap)
+            assert search._full_rank(packed, p, width).tolist() == want
+
+
+@pytest.mark.parametrize("cap,peels,fallbacks", [(1 << 20, 0, 0), (4096, 1, 0), (1024, 2, 0), (1, 0, 1)])
+def test_full_rank_peels_until_a_table_fits(monkeypatch, cap, peels, fallbacks):
+    # 4 x 5 qubit matrices: a 2^20-entry table; _peel(2, 5) takes 1024 bytes,
+    # the 3 x 4 table 4096 and the 2 x 3 table 64
+    calls = {"peel": 0, "rank_batch": 0}
+
+    def spy(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(search, "_peel", spy("peel", search._peel))
+    monkeypatch.setattr(gfp, "rank_batch", spy("rank_batch", gfp.rank_batch))
+    monkeypatch.setattr(search, "_TABLE_CAP", cap)
+    rng = np.random.default_rng(5)
+    mats = rng.integers(0, 2, size=(500, 4, 5))
+    got = search._full_rank((mats @ 2 ** np.arange(5)).T, 2, 5)
+    assert got.tolist() == [gfp.mat_rank(m, 2) == 4 for m in mats]
+    assert 0 < got.sum() < len(got)
+    assert (calls["peel"], calls["rank_batch"]) == (peels, fallbacks)
+
+
+@pytest.mark.parametrize("p,width", [(7, 1), (5, 2), (3, 3), (2, 9)])
+def test_peel_cap_counts_allocated_bytes(p, width):
+    # at (2, 9) a reduced row takes 256 values, so each entry is two bytes
+    assert search._peel_bytes(p, width) == search._peel(p, width).nbytes
+
+
+def test_rank_tables_built_without_rank_batch(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rank_batch called")
+
+    monkeypatch.setattr(gfp, "rank_batch", refuse)
+    table = search._rank_full_table.__wrapped__(3, 3, 4)
+    # full-rank 3 x 4 matrices mod 3: (3^4 - 1)(3^4 - 3)(3^4 - 9)
+    assert table.size == 3**12 and table.sum() == 80 * 78 * 72
+
+
+# (spec fields, examined, pruned, witness line) of seeded random searches,
+# recorded with the rank_batch engine that random search used before row
+# peeling and chunk ids
+RANDOM_PINS = [
+    (dict(n=5, p=2, seed=7), 2, 0, "2 5 1 4 1 1 5 1 2 3 1 2 5 1 3 4 1 3 5 1 4 5 1"),
+    (dict(n=5, p=3, seed=1, dense_bias=True), 1, 0,
+     "3 5 1 4 2 1 5 2 2 3 2 2 4 1 2 5 1 3 4 1 3 5 2 4 5 2"),
+    (dict(n=6, p=2, group_size=2, seed=5), 1, 0,
+     "2 6 1 2 1 1 6 1 2 4 1 2 5 1 2 6 1 3 4 1 3 5 1 3 6 1 4 5 1 4 6 1 5 6 1"),
+    (dict(n=6, p=5, seed=1, samples=10000), 50, 0,
+     "5 6 1 4 2 1 5 2 1 6 4 2 3 1 2 4 2 2 5 2 2 6 1 3 4 2 3 5 3 3 6 3 4 5 1 4 6 2 5 6 1"),
+    (dict(n=6, p=3, weights_one=True, seed=4, samples=20000), 93, 0,
+     "3 6 1 4 1 1 5 1 1 6 1 2 3 1 2 5 1 2 6 1 3 4 1 3 6 1 4 6 1 5 6 1"),
+    (dict(n=6, p=3, prune_zero_row=True, prune_rescale=True, seed=9, samples=20000), 32, 707,
+     "3 6 1 4 1 1 5 1 1 6 1 2 3 1 2 5 1 2 6 2 3 4 2 3 5 1 3 6 1 4 6 1"),
+    (dict(n=6, p=3, prune_canonical=True, seed=8, samples=20000), 28, 19972, None),
+    (dict(n=6, p=7, seed=1, samples=2000), 3, 0,
+     "7 6 1 2 1 1 3 1 1 4 1 1 5 3 1 6 3 2 3 1 2 4 3 2 5 2 2 6 6 3 4 5 3 5 4 3 6 5 4 5 6 4 6 5 5 6 4"),
+    (dict(n=8, p=2, group_size=2, seed=2024), 8, 0,
+     "2 8 1 6 1 1 8 1 2 4 1 2 6 1 2 7 1 2 8 1 3 4 1 3 5 1 3 8 1 4 8 1 5 7 1 5 8 1 6 7 1 6 8 1"),
+    (dict(n=3, p=263, seed=1), 1, 0, "263 3 1 2 124 1 3 195 2 3 235"),
+    (dict(n=7, p=2, dense_bias=True, seed=5, samples=30000), 30000, 0, None),
+    (dict(n=10, p=2, seed=1, samples=20000), 20000, 0, None),
+]
+
+
+@pytest.mark.parametrize("fields,examined,pruned,line", RANDOM_PINS)
+def test_random_search_pinned(fields, examined, pruned, line):
+    res = random_search(SearchSpec(mode="random", **fields))
+    assert (res.examined, res.pruned) == (examined, pruned)
+    assert [format_graph_line(g) for g in res.witnesses] == ([line] if line else [])
+
+
+@pytest.mark.parametrize("n,p,cap", [(9, 3, 1 << 22), (10, 2, 1 << 22), (10, 3, 1 << 22), (9, 2, 1),
+                                     (8, 65537, 1 << 22)])
+def test_predicate_matches_scalar_cut_ranks(monkeypatch, n, p, cap):
+    # no exhaustive reference exists at these sizes: each cut's verdict on
+    # sampled words against scalar cut_edits. n=9, 10 cuts are peeled once
+    # (p=2, 3) or twice (n=10, p=3); cap 1 sends them to rank_batch, and at
+    # p=65537 a row does not pack into int64
+    monkeypatch.setattr(search, "_TABLE_CAP", cap)
+    spec = SearchSpec(n=n, p=p, mode="random", seed=0)
+    rng = np.random.default_rng(n * p)
+    words = search._random_weights(rng, 48, spec)
+    words[::3] = words[::3] * (rng.random(words[::3].shape) < 0.5)  # sparser: more rank-deficient cuts
+    graphs = [graph_from_word(p, n, w) for w in words]
+    plans = search._cut_plans(spec)
+    cuts = search.party_cuts(spec.groups)
+    every = np.ones(len(words), dtype=bool)
+    for cut, plan in zip(cuts, plans):
+        want = np.array([cut_edits(g, cut) == len(cut) for g in graphs])
+        assert search._predicate_mask(words, spec, [plan]).tolist() == want.tolist()
+        every &= want
+    assert search._predicate_mask(words, spec, plans).tolist() == every.tolist()
+
+
+def test_spec_refuses_invalid_sizes():
+    for fields in (dict(workers=0), dict(workers=-2), dict(samples=-3), dict(group_size=0)):
+        with pytest.raises(ValueError):
+            SearchSpec(n=4, p=2, mode="random", seed=1, **fields)
+    assert random_search(SearchSpec(n=4, p=2, mode="random", seed=1, samples=0)).examined == 0
