@@ -112,9 +112,10 @@ def row_reduce(mat, p: int) -> tuple[np.ndarray, list[int]]:
         if k != r:
             a[[r, k]] = a[[k, r]]
         a[r] = (a[r] * field_inv(int(a[r, c]), p)) % p
-        for j in np.nonzero(a[:, c])[0]:
-            if j != r:
-                a[j] = (a[j] - a[j, c] * a[r]) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a -= col[:, None] * a[r]  # every other row at once
+        a %= p
         pivots.append(c)
         r += 1
     return a, pivots

@@ -41,6 +41,13 @@ are dropped when the call returns. Survivors are compacted together
 with their chunk ids after every cut, and a batch is copied only when
 a prune layer dropped some of it.
 
+Samples come from one seeded numpy Generator, and the stream is pinned:
+a seed gives the same graphs as plain rng.integers calls. Two-valued
+weights (p = 2, weights_one, dense_bias at p = 3) are the top bits of
+the bytes of raw 32-bit draws, at about a third of the cost; that is
+how numpy makes them, so the weights and the generator's state after
+the draw are unchanged (_integers).
+
 The zero-row and rescale pruning layers are row plans split the same
 way. A vertex's slots ascend with its neighbours, so its low slots are a
 prefix of its row: the row is zero iff both parts are, and its first
@@ -643,15 +650,35 @@ def enumerate_graphs(spec: SearchSpec) -> SearchResult:
     return SearchResult(witnesses, examined, pruned, elapsed, True, spec)
 
 
+def _integers(rng: np.random.Generator, low: int, high: int, shape: tuple[int, int],
+              dtype: np.dtype) -> np.ndarray:
+    """rng.integers(low, high, size=shape, dtype=dtype), bit for bit, bit
+    generator state included. A two-valued draw (dtype is uint8 for every
+    such range here) is read off raw 32-bit words, which a full-range
+    uint32 draw returns unchanged: numpy takes a uint8 draw's bytes lowest
+    first from fresh words and maps each by Lemire's method, which for a
+    range of 2 is the byte's top bit and never rejects; the bytes left in
+    the last word are dropped."""
+    if high - low != 2:
+        return rng.integers(low, high, size=shape, dtype=dtype)
+    size = shape[0] * shape[1]
+    words = rng.integers(0, 1 << 32, size=-(-size // 4), dtype=np.uint32)
+    out = words.astype("<u4", copy=False).view(np.uint8)
+    out >>= 7  # in place: no second buffer
+    if low:
+        out += np.uint8(low)
+    return out[:size].reshape(shape)
+
+
 def _random_weights(rng: np.random.Generator, count: int, spec: SearchSpec) -> np.ndarray:
     shape, dtype = (count, spec.edge_slots), spec.word_dtype
     if spec.weights_one:
-        return rng.integers(0, 2, size=shape, dtype=dtype)
+        return _integers(rng, 0, 2, shape, dtype)
     if spec.dense_bias:
-        w = rng.integers(1, spec.p, size=shape, dtype=dtype)
+        w = _integers(rng, 1, spec.p, shape, dtype)
         w[rng.random(shape) < 1.0 / (2 * spec.p)] = 0
         return w
-    return rng.integers(0, spec.p, size=shape, dtype=dtype)
+    return _integers(rng, 0, spec.p, shape, dtype)
 
 
 def random_search(spec: SearchSpec) -> SearchResult:

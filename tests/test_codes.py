@@ -159,3 +159,18 @@ def test_format_roundtrip():
     text = codes.format_code(c)
     assert text.splitlines()[0] == "5 4 2"
     assert codes.parse_code(text) == c
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 257]), st.integers(1, 4), st.integers(0, 3), st.data())
+def test_format_code_round_trip(p, k, extra, data):
+    n = k + extra
+    # [I; R] with its rows shuffled: full column rank by construction
+    rest = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=k, max_size=k),
+                              min_size=extra, max_size=extra))
+    gen = np.vstack([np.eye(k, dtype=np.int64), np.array(rest, dtype=np.int64).reshape(extra, k)])
+    order = data.draw(st.permutations(range(n)))
+    c = codes.LinearCode(p, gen[order])
+    text = codes.format_code(c)
+    assert codes.parse_code(text) == c
+    assert codes.format_code(codes.parse_code(text)) == text

@@ -190,3 +190,37 @@ def test_digits_round_trip(base, data):
             want.append(d)
         assert row == want  # little-endian: column i is the coefficient of base^i
     assert (got.astype(np.int64) @ base ** np.arange(width) == np.array(values, dtype=np.int64)).all()
+
+
+@st.composite
+def _residue_matrices(draw):
+    """Matrices of every rank: rows are random combinations (Python ints,
+    so exact at any p) of a few random rows, with zeros mixed in."""
+    p = draw(st.sampled_from([2, 3, 5, 3037000493]))  # the last: (p - 1)^2 just under 2^63
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.just(1), st.just(p - 1), st.integers(0, p - 1))
+    basis = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=rows))
+    mat = []
+    for _ in range(rows):
+        coef = draw(st.lists(entry, min_size=len(basis), max_size=len(basis)))
+        mat.append([sum(c * b[j] for c, b in zip(coef, basis)) % p for j in range(cols)])
+    return p, np.array(mat, dtype=np.int64)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_residue_matrices())
+def test_row_reduce_is_rref_of_the_row_space(pm):
+    p, a = pm
+    red, pivots = gfp.row_reduce(a, p)
+    rank = len(pivots)
+    assert red.shape == a.shape and ((0 <= red) & (red < p)).all()
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert red[i, c] == 1 and not red[i, :c].any()
+        assert not np.delete(red[:, c], i).any()
+    assert not red[rank:].any()
+    # same row space: stacking the two adds nothing to the input's rank
+    ranks = gfp.rank_batch(np.stack([a, red]), p)
+    both = gfp.rank_batch(np.vstack([a, red])[None], p)[0]
+    assert ranks[0] == ranks[1] == both == rank
+    assert gfp.mat_rank(a, p) == rank

@@ -302,3 +302,11 @@ def test_slot_matrix_is_combinations_order(n):
 def test_slot_matrix_indexes_edge_word(g):
     off = ~np.eye(g.n, dtype=bool)
     assert (edge_word(g)[slot_matrix(g.n)[off]] == g.adj[off]).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graphs(sizes=range(1, 9)))
+def test_text_formats_round_trip(g):
+    text, line = format_graph(g), format_graph_line(g)
+    assert parse_graph(text) == g and format_graph(parse_graph(text)) == text
+    assert parse_graph_line(line) == g and format_graph_line(parse_graph_line(line)) == line

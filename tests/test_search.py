@@ -474,6 +474,19 @@ RANDOM_PINS = [
     (dict(n=3, p=263, seed=1), 1, 0, "263 3 1 2 124 1 3 195 2 3 235"),
     (dict(n=7, p=2, dense_bias=True, seed=5, samples=30000), 30000, 0, None),
     (dict(n=10, p=2, seed=1, samples=20000), 20000, 0, None),
+    # witnesses found after many draws, so the counts pin the sampling
+    # stream itself: dense_bias at p = 2 (its nonzero draw takes no
+    # randomness) and p = 3, uniform p = 2, and pruning at p = 2
+    (dict(n=6, p=2, dense_bias=True, seed=3, samples=20000), 26, 0,
+     "2 6 1 4 1 1 5 1 1 6 1 2 3 1 2 5 1 2 6 1 3 4 1 3 6 1 4 6 1 5 6 1"),
+    (dict(n=6, p=3, dense_bias=True, seed=3, samples=20000), 157, 0,
+     "3 6 1 4 1 1 5 1 1 6 1 2 3 1 2 5 2 2 6 2 3 4 1 3 5 1 3 6 2 4 5 1 4 6 2 5 6 1"),
+    (dict(n=6, p=2, seed=1, samples=20000), 671, 0,
+     "2 6 1 4 1 1 5 1 1 6 1 2 3 1 2 5 1 2 6 1 3 4 1 3 6 1 4 5 1"),
+    (dict(n=6, p=5, weights_one=True, seed=9, samples=20000), 615, 0,
+     "5 6 1 4 1 1 5 1 1 6 1 2 3 1 2 5 1 2 6 1 3 4 1 3 6 1 4 6 1 5 6 1"),
+    (dict(n=6, p=2, prune_zero_row=True, seed=6, samples=20000), 361, 68,
+     "2 6 1 4 1 1 5 1 1 6 1 2 3 1 2 5 1 2 6 1 3 4 1 3 6 1 4 5 1"),
 ]
 
 
@@ -482,6 +495,48 @@ def test_random_search_pinned(fields, examined, pruned, line):
     res = random_search(SearchSpec(mode="random", **fields))
     assert (res.examined, res.pruned) == (examined, pruned)
     assert [format_graph_line(g) for g in res.witnesses] == ([line] if line else [])
+
+
+def _rng_integers_weights(rng, count, spec):
+    """The sampling stream as plain rng.integers calls: the reference the
+    raw-word draws of search._random_weights must match bit for bit."""
+    shape, dtype = (count, spec.edge_slots), spec.word_dtype
+    if spec.weights_one:
+        return rng.integers(0, 2, size=shape, dtype=dtype)
+    if spec.dense_bias:
+        w = rng.integers(1, spec.p, size=shape, dtype=dtype)
+        w[rng.random(shape) < 1.0 / (2 * spec.p)] = 0
+        return w
+    return rng.integers(0, spec.p, size=shape, dtype=dtype)
+
+
+_INTERLEAVED = [
+    lambda rng: rng.random(3),
+    lambda rng: rng.integers(0, 1 << 32, size=1, dtype=np.uint32),  # one buffered half-word
+    lambda rng: rng.integers(0, 2, size=5, dtype=np.uint8),
+    lambda rng: rng.integers(0, 7, size=2),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([dict(p=2), dict(p=2, weights_one=True), dict(p=3, weights_one=True),
+                        dict(p=257, weights_one=True), dict(p=2, dense_bias=True),
+                        dict(p=3, dense_bias=True), dict(p=5, dense_bias=True)]),
+       st.integers(2, 10),
+       st.lists(st.integers(0, 300) | st.sampled_from([(1 << 14) - 1, 1 << 14]), min_size=2, max_size=2),
+       st.sampled_from(_INTERLEAVED), st.integers(0, 2**32 - 1))
+def test_random_weights_match_rng_integers(fields, n, counts, draw, seed):
+    # odd edge-slot counts (n = 2, 3, 6, 7, 10) and odd counts leave a
+    # partial last word; the interleaved draw checks the state carries over
+    spec = SearchSpec(n=n, mode="random", seed=seed, **fields)
+    fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for count in counts:
+        got, want = search._random_weights(fast, count, spec), _rng_integers_weights(ref, count, spec)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert fast.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(draw(fast), draw(ref))
+        assert fast.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("n,p,cap", [(9, 3, 1 << 22), (10, 2, 1 << 22), (10, 3, 1 << 22), (9, 2, 1),

@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from amegraph import stabilizer as st
 from amegraph import simulator as sim
 from amegraph.codes import ame_generator_matrix, hamming433
-from amegraph.entanglement import is_ame
-from amegraph.graph import Graph, empty_graph, graph_from_edges
+from amegraph.entanglement import cut_edits, is_ame
+from amegraph.graph import Graph, empty_graph, graph_from_edges, graph_from_word
 from amegraph.stabilizer import (
     GeneratorMatrix,
     LocalCliffordY,
@@ -207,3 +209,40 @@ def test_format_roundtrip():
     text = format_generator_matrix(m)
     assert text.splitlines()[0] == "3 4 4"
     assert parse_generator_matrix(text) == m
+
+
+@hs.composite
+def _scrambled(draw):
+    """A random graph and its generator matrix under a random row change
+    U and local Clifford Y (seeded from hypothesis)."""
+    p = draw(hs.sampled_from([2, 3, 5, 257]))
+    n = draw(hs.integers(1, 6))
+    word = draw(hs.lists(hs.integers(0, p - 1), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    g = graph_from_word(p, n, word)
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    return g, apply_local_clifford(from_graph(g), random_invertible(rng, p, n), random_y(rng, p, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scrambled())
+def test_from_graph_to_graph_round_trip(gm):
+    g, m = gm
+    assert to_graph(from_graph(g)) == (g, [])
+    out, transcript = to_graph(m)
+    cur = m
+    for u, y in transcript:
+        cur = apply_local_clifford(cur, u, y)
+    assert cur == from_graph(out)
+    # a local Clifford keeps every cut rank
+    for size in range(1, g.n // 2 + 1):
+        for cut in itertools.combinations(range(g.n), size):
+            assert cut_edits(out, cut) == cut_edits(g, cut)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scrambled())
+def test_generator_matrix_format_round_trip(gm):
+    _, m = gm
+    text = format_generator_matrix(m)
+    assert parse_generator_matrix(text) == m
+    assert format_generator_matrix(parse_generator_matrix(text)) == text
