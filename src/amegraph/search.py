@@ -16,30 +16,30 @@ the reduced row, and _full_rank peels until the rows left have a table.
 gfp.rank_batch runs only where that peel table would itself exceed the
 cap (large p), or where a row's index would not fit int64.
 
-The exhaustive scan never expands an id into digits to form a cut's
-index. A scan id is hi * base^L + lo, where lo holds the L lowest edge
-slots and base^L is at most _LOW_IDS. Each slot owns its own positions
-in a cut's index, so the index is A_cut[lo] + B_cut(hi) with no carries. A_cut is an array
-over every low id, built once per run. B_cut(hi) is the block's high
-digits times the cut's coefficients, one number per block of base^L ids.
-Per cut, a block takes A_cut at its surviving low ids and looks them up
-in the table shifted by B_cut(hi); survivors are compacted after every
-cut, so each cut sees only the graphs that passed the cuts before it.
-The first cut is the one with the fewest high slots, and a block's
-survivors of it depend only on its B and its row key (below), so they
-are kept and reused by later blocks. Workers take contiguous ranges of
-blocks.
+Both modes index a cut through chunk tables. Chunk c holds the L edge
+slots from c * L on, base^L being at most _LOW_IDS, and a word's id over
+a chunk reads those slots as a little-endian base-`base` number. Each
+slot owns its own positions in a cut's index, so the index of a part of
+the cut (its whole cross block when the cut has a table, else each row)
+is the sum, with no carries, of the part's _chunk_tables at the word's
+chunk ids.
 
-Random search packs each batch of sampled words once, into chunk ids:
-chunk c holds the L edge slots from c * L on (L as in the scan's low
-part), so each id is below base^L <= _LOW_IDS and one float64 product
-packs them exactly. A cut's index, or each row's index for a peeled
-cut, is the sum of the cut's per-chunk partial-index tables at those
-ids; chunk 0's table is the scan's A_cut, built by the same broadcast
-sum. A cut's chunk tables are built when a batch first reaches it and
-are dropped when the call returns. Survivors are compacted together
-with their chunk ids after every cut, and a batch is copied only when
-a prune layer dropped some of it.
+The exhaustive scan never expands an id into digits to form a cut's
+index. A scan id is hi * base^L + lo: lo is its id over chunk 0, and hi,
+written in base base^L, holds its ids over chunks 1, 2, .... So a part's
+index is A[lo] + B(hi): A is its chunk-0 table, over every low id, and B
+its other chunk tables summed at the block's chunk ids. Per cut, a block
+takes A at its surviving low ids and looks them up in the table shifted
+by B, or hands each row's A + B to _full_rank; survivors are compacted
+after every cut, so each cut sees only the graphs that passed the cuts
+before it. The first cut is the one with a table and the fewest high
+slots, and a block's survivors of it depend only on its B and its row
+key (below), so they are kept and reused by later blocks.
+
+Random search packs each batch of sampled words once into its chunk
+ids, with one float64 product, exact since each id is below base^L.
+Survivors are compacted together with their chunk ids after every cut,
+and a batch is copied only when a prune layer dropped some of it.
 
 Samples come from one seeded numpy Generator, and the stream is pinned:
 a seed gives the same graphs as plain rng.integers calls. Two-valued
@@ -54,11 +54,11 @@ prefix of its row: the row is zero iff both parts are, and its first
 nonzero weight lies in the low part unless that part is zero. Two flags
 per vertex over the low ids ("low part zero", "low part leads with a
 weight other than 1") and a row key per block (a bit per vertex whose
-high part decides) give the ids both layers prune. Digits are still
-expanded where no such index exists, on the ids of a block that are
-still alive: for cuts whose table would exceed _TABLE_CAP (their rows
-packed and ranked by _full_rank) and for the prune_canonical layer. The
-high digits are expanded once per block.
+high part decides) give the ids both layers prune. Digits in base
+`base` are still expanded for those row keys, once per batch of blocks,
+and where no index exists, on the ids of a block that are still alive:
+for the prune_canonical layer and for cuts whose row index would not fit
+int64.
 
 Witnesses are reported one per relabeling class (relabelings that keep
 the groups, when there are groups), as the canonical form of graph.py.
@@ -100,8 +100,8 @@ from .graph import (
 
 _CHUNK = 1 << 16
 _LOW_IDS = 1 << 14  # most ids in one block of the exhaustive scan
-_BLOCK_BATCH = 1 << 10  # blocks whose high digits are expanded together
-_REUSE_CAP = 256  # most first-cut survivor arrays one worker keeps for reuse
+_BLOCK_BATCH = 1 << 10  # blocks whose chunk ids and row keys are expanded together
+_REUSE_CAP = 256  # most first-cut survivor arrays the scan keeps for reuse, each of at most _LOW_IDS intp
 _TABLE_CAP = 1 << 22  # most bytes one rank or peel table may allocate
 _PRUNE_RELABELINGS = 720  # most relabelings canonical pruning compares each word with (6! at n = 6)
 
@@ -117,7 +117,7 @@ class SearchSpec:
     mode: str = "exhaustive"  # or "random"
     group_size: int = 1
     seed: int | None = None
-    workers: int = 1
+    workers: int = 1  # validated but not read: kept for compatibility, the search is serial
     samples: int = 10**6
     budget: int = 1 << 23
     weights_one: bool = False
@@ -271,6 +271,16 @@ def _full_rank(rows, p: int, width: int) -> np.ndarray:
     return _rank_full_table(p, len(rows), width).take(index)
 
 
+def _chunk_tables(coef: np.ndarray, low: int, base: int) -> list[tuple[int, np.ndarray]]:
+    """(c, the partial index over every id of chunk c) for each chunk c of
+    `low` edge slots that holds some of the part's slots, `coef` the part's
+    row of _Cut.coef. A part's index is the sum of these tables at the
+    word's chunk ids."""
+    dtype = np.min_scalar_type(int(coef.sum()) * (base - 1))  # holds the part's largest index
+    return [(c, _digit_sums(np.multiply.outer(coef[s : s + low], np.arange(base)), dtype))
+            for c, s in enumerate(range(0, coef.size, low)) if coef[s : s + low].any()]
+
+
 class _Cut:
     """One cut's plan: `cols`, the edge slots of its rows x width cross
     block, row-major; `table`, the full-rank flag of each packed index of
@@ -279,34 +289,18 @@ class _Cut:
     the part's index (0 off the part). The one part is the whole block
     when there is a table, else each row is a part and _full_rank ranks
     the rows; `coef` is None when a row's index would not fit int64.
-    `chunk_tables` holds the parts' partial indices per chunk of edge
-    slots, built when first asked for."""
+    `chunks` holds the parts' _chunk_tables once random search needs them."""
 
     def __init__(self, cols: np.ndarray, rows: int, width: int, table: np.ndarray | None,
                  coef: np.ndarray | None):
         self.cols, self.rows, self.width, self.table, self.coef = cols, rows, width, table, coef
-        self._chunks = None
-
-    def chunk_tables(self, low: int, base: int) -> list[list[tuple[int, np.ndarray]]]:
-        """Per part, (c, its partial index over every id of chunk c) for each
-        chunk c of `low` edge slots that holds some of the part's slots. A
-        part's index is the sum of these tables at the word's chunk ids."""
-        if self._chunks is None:
-            self._chunks = []
-            for coef in self.coef:
-                dtype = np.min_scalar_type(int(coef.sum()) * (base - 1))  # holds the part's largest index
-                self._chunks.append([
-                    (c, _digit_sums([w * np.arange(base) for w in coef[s : s + low]], dtype))
-                    for c, s in enumerate(range(0, coef.size, low)) if coef[s : s + low].any()
-                ])
-        return self._chunks
+        self.chunks = None
 
     def passes(self, words: np.ndarray, p: int) -> np.ndarray:
-        """Full-rank flags of this cut's block in each edge word of `words`."""
+        """Full-rank flags of this cut's block in each edge word of `words`,
+        by gfp.rank_batch: for cuts whose row index would not fit int64."""
         sub = words[:, self.cols].reshape(-1, self.rows, self.width)
-        if self.coef is None:
-            return gfp.rank_batch(sub, p) == self.rows
-        return _full_rank((sub.astype(np.int64) @ p ** np.arange(self.width)).T, p, self.width)
+        return gfp.rank_batch(sub, p) == self.rows
 
 
 def _cut_plans(spec: SearchSpec) -> list[_Cut]:
@@ -371,7 +365,9 @@ def _predicate_mask(weights: np.ndarray, spec: SearchSpec, plans: list[_Cut]) ->
         if cut.coef is None:
             ok = cut.passes(weights[ids[-1]], spec.p)
         else:
-            parts = [_part_index(chunks, ids) for chunks in cut.chunk_tables(low, spec.base)]
+            if cut.chunks is None:  # built when a batch first reaches the cut
+                cut.chunks = [_chunk_tables(coef, low, spec.base) for coef in cut.coef]
+            parts = [_part_index(chunks, ids) for chunks in cut.chunks]
             ok = cut.table.take(parts[0]) if cut.table is not None else _full_rank(parts, spec.p, cut.width)
         ids = ids.compress(ok, axis=1)
         if ids.shape[1] == 0:
@@ -399,13 +395,14 @@ def _first_nonzero_not_one(part: np.ndarray) -> np.ndarray:
 
 
 class _BlockScan:
-    """What the exhaustive scan looks up per block of `size` ids, built
-    over every low id: per cut with a table, A_cut (`index`) and the
-    coefficients of the high digits (`coef_high`, B_cut(hi) = high digits
-    @ coef_high); per vertex, its row's high slots (`row_high`) and, when a
-    row layer is on, whether the row's low part is zero (`row_zero`); and
-    whether some row's low part leads with a weight other than 1
-    (`static`, under rescale)."""
+    """What the exhaustive scan looks up per block of `size` ids: the cut
+    plans, the first cut first; per cut, None where a row index would not
+    fit int64, else a column per part; per column, A (`low_index`, intp)
+    and the part's other chunk tables (`part_chunks`), which sum to B;
+    per vertex, its row's high slots (`row_high`) and, when a row layer
+    is on, whether the row's low part is zero (`row_zero`); and whether
+    some row's low part leads with a weight other than 1 (`static`, under
+    rescale)."""
 
     def __init__(self, spec: SearchSpec):
         n = spec.n
@@ -417,15 +414,22 @@ class _BlockScan:
         high_slots = [np.count_nonzero(cut.cols >= low) for cut in plans]
         first = min(range(len(plans)), key=lambda c: (plans[c].table is None, high_slots[c]))
         plans.insert(0, plans.pop(first))
-        self.plans, self.index = plans, []
-        self.coef_high = np.zeros((spec.edge_slots - low, len(plans)), dtype=np.int64)
-        for c, cut in enumerate(plans):
-            if cut.table is None:
-                self.index.append(None)
-                continue
-            # intp, which take() indexes with no cast
-            self.index.append(_digit_sums([w * np.arange(spec.base) for w in cut.coef[0, :low]]))
-            self.coef_high[:, c] = cut.coef[0, low:]
+        self.plans, self.parts, self.part_chunks, low_tables = plans, [], [], []
+        for cut in plans:
+            parts = None
+            if cut.coef is not None:
+                parts = []
+                for coef in cut.coef:
+                    chunks = _chunk_tables(coef, low, spec.base)
+                    c, a = chunks[0]
+                    parts.append(len(self.part_chunks))
+                    self.part_chunks.append(chunks[1:] if c == 0 else chunks)
+                    low_tables.append(a if c == 0 else np.zeros(self.size, np.uint8))
+            self.parts.append(parts)
+        # A per column as intp, which take() indexes with no cast; one cast
+        # of them all takes about an eighth of the time of a cast per table,
+        # and the chunk-0 tables are not kept
+        self.low_index = list(np.array(low_tables, dtype=np.intp))
 
         rescale = spec.prune_rescale and spec.p > 2
         slot = slot_matrix(n)
@@ -443,16 +447,15 @@ class _BlockScan:
             self.canonical = replace(spec, prune_zero_row=False, prune_rescale=False)
 
 
-def _row_keys(high: np.ndarray, spec: SearchSpec, scan: _BlockScan) -> list[int]:
-    """Per block of `high` digits: bit v set when vertex v's row is pruned
+def _row_keys(his: np.ndarray, spec: SearchSpec, scan: _BlockScan) -> list[int]:
+    """Per block hi in `his`: bit v set when vertex v's row is pruned
     wherever its low part is zero (the high part is zero under the
     zero-row layer, or leads with a weight other than 1 under rescale)."""
-    keys = np.zeros(len(high), dtype=np.int64)
-    if scan.row_zero is None:
-        return keys.tolist()
+    high = gfp.digits(his, spec.base, spec.edge_slots - scan.low, spec.word_dtype)
+    keys = np.zeros(len(his), dtype=np.int64)
     for v, r in enumerate(scan.row_high):
         part = high[:, r]
-        hit = _first_nonzero_not_one(part) if scan.static is not None else np.zeros(len(high), bool)
+        hit = _first_nonzero_not_one(part) if scan.static is not None else np.zeros(len(his), bool)
         if spec.prune_zero_row:
             hit |= ~part.any(axis=1)
         keys |= hit.astype(np.int64) << v
@@ -468,14 +471,14 @@ def _row_survivors(key: int, scan: _BlockScan) -> np.ndarray:
     return np.flatnonzero(~mask)
 
 
-def _scan_blocks(start: int, stop: int, spec: SearchSpec,
-                 scan: _BlockScan) -> tuple[np.ndarray, int, int]:
-    """Scan blocks start..stop-1, block hi holding the ids hi * size + lo;
-    returns (witness ids, examined, pruned).
+def _scan_blocks(spec: SearchSpec) -> tuple[np.ndarray, int, int]:
+    """Scan every block in order, block hi holding the ids hi * size + lo;
+    returns (witness ids in ascending order, examined, pruned).
 
     Without the canonical layer, what a block keeps up to its first cut
     depends only on its row key and its first cut's offset, so the
     survivors of the first cut are kept for the next block with both."""
+    scan = _BlockScan(spec)
     wit = [np.empty(0, dtype=np.int64)]
     examined = 0
     pruned_total = 0
@@ -483,13 +486,18 @@ def _scan_blocks(start: int, stop: int, spec: SearchSpec,
     reuse = scan.canonical is None and scan.plans[0].table is not None
     # (row key, first offset) -> (ids the prune layers keep, survivors of the first cut)
     starts: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
-    for first in range(start, stop, _BLOCK_BATCH):
-        his = np.arange(first, min(first + _BLOCK_BATCH, stop))
-        high = gfp.digits(his, spec.base, spec.edge_slots - scan.low, spec.word_dtype)
-        offsets = (high @ scan.coef_high).tolist()
-        keys = _row_keys(high, spec, scan)
-        for hi, key, b in zip(his.tolist(), keys, offsets):
-            cached = starts.get((key, b[0]))
+    blocks = spec.base**spec.edge_slots // scan.size
+    for first in range(0, blocks, _BLOCK_BATCH):
+        his = np.arange(first, min(first + _BLOCK_BATCH, blocks))
+        # the chunk ids of each block's first id
+        ids = gfp.digits(his * scan.size, scan.size, -(-spec.edge_slots // scan.low)).T
+        offsets = np.zeros((len(his), len(scan.part_chunks)), dtype=np.int64)
+        for k, chunks in enumerate(scan.part_chunks):
+            if chunks:
+                offsets[:, k] = _part_index(chunks, ids)
+        keys = [0] * len(his) if scan.row_zero is None else _row_keys(his, spec, scan)
+        for hi, key, b in zip(his.tolist(), keys, offsets.tolist()):
+            cached = starts.get((key, b[0])) if reuse else None
             if cached is not None:
                 kept, alive = cached
             else:
@@ -501,11 +509,14 @@ def _scan_blocks(start: int, stop: int, spec: SearchSpec,
             examined += kept
             pruned_total += scan.size - kept
             for c in range(cached is not None, len(scan.plans)):
-                cut, index = scan.plans[c], scan.index[c]
-                if index is not None:  # table[A[lo] + b] as a lookup in the table shifted by b
-                    ok = cut.table[b[c]:].take(index if alive is every else index.take(alive))
-                else:
+                cut, parts = scan.plans[c], scan.parts[c]
+                if parts is None:
                     ok = cut.passes(_weights_from_ids(hi * scan.size + alive, spec), spec.p)
+                elif cut.table is not None:  # table[A[lo] + B] as a lookup in the table shifted by B
+                    a = scan.low_index[parts[0]]
+                    ok = cut.table[b[parts[0]]:].take(a if alive is every else a.take(alive))
+                else:
+                    ok = _full_rank([scan.low_index[k].take(alive) + b[k] for k in parts], spec.p, cut.width)
                 alive = alive.compress(ok)
                 if c == 0 and reuse and len(starts) < _REUSE_CAP:
                     starts[key, b[0]] = kept, alive
@@ -622,7 +633,7 @@ def enumerate_graphs(spec: SearchSpec) -> SearchResult:
     """Exhaustive scan of every weight assignment, deterministic witnesses.
 
     The witness list is the canonical forms of all passing graphs,
-    deduplicated; it does not depend on worker count or shard order.
+    deduplicated.
     """
     t0 = time.perf_counter()
     total = spec.base**spec.edge_slots
@@ -630,21 +641,8 @@ def enumerate_graphs(spec: SearchSpec) -> SearchResult:
         raise BudgetExceededError(f"{total} graphs exceed the budget of {spec.budget}")
     if spec.n > 8:  # _canonical_classes would refuse the witnesses after the scan
         raise ValueError("canonical_form enumerates n! permutations; n <= 8 only")
-    scan = _BlockScan(spec)
-    blocks = total // scan.size
-    shards = max(1, min(spec.workers, blocks))
-    bounds = [(s * blocks // shards, (s + 1) * blocks // shards) for s in range(shards)]
-    if shards > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=shards) as pool:
-            parts = list(pool.map(lambda b: _scan_blocks(b[0], b[1], spec, scan), bounds))
-    else:
-        parts = [_scan_blocks(0, blocks, spec, scan)]
-
-    examined = sum(part[1] for part in parts)
-    pruned = sum(part[2] for part in parts)
-    candidates = _class_candidates(np.concatenate([part[0] for part in parts]), spec)
+    ids, examined, pruned = _scan_blocks(spec)
+    candidates = _class_candidates(ids, spec)
     witnesses = _canonical_classes(candidates, spec)
     elapsed = time.perf_counter() - t0
     return SearchResult(witnesses, examined, pruned, elapsed, True, spec)
@@ -684,8 +682,7 @@ def _random_weights(rng: np.random.Generator, count: int, spec: SearchSpec) -> n
 def random_search(spec: SearchSpec) -> SearchResult:
     """Sample graphs until the predicate passes or the budget runs out.
 
-    Stops at the first witness; reproducible for a fixed seed (worker
-    count does not enter the sampling stream).
+    Stops at the first witness; reproducible for a fixed seed.
     """
     t0 = time.perf_counter()
     plans = _cut_plans(spec)

@@ -1,4 +1,6 @@
 import concurrent.futures
+import multiprocessing
+import threading
 import time
 
 import numpy as np
@@ -79,18 +81,17 @@ def test_engine_matches_reference_on_random_specs(p, shape, weights_one, zero_ro
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7]), st.sampled_from([(2, 1), (3, 1), (4, 1), (4, 2)]),
        st.booleans(), st.booleans(), st.booleans(), st.booleans(),
-       st.sampled_from([1, 3, 9, 27]), st.sampled_from([1, 3]))
-def test_many_blocks_match_reference(p, shape, weights_one, zero_row, rescale, canonical, low_ids,
-                                     workers):
+       st.sampled_from([1, 3, 9, 27]))
+def test_many_blocks_match_reference(p, shape, weights_one, zero_row, rescale, canonical, low_ids):
     # blocks of at most low_ids ids, so every spec spans many high parts
     n, group_size = shape
-    spec = SearchSpec(n=n, p=p, group_size=group_size, weights_one=weights_one, workers=workers,
+    spec = SearchSpec(n=n, p=p, group_size=group_size, weights_one=weights_one,
                       prune_zero_row=zero_row, prune_rescale=rescale, prune_canonical=canonical)
     assume(spec.base**spec.edge_slots <= 729)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_LOW_IDS", low_ids)
         fast = enumerate_graphs(spec)
-        raw = _raw_scan(spec)
+        raw = search._scan_blocks(spec)
     ref = _reference_search(spec)
     assert fast.witnesses == ref.witnesses
     assert (fast.examined, fast.pruned) == (ref.examined, ref.pruned)
@@ -104,9 +105,9 @@ def test_many_blocks_match_reference(p, shape, weights_one, zero_row, rescale, c
 
 
 @pytest.mark.parametrize("flags", [
-    dict(n=5, p=2, prune_zero_row=True, prune_canonical=True, workers=3),
+    dict(n=5, p=2, prune_zero_row=True, prune_canonical=True),
     dict(n=4, p=3, weights_one=True, prune_zero_row=True, prune_rescale=True),
-    dict(n=4, p=3, group_size=2, prune_rescale=True, workers=3),
+    dict(n=4, p=3, group_size=2, prune_rescale=True),
     dict(n=4, p=5, prune_zero_row=True, prune_rescale=True),
 ])
 def test_many_blocks_match_reference_on_pruned_specs(monkeypatch, flags):
@@ -117,22 +118,21 @@ def test_many_blocks_match_reference_on_pruned_specs(monkeypatch, flags):
     assert (fast.examined, fast.pruned) == (ref.examined, ref.pruned) and fast.pruned > 0
 
 
-def _raw_scan(spec):
-    scan = search._BlockScan(spec)
-    return search._scan_blocks(0, spec.base**spec.edge_slots // scan.size, spec, scan)
-
-
-@pytest.mark.parametrize("flags", [dict(n=5, p=3), dict(n=4, p=5, prune_rescale=True),
-                                   dict(n=4, p=3, group_size=2, prune_zero_row=True)])
+# cap 1: no cut has a table and gfp.rank_batch ranks each; cap 256 at n=6
+# p=2: each 3x3 cut is peeled once down to a 2x2 table
+@pytest.mark.parametrize("flags", [(dict(n=5, p=3), 1), (dict(n=4, p=5, prune_rescale=True), 1),
+                                   (dict(n=4, p=3, group_size=2, prune_zero_row=True), 1),
+                                   (dict(n=6, p=2), 256)])
 def test_rank_fallback_matches_tables(monkeypatch, flags):
-    spec = SearchSpec(**flags)
+    fields, cap = flags
+    spec = SearchSpec(**fields)
     monkeypatch.setattr(search, "_LOW_IDS", 243)
-    ids, examined, pruned = _raw_scan(spec)
+    ids, examined, pruned = search._scan_blocks(spec)
     assert len(ids) > 0
     with_tables = enumerate_graphs(spec)
-    monkeypatch.setattr(search, "_TABLE_CAP", 1)  # no cut has a table: gfp.rank_batch ranks each
+    monkeypatch.setattr(search, "_TABLE_CAP", cap)
     assert all(cut.table is None for cut in search._cut_plans(spec))
-    fallback_ids, fallback_examined, fallback_pruned = _raw_scan(spec)
+    fallback_ids, fallback_examined, fallback_pruned = search._scan_blocks(spec)
     assert fallback_ids.tolist() == ids.tolist()
     assert (fallback_examined, fallback_pruned) == (examined, pruned)
     assert enumerate_graphs(spec).witnesses == with_tables.witnesses
@@ -145,10 +145,10 @@ def test_first_cut_reuse_matches_fresh_blocks(monkeypatch, flags):
     # with the same row key and offset changes no id or count
     spec = SearchSpec(**flags)
     monkeypatch.setattr(search, "_LOW_IDS", 27)
-    reused = _raw_scan(spec)
+    reused = search._scan_blocks(spec)
     for cap in (0, 1):
         monkeypatch.setattr(search, "_REUSE_CAP", cap)
-        fresh = _raw_scan(spec)
+        fresh = search._scan_blocks(spec)
         assert fresh[0].tolist() == reused[0].tolist() and fresh[1:] == reused[1:]
 
 
@@ -157,7 +157,7 @@ def test_first_cut_reuse_matches_fresh_blocks(monkeypatch, flags):
                                    dict(n=4, p=5, prune_rescale=True), dict(n=5, p=5, weights_one=True)])
 def test_class_candidates_keep_every_class(flags):
     spec = SearchSpec(**flags)
-    ids = _raw_scan(spec)[0]
+    ids = search._scan_blocks(spec)[0]
     candidates = search._class_candidates(ids, spec)
     assert set(candidates.tolist()) <= set(ids.tolist())
     assert search._canonical_classes(candidates, spec) == search._canonical_classes(ids, spec)
@@ -176,32 +176,15 @@ def test_exhaustive_refuses_n_over_8_before_scanning(monkeypatch):
         enumerate_graphs(SearchSpec(n=9, p=2))
 
 
-def test_thread_pool_bounded_by_blocks(monkeypatch):
-    sizes = []
-
-    class Spy:
-        """Records max_workers and maps in the calling thread."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
-    monkeypatch.setattr(search, "_LOW_IDS", 16)  # n=5, p=2: 2^10 ids in 64 blocks of 2^4
-    single = enumerate_graphs(SearchSpec(n=5, p=2))
-    many = enumerate_graphs(SearchSpec(n=5, p=2, workers=5000))
-    assert sizes == [64]
-    assert (many.witnesses, many.examined) == (single.witnesses, single.examined)
-    enumerate_graphs(SearchSpec(n=3, p=2, workers=5000))  # 8 ids in one block: no pool
-    assert sizes == [64]
+def test_scan_ranks_rows_past_int64():
+    # at p > 2^31 no row of two or more weights packs into int64, so the
+    # scan ranks every cut by gfp.rank_batch on expanded digits
+    for n, classes in ((3, 2), (4, 0)):
+        spec = SearchSpec(n=n, p=2147483659, weights_one=True)
+        assert all(cut.coef is None for cut in search._cut_plans(spec))
+        fast, ref = enumerate_graphs(spec), _reference_search(spec)
+        assert len(fast.witnesses) == classes and fast.witnesses == ref.witnesses
+        assert fast.examined == ref.examined
 
 
 def test_edge_words_wider_than_a_byte():
@@ -212,11 +195,21 @@ def test_edge_words_wider_than_a_byte():
     assert len(res.witnesses) == 1 and is_ame(res.witnesses[0]).is_ame
 
 
-def test_worker_count_does_not_change_results():
-    single = enumerate_graphs(SearchSpec(n=5, p=2, workers=1))
-    multi = enumerate_graphs(SearchSpec(n=5, p=2, workers=4))
-    assert single.witnesses == multi.witnesses
-    assert single.examined == multi.examined
+def test_worker_count_does_not_change_results(monkeypatch):
+    # the scan is serial: no worker count starts a thread or a pool
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan started a thread or a pool")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(multiprocessing.Process, "start", refuse)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(search, "_LOW_IDS", 16)  # n=5, p=2: 2^10 ids in 64 blocks of 2^4
+    single, *multi = [enumerate_graphs(SearchSpec(n=5, p=2, prune_zero_row=True, workers=w))
+                      for w in (1, 3, 5000)]
+    assert single.witnesses and single.pruned > 0
+    for res in multi:
+        assert (res.witnesses, res.examined, res.pruned) == (single.witnesses, single.examined, single.pruned)
 
 
 def _scale_perm_class(g) -> bytes:
