@@ -114,20 +114,27 @@ def is_ame_code(c: LinearCode) -> bool:
 
 
 def grs_code(p: int, n: int, k: int, points=None) -> LinearCode:
-    """Polynomial-evaluation (generalized Reed-Solomon) code, MDS for n <= p.
+    """Polynomial-evaluation (generalized Reed-Solomon) code, MDS for
+    n <= p + 1.
 
     Row i of the generator is (x_i^0, ..., x_i^(k-1)) at evaluation point
     x_i; distinct points make every k x k minor a Vandermonde determinant.
+    Without `points` the points are 0, 1, ..., n - 1, and n = p + 1 adds
+    the point at infinity, the row (0, ..., 0, 1) of the leading
+    coefficient: the doubly extended Reed-Solomon code, still MDS.
     """
     gfp.ensure_prime(p)
-    if n > p:
-        raise LengthExceedsFieldError(f"need n <= p for {n} distinct points")
-    pts = list(range(n)) if points is None else [int(x) % p for x in points]
-    if len(set(pts)) != len(pts) or len(pts) != n:
+    most = p + 1 if points is None else p
+    if n > most:
+        raise LengthExceedsFieldError(f"need n <= {most} for {n} distinct points")
+    pts = list(range(min(n, p))) if points is None else [int(x) % p for x in points]
+    if len(set(pts)) != len(pts) or len(pts) != min(n, p):
         raise PointsNotDistinctError("evaluation points must be distinct")
-    gen = np.empty((n, k), dtype=np.int64)
+    gen = np.zeros((n, k), dtype=np.int64)
     for i, x in enumerate(pts):
         gen[i] = [pow(x, j, p) for j in range(k)]
+    if n > p and k:
+        gen[p, k - 1] = 1  # the point at infinity
     return LinearCode(p, gen)
 
 

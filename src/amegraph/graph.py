@@ -36,23 +36,29 @@ class GraphFormatError(ValueError):
     pass
 
 
+def _checked_adjacency(p: int, adj, ndim: int) -> np.ndarray:
+    """adj as int64, once it is an (..., n, n) stack of ndim axes that holds
+    only valid adjacencies over Z_p; the one set of Graph checks."""
+    gfp.ensure_prime(p)
+    a = np.asarray(adj, dtype=np.int64)
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        raise ValueError("adjacency must be square")
+    if (a < 0).any() or (a >= p).any():
+        raise WeightRangeError("weights must lie in [0, p)")
+    if (a != a.swapaxes(-1, -2)).any():
+        raise ValueError("adjacency must be symmetric")
+    if np.diagonal(a, axis1=-2, axis2=-1).any():
+        raise SelfLoopError("diagonal must be zero")
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     p: int
     adj: np.ndarray
 
     def __post_init__(self):
-        gfp.ensure_prime(self.p)
-        a = np.asarray(self.adj, dtype=np.int64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("adjacency must be square")
-        if (a < 0).any() or (a >= self.p).any():
-            raise WeightRangeError("weights must lie in [0, p)")
-        if (a != a.T).any():
-            raise ValueError("adjacency must be symmetric")
-        if np.diag(a).any():
-            raise SelfLoopError("diagonal must be zero")
-        a = np.ascontiguousarray(a)
+        a = np.ascontiguousarray(_checked_adjacency(self.p, self.adj, 2))
         a.setflags(write=False)
         object.__setattr__(self, "adj", a)
 
@@ -221,11 +227,32 @@ def edge_word(g: Graph) -> np.ndarray:
     return g.adj[_upper(g.n)]
 
 
+def graphs_from_words(p: int, n: int, words) -> list[Graph]:
+    """One Graph per edge word of `words` (a sequence of C(n, 2)-slot
+    words), the inverse of edge_word row by row.
+
+    The words are scattered into one (len(words), n, n) stack, which is
+    checked once with Graph's checks (same exceptions, same messages) and
+    made read-only; each graph's adjacency is a row of it, and no graph is
+    checked again."""
+    i, j = _upper(n)
+    words = np.reshape(words, (len(words), len(i)))
+    stack = np.zeros((len(words), n, n), dtype=np.int64)
+    stack[:, i, j] = stack[:, j, i] = words
+    stack = _checked_adjacency(p, stack, 3)
+    stack.setflags(write=False)
+    graphs = []
+    for a in stack:
+        g = object.__new__(Graph)
+        object.__setattr__(g, "p", p)
+        object.__setattr__(g, "adj", a)
+        graphs.append(g)
+    return graphs
+
+
 def graph_from_word(p: int, n: int, word) -> Graph:
     """Inverse of edge_word."""
-    a = np.zeros((n, n), dtype=np.int64)
-    a[_upper(n)] = word
-    return Graph(p, a + a.T)
+    return graphs_from_words(p, n, [word])[0]
 
 
 @lru_cache(maxsize=8)

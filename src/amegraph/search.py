@@ -67,13 +67,20 @@ adjacency of a class is the relabeling whose edge word is the smallest
 big-endian number, and graph.canonical_words finds it for a whole batch
 of words with one float64 matrix product per block of words and
 relabelings. That product is exact while base^E <= 2^53; longer words
-are compared in limbs of at most 2^53 each, most significant first. An
-exhaustive run first drops the raw witnesses that one swap of adjacent
-vertices or groups makes smaller (no class loses its minimal word), then
-canonicalises the rest at once, dedupes their integer ids with np.unique
-and builds a Graph only for each class. The
-prune_canonical layer uses the same kernel to drop every graph whose
-edge word is not already minimal. A result's `elapsed` covers the whole
+are compared in limbs of at most 2^53 each, most significant first.
+
+Before that, one float64 product per block of words reads each word and
+its n - 1 adjacent swaps (two adjacent vertices of a group, or two
+adjacent groups) as numbers (_swap_keys). A word that a swap makes
+smaller is not the minimal word of its class; at n = 6, p = 2 this
+rejects 99 % of all words. An exhaustive run drops such raw witnesses
+(no class loses its minimal word), canonicalises the rest at once,
+dedupes their integer ids with np.unique and builds the Graph of every
+class with one graph.graphs_from_words call, which checks all of them as
+one stack. The prune_canonical layer drops every graph whose edge word
+is not already minimal: the swap test rejects most of them, and only the
+words that pass it are compared with every relabeling. Past 2^53 every
+word goes to the full comparison. A result's `elapsed` covers the whole
 call, canonicalisation included.
 """
 
@@ -90,11 +97,14 @@ import numpy as np
 from . import gfp
 from .entanglement import cut_edits, party_cuts
 from .graph import (
+    _BLOCK,
+    _EXACT,
     Graph,
     canonical_form,
     canonical_form_grouped,
     canonical_words,
     graph_from_word,
+    graphs_from_words,
     slot_matrix,
 )
 
@@ -103,7 +113,9 @@ _LOW_IDS = 1 << 14  # most ids in one block of the exhaustive scan
 _BLOCK_BATCH = 1 << 10  # blocks whose chunk ids and row keys are expanded together
 _REUSE_CAP = 256  # most first-cut survivor arrays the scan keeps for reuse, each of at most _LOW_IDS intp
 _TABLE_CAP = 1 << 22  # most bytes one rank or peel table may allocate
-_PRUNE_RELABELINGS = 720  # most relabelings canonical pruning compares each word with (6! at n = 6)
+# most relabelings canonical pruning compares a word with, once no adjacent
+# swap makes it smaller (6! at n = 6)
+_PRUNE_RELABELINGS = 720
 
 
 class BudgetExceededError(ValueError):
@@ -557,11 +569,29 @@ def _prune_mask(weights: np.ndarray, spec: SearchSpec) -> np.ndarray:
         gcount, gsize = n // spec.group_size, spec.group_size
         if factorial(gcount) * factorial(gsize) ** gcount > _PRUNE_RELABELINGS:
             raise ValueError(
-                f"canonical pruning compares each graph with its relabelings; "
-                f"at most {_PRUNE_RELABELINGS} allowed"
+                f"canonical pruning compares each graph that no adjacent swap "
+                f"makes smaller with all its relabelings; at most {_PRUNE_RELABELINGS} allowed"
             )
-        pruned |= (_minimal_words(weights, spec) != weights).any(axis=1)
+        pruned |= _not_minimal(weights, spec)
     return pruned
+
+
+def _not_minimal(weights: np.ndarray, spec: SearchSpec) -> np.ndarray:
+    """True where some relabeling that keeps the groups makes the edge word
+    smaller. A word that an adjacent swap (_swap_smaller) makes smaller is
+    not minimal; only the others are compared with every relabeling. The
+    words go in blocks whose float64 copy holds at most graph._BLOCK
+    numbers. Past 2^53 every word is compared with every relabeling."""
+    if spec.base**spec.edge_slots > _EXACT:
+        return (_minimal_words(weights, spec) != weights).any(axis=1)
+    out = np.ones(len(weights), dtype=bool)
+    rows = max(1, _BLOCK // spec.edge_slots)
+    for lo in range(0, len(weights), rows):
+        block = weights[lo : lo + rows]
+        alive = np.flatnonzero(~_swap_smaller(block, spec))
+        words = block[alive]
+        out[lo + alive] = (_minimal_words(words, spec) != words).any(axis=1)
+    return out
 
 
 def _weights_from_ids(ids: np.ndarray, spec: SearchSpec) -> np.ndarray:
@@ -577,42 +607,56 @@ def _dedupe_canonical(graphs: list[Graph], group_size: int = 1) -> list[Graph]:
     return [seen[k] for k in sorted(seen)]
 
 
+@lru_cache(maxsize=8)
+def _swap_keys(n: int, group_size: int, base: int) -> np.ndarray:
+    """(E, n) float64 matrix: word @ column 0 is the edge word read as a
+    big-endian base-`base` number, and word @ column k that of the word
+    relabeled by the k-th adjacent swap, which swaps vertices k - 1 and k
+    when they share a group, else the group ending at k - 1 with the next.
+    Exact while base^E <= 2^53."""
+    perms = np.tile(np.arange(n), (n - 1, 1))
+    for v, perm in enumerate(perms):
+        if (v + 1) % group_size:  # v and v + 1 share a group: swap them
+            perm[[v, v + 1]] = v + 1, v
+        else:  # v ends a group: swap that group with the next
+            first = v + 1 - group_size
+            perm[first : first + 2 * group_size] = np.roll(perm[first : first + 2 * group_size], group_size)
+    i, j = np.triu_indices(n, 1)
+    gathers = slot_matrix(n)[perms[:, i], perms[:, j]]
+    big = float(base) ** np.arange(len(i) - 1, -1, -1)
+    keys = np.zeros((len(i), n))
+    keys[:, 0] = big
+    for k, gather in enumerate(gathers, 1):
+        keys[gather, k] = big  # the relabeled word holds word[gather[s]] at slot s
+    keys.setflags(write=False)
+    return keys
+
+
+def _swap_smaller(words: np.ndarray, spec: SearchSpec) -> np.ndarray:
+    """True where one adjacent swap (_swap_keys) makes the edge word
+    smaller, so that it is not the minimal word of its class."""
+    keys = words @ _swap_keys(spec.n, spec.group_size, spec.base)
+    return (keys[:, 1:] < keys[:, :1]).any(axis=1)
+
+
 def _class_candidates(ids: np.ndarray, spec: SearchSpec) -> np.ndarray:
     """The raw witness ids that may be the minimal word of their class.
 
     The predicate and the zero-row and canonical layers are invariant
     under the relabelings that keep the groups, so the raw witnesses hold
     the minimal word of each of their classes, and _canonical_classes of
-    any subset that keeps those words finds the same classes. A word made
-    smaller (read big-endian) by swapping two adjacent groups or two
-    adjacent vertices of a group is not minimal and is dropped. Each
-    relabeled word is one float64 product, exact while base^E <= 2^53.
-    Scale-normal witnesses (prune_rescale) are not closed under
-    relabeling, so all of them are kept.
+    any subset that keeps those words finds the same classes. A word that
+    an adjacent swap makes smaller (_swap_smaller) is dropped; that test
+    is exact while base^E <= 2^53. Scale-normal witnesses (prune_rescale)
+    are not closed under relabeling, so all of them are kept.
     """
-    n, gs, base, slots = spec.n, spec.group_size, spec.base, spec.edge_slots
-    if (spec.prune_rescale and spec.p > 2) or base**slots > 1 << 53:
+    if (spec.prune_rescale and spec.p > 2) or spec.base**spec.edge_slots > _EXACT:
         return ids
-    perms = np.tile(np.arange(n), (n - 1, 1))
-    for v, perm in enumerate(perms):
-        if (v + 1) % gs:  # v and v + 1 share a group: swap them
-            perm[[v, v + 1]] = v + 1, v
-        else:  # v ends a group: swap that group with the next
-            first = v + 1 - gs
-            perm[first : first + 2 * gs] = np.roll(perm[first : first + 2 * gs], gs)
-    i, j = np.triu_indices(n, 1)
-    gathers = slot_matrix(n)[perms[:, i], perms[:, j]]
-    big = float(base) ** np.arange(slots - 1, -1, -1)
-    powers = np.zeros((slots, 1 + len(perms)))
-    powers[:, 0] = big
-    for k, gather in enumerate(gathers, 1):
-        powers[gather, k] = big  # the relabeled word holds word[gather[s]] at slot s
     keep = [np.empty(0, dtype=np.int64)]
-    rows = _CHUNK // n  # the keys of a chunk hold _CHUNK numbers
+    rows = _CHUNK // spec.n  # the keys of a chunk hold _CHUNK numbers
     for start in range(0, len(ids), rows):
         chunk = ids[start : start + rows]
-        keys = _weights_from_ids(chunk, spec) @ powers
-        keep.append(chunk[(keys[:, 1:] >= keys[:, :1]).all(axis=1)])
+        keep.append(chunk[~_swap_smaller(_weights_from_ids(chunk, spec), spec)])
     return np.concatenate(keep)
 
 
@@ -625,8 +669,8 @@ def _canonical_classes(ids: np.ndarray, spec: SearchSpec) -> list[Graph]:
     canon = np.zeros(len(words), dtype=np.int64)  # their scan ids, without an int64 copy of words
     for digit in words.T[::-1]:
         canon = canon * spec.base + digit
-    classes = _weights_from_ids(np.unique(canon), spec)
-    return sorted((graph_from_word(spec.p, spec.n, w) for w in classes), key=lambda g: g.adj.tobytes())
+    classes = graphs_from_words(spec.p, spec.n, _weights_from_ids(np.unique(canon), spec))
+    return sorted(classes, key=lambda g: g.adj.tobytes())
 
 
 def enumerate_graphs(spec: SearchSpec) -> SearchResult:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from amegraph import codes
 from amegraph import gfp
-from amegraph.entanglement import is_ame
+from amegraph.entanglement import cut_edits, is_ame
 from amegraph.repro import _codeword_state, _stabilized_by_displacements
 from amegraph.stabilizer import is_valid
 
@@ -86,9 +88,26 @@ def test_grs_k1_repetition_like():
 
 def test_grs_errors():
     with pytest.raises(codes.LengthExceedsFieldError):
-        codes.grs_code(3, 4, 2)
+        codes.grs_code(3, 5, 2)  # p + 2 points: past the point at infinity
+    with pytest.raises(codes.LengthExceedsFieldError):
+        codes.grs_code(3, 4, 2, points=[0, 1, 2, 3])  # given points are finite
     with pytest.raises(codes.PointsNotDistinctError):
         codes.grs_code(5, 3, 2, points=[0, 1, 1])
+
+
+@pytest.mark.parametrize("name", ["grs:3,4,2", "grs:5,6,3", "grs:7,8,4", "grs:11,12,6"])
+def test_doubly_extended_grs_certifies(name):
+    # n = p + 1: the points 0 .. p - 1 and the point at infinity
+    c = codes.get_code(name)
+    p, n, k = c.p, c.n, c.k
+    assert n == p + 1 and c.gen[:p].tolist() == codes.grs_code(p, p, k).gen.tolist()
+    assert c.gen[p].tolist() == [0] * (k - 1) + [1]
+    g = codes.code_to_ame_graph(c)
+    rep = is_ame(g, full=True)
+    assert rep.is_ame and rep.witness is None
+    assert len(rep.cut_ranks) == sum(math.comb(n, s) for s in range(1, k + 1))
+    assert rep.cut_ranks == {cut: cut_edits(g, cut) for cut in rep.cut_ranks}
+    assert all(rank == len(cut) for cut, rank in rep.cut_ranks.items())
 
 
 def test_ame_generator_matrix_exact():

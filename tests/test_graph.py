@@ -21,6 +21,7 @@ from amegraph.graph import (
     format_graph_line,
     graph_from_edges,
     graph_from_word,
+    graphs_from_words,
     op_mult,
     op_star,
     parse_graph,
@@ -71,6 +72,20 @@ def test_construction_errors():
         graph_from_edges(2, 3, [(0, 1, 1), (1, 0, 1)])
     with pytest.raises(gr.WeightRangeError):
         graph_from_edges(2, 3, [(0, 1, 2)])
+
+
+@pytest.mark.parametrize("p, adj, error, message", [
+    (4, np.zeros((2, 2)), ValueError, "p = 4 is not prime"),
+    (2, np.zeros((2, 3)), ValueError, "adjacency must be square"),
+    (2, np.zeros((1, 2, 2)), ValueError, "adjacency must be square"),
+    (2, [[0, 2], [2, 0]], gr.WeightRangeError, "weights must lie in [0, p)"),
+    (2, [[0, 1], [0, 0]], ValueError, "adjacency must be symmetric"),
+    (2, [[1, 0], [0, 0]], gr.SelfLoopError, "diagonal must be zero"),
+], ids=["not-prime", "not-square", "stacked", "weight", "asymmetric", "diagonal"])
+def test_graph_checks(p, adj, error, message):
+    with pytest.raises(error) as got:
+        Graph(p, adj)
+    assert str(got.value) == message
 
 
 def test_zero_weight_edge_dropped():
@@ -241,6 +256,36 @@ def test_edge_word_roundtrip():
     g = quad()
     assert edge_word(g).tolist() == [1, 1, 0, 0, 2, 1]
     assert graph_from_word(3, 4, edge_word(g)) == g
+
+
+def _graph_of_word(p: int, n: int, word) -> Graph:
+    a = np.zeros((n, n), dtype=np.int64)
+    a[np.triu_indices(n, 1)] = word
+    return Graph(p, a + a.T)
+
+
+def test_graphs_from_words_match_graph():
+    words = np.random.default_rng(4).integers(0, 5, size=(40, 10), dtype=np.uint8)
+    graphs = graphs_from_words(5, 5, words)
+    assert len(graphs) == len(words)
+    for word, g in zip(words, graphs):
+        ref = _graph_of_word(5, 5, word)
+        assert g == ref and hash(g) == hash(ref)
+        assert edge_word(g).tolist() == word.tolist() and g.adj.dtype == np.int64
+        assert not g.adj.flags.writeable
+        with pytest.raises(ValueError):
+            g.adj[0, 1] = 1
+    assert graphs_from_words(5, 5, []) == [] and graphs_from_words(5, 5, words[:0]) == []
+
+
+@pytest.mark.parametrize("p, word", [(3, [0, 3, 0]), (3, [0, 0, -1]), (4, [0, 1, 0])],
+                         ids=["weight-p", "negative", "not-prime"])
+def test_graphs_from_words_errors_match_graph(p, word):
+    with pytest.raises(ValueError) as want:
+        _graph_of_word(p, 3, word)
+    with pytest.raises(ValueError) as got:
+        graphs_from_words(p, 3, [[1, 0, 0], word])
+    assert type(got.value) is want.type and str(got.value) == str(want.value)
 
 
 def test_format_roundtrip():

@@ -271,17 +271,32 @@ def test_prune_canonical_bounded_by_relabelings():
     spec = SearchSpec(n=8, p=2, group_size=2, mode="random", seed=1, samples=1000, prune_canonical=True)
     res = random_search(spec)
     assert res.examined + res.pruned == 1000 and res.pruned > 0
-    rng = np.random.default_rng(9)
-    words = rng.integers(0, 2, size=(60, spec.edge_slots), dtype=spec.word_dtype)
-    minimal = [edge_word(canonical_form_grouped(graph_from_word(2, 8, w), 2)) for w in words]
-    words = np.vstack([words, minimal])
-    keep = ~_prune_mask(words, spec)
-    assert keep.tolist() == [bool((edge_word(canonical_form_grouped(graph_from_word(2, 8, w), 2)) == w).all())
-                             for w in words]
-    assert keep[60:].all()
     # 7! = 5040 relabelings of 7 single qudits
     with pytest.raises(ValueError):
         random_search(SearchSpec(n=7, p=2, mode="random", seed=1, samples=10, prune_canonical=True))
+
+
+@pytest.mark.parametrize("n, p, gsize, extra", [
+    (6, 2, 1, []), (5, 3, 1, []), (4, 5, 2, []), (8, 2, 2, []),
+    # past 2^53: a minimal word that the float64 swap test would reject
+    (6, 13, 1, [[3, 3, 3, 4, 5, 9, 12, 4, 11, 12, 4, 11, 10, 8, 3]]),
+])
+def test_prune_canonical_matches_canonical_form(n, p, gsize, extra):
+    # The canonical layer keeps a word exactly when canonical_form(_grouped)
+    # returns its graph unchanged. The words include ones that no adjacent
+    # swap makes smaller but some other relabeling does.
+    spec = SearchSpec(n=n, p=p, group_size=gsize, prune_canonical=True)
+
+    def canonical(word):
+        g = graph_from_word(p, n, word)
+        return edge_word(canonical_form_grouped(g, gsize) if gsize > 1 else canonical_form(g))
+
+    drawn = np.random.default_rng(n * p).integers(0, p, size=(20000, spec.edge_slots), dtype=spec.word_dtype)
+    unswapped = drawn[~search._swap_smaller(drawn, spec)][:300]
+    words = np.vstack([drawn[:100], [canonical(w) for w in drawn[:100]], unswapped, *extra])
+    minimal = [bool((canonical(w) == w).all()) for w in words]
+    assert (~_prune_mask(words, spec)).tolist() == minimal
+    assert all(minimal[100:200]) and any(minimal[200:]) and not all(minimal[200:])
 
 
 def test_random_search_finds_known_witnesses():
