@@ -1,16 +1,24 @@
 """Bipartite entanglement of graph states and AME certification.
 
 The entanglement between a vertex set K and its complement, measured in
-edits (units of log p), equals the rank over Z_p of the rows of K
+edits (units of log p), equals the rank over Z_p of K's adjacency rows
 restricted to the complement's columns. A state is absolutely maximally
-entangled exactly when every cut of size floor(n/2) has full rank.
+entangled exactly when every cut of size floor(n/2) has full rank
+floor(n/2); is_ame_grouped asks the same of the cuts that are unions of
+floor(G/2) of G equal vertex groups.
 
-is_ame and is_ame_grouped decide this by stacking the cut matrices of one
-cut size and ranking them with gfp.rank_batch; cut_edits stays the scalar
-per-cut path. codes certifies [2k, k]_p codes through is_ame on the graph
-their codeword state reduces to: the code is MDS exactly when that graph
-is AME, since a size-k cut loses rank exactly when a nonzero codeword
-vanishes on one side of it.
+cut_edits ranks one cut with scalar gfp.mat_rank, and the tests use it as
+the oracle. is_ame and is_ame_grouped stack the cut matrices of one cut
+size and rank them with gfp.rank_batch, whose forward elimination runs
+over each cut's shorter side. Their reports list cuts in enumeration
+order, and the witness is the first cut ranked below its size; fast mode
+stops recording there. codes certifies [2k, k]_p codes through is_ame on
+the graph their codeword state reduces to: the code is MDS exactly when
+that graph is AME, since a size-k cut loses rank exactly when a nonzero
+codeword vanishes on one side of it.
+
+lc_orbit and its helpers explore the graphs that the two local rewrites
+(op_mult, op_star) reach; every cut rank is the same across an orbit.
 """
 
 from __future__ import annotations

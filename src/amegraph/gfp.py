@@ -163,46 +163,48 @@ def kernel_basis(mat, p: int) -> np.ndarray:
 def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks mod p of a stack of matrices, shape (B, r, c) -> (B,).
 
-    Vectorized Gauss-Jordan over the batch dimension. Intermediates are
-    products of two residues, so int16 is exact while (p - 1)^2 < 2^15
+    Rank-only forward elimination, each step on the whole stack. A stack
+    with more rows than columns is transposed first, since rank(A) =
+    rank(A^T), so the loop runs over the shorter side. Step r takes each
+    matrix's first nonzero entry of row r as its pivot and clears that
+    column from the rows below r only: no row swaps, no back-substitution,
+    and a zero row r changes nothing. Each row that had a pivot keeps it,
+    and every later row is zero in its pivot column, so those rows are
+    independent; the steps keep the row space, and the other rows end up
+    zero. The rank is the number of nonzero rows left.
+
+    Every intermediate is a residue, a product of two residues, or a
+    residue minus such a product, so int16 is exact while (p - 1)^2 < 2^15
     (p <= 181) and int64 while (p - 1)^2 < 2^63; larger p is refused.
+    Pivot inverses come from inverse_table on int16 and as piv^(p-2) on
+    int64.
     """
     _check_exact(p)
     small = (p - 1) ** 2 < 1 << 15
-    a = np.asarray(mats, dtype=np.int16 if small else np.int64) % p
+    a = np.asarray(mats, dtype=np.int16 if small else np.int64)
     if a.ndim != 3:
         raise ValueError("expected a (B, r, c) stack")
-    B, R, C = a.shape
-    if B == 0 or R == 0 or C == 0:
-        return np.zeros(B, dtype=np.int64)
+    if a.shape[1] > a.shape[2]:
+        a = a.transpose(0, 2, 1)
+    a = np.remainder(a, p, order="C")
+    each = np.arange(len(a))
     inv = inverse_table(p).astype(np.int16) if small else None
-    piv_row = np.zeros(B, dtype=np.int64)
-    rows_idx = np.arange(R)[None, :]
-    for col in range(C):
-        colvals = a[:, :, col]
-        eligible = (rows_idx >= piv_row[:, None]) & (colvals != 0)
-        has = eligible.any(axis=1)
-        if not has.any():
-            continue
-        bidx = np.nonzero(has)[0]
-        pr = piv_row[bidx]
-        fr = eligible[bidx].argmax(axis=1)
-        tmp = a[bidx, pr].copy()
-        a[bidx, pr] = a[bidx, fr]
-        a[bidx, fr] = tmp
-        pivvals = a[bidx, pr, col]
+    for r in range(a.shape[1] - 1):
+        row, below = a[:, r], a[:, r + 1:]
+        col = (row != 0).argmax(axis=1)
+        piv = row[each, col]  # 0 where row r is zero, and then nothing changes
         if small:
-            pivinv = inv[pivvals]
-        else:  # an inverse table would hold p entries
-            pivinv = np.array([pow(int(v), -1, p) for v in pivvals], dtype=np.int64)
-        a[bidx, pr] = (a[bidx, pr] * pivinv[:, None]) % p
-        factors = a[bidx, :, col].copy()
-        factors[np.arange(len(bidx)), pr] = 0
-        a[bidx] = (a[bidx] - factors[:, :, None] * a[bidx, pr][:, None, :]) % p
-        piv_row[bidx] += 1
-        if (piv_row == R).all():
-            break
-    return piv_row
+            pinv = inv[piv]
+        else:  # square-and-multiply; a table would hold p entries
+            pinv, e = np.ones_like(piv), p - 2
+            while e:
+                if e & 1:
+                    pinv = pinv * piv % p
+                piv, e = piv * piv % p, e >> 1
+        factor = below[each, :, col] * pinv[:, None] % p
+        below -= factor[:, :, None] * row[:, None, :]
+        below %= p
+    return a.any(axis=2).sum(axis=1)
 
 
 def rank_gf2(rows: list[int]) -> int:

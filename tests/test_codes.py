@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -108,6 +109,25 @@ def test_doubly_extended_grs_certifies(name):
     assert len(rep.cut_ranks) == sum(math.comb(n, s) for s in range(1, k + 1))
     assert rep.cut_ranks == {cut: cut_edits(g, cut) for cut in rep.cut_ranks}
     assert all(rank == len(cut) for cut, rank in rep.cut_ranks.items())
+
+
+@pytest.mark.parametrize("name", ["grs:11,10,5", "grs:13,14,7", "grs:17,16,8", "grs:17,18,9"])
+def test_grs_graph_is_ame_for_even_n(name):
+    # AME graph states exist for every even number of parties, from GRS
+    # codes at the smallest prime p >= n - 1 (arXiv:1306.2879)
+    c = codes.get_code(name)
+    n, k = c.n, c.k
+    assert 2 * k == n and codes.grs_code(c.p, n, k).gen.tolist() == c.gen.tolist()
+    assert c.p == min(q for q in range(n - 1, 2 * n) if gfp.is_prime(q))
+    g = codes.code_to_ame_graph(c)
+    rep = is_ame(g)
+    assert rep.is_ame and rep.witness is None
+    cuts = list(itertools.combinations(range(n), k))
+    assert len(rep.cut_ranks) == math.comb(n, k) and list(rep.cut_ranks) == cuts
+    if n == 18:  # all 48,620 scalar ranks take seconds: a fixed sample
+        rng = np.random.default_rng(18)
+        cuts = [cuts[i] for i in rng.choice(len(cuts), size=2000, replace=False)]
+    assert all(rep.cut_ranks[cut] == cut_edits(g, cut) == k for cut in cuts)
 
 
 def test_ame_generator_matrix_exact():

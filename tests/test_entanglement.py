@@ -211,17 +211,38 @@ def _same_report(got, want):
     assert got == want and list(got.cut_ranks) == list(want.cut_ranks)
 
 
+def _disguise(draw, g):
+    """perfbench's rank-preserving scramble (one op_star, op_mult at every
+    vertex, a relabeling), then maybe one edge reweighted, which may break
+    a cut. Returns the graph and the relabeling (new i is old perm[i])."""
+    g = op_star(g, draw(st.integers(0, g.n - 1)), draw(st.integers(1, g.p - 1)))
+    for v in range(g.n):
+        g = op_mult(g, v, draw(st.integers(1, g.p - 1)))
+    perm = draw(st.permutations(range(g.n)))
+    g = permute(g, perm)
+    if draw(st.booleans()):
+        u, v = draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+        adj = g.adj.copy()
+        adj[u, v] = adj[v, u] = draw(st.integers(0, g.p - 1))
+        g = Graph(g.p, adj)
+    return g, perm
+
+
 @st.composite
 def _cert_graphs(draw):
-    """Random graphs with p in {2, 3, 5, 7, 191} and n <= 8, and relabeled
-    AME witnesses (which pass every cut, so no early exit)."""
-    if draw(st.booleans()):
-        g = draw(st.sampled_from([quad_weighted(3), quad_weighted(7), c5(2), c5(5), ame62()]))
-        return permute(g, draw(st.permutations(range(g.n))))
-    n = draw(st.integers(2, 8))
-    p = draw(st.sampled_from([2, 3, 5, 7, 191]))
+    """Disguised AME witnesses, random graphs with p in {2, 3, 5, 7, 191}
+    and n <= 8, and sparse qubit graphs with n <= 10 (which mostly fail
+    early)."""
+    kind = draw(st.sampled_from(["witness", "random", "sparse"]))
+    if kind == "witness":
+        g = draw(st.sampled_from([quad_weighted(p) for p in (3, 5, 7, 11)] + [c5(p) for p in (2, 3, 5)]
+                                 + [ame62()]))
+        return _disguise(draw, g)[0]
+    n = draw(st.integers(2, 8 if kind == "random" else 10))
+    p = draw(st.sampled_from([2, 3, 5, 7, 191])) if kind == "random" else 2
+    weight = st.integers(0, p - 1) if kind == "random" else st.sampled_from([0, 0, 0, 1])
     slots = n * (n - 1) // 2
-    return graph_from_word(p, n, draw(st.lists(st.integers(0, p - 1), min_size=slots, max_size=slots)))
+    return graph_from_word(p, n, draw(st.lists(weight, min_size=slots, max_size=slots)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -246,6 +267,15 @@ def test_is_ame_grouped_matches_scalar_reference(g, data):
         if gcount % 2 or 0 in chosen
     ]
     _same_report(is_ame_grouped(g, groups), _scalar_report(g, [cuts], False))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_is_ame_grouped_on_disguised_ame44(data):
+    grouped, size = ame44_grouped()
+    g, perm = _disguise(data.draw, grouped)
+    groups = [tuple(i for i in range(g.n) if perm[i] // size == t) for t in range(g.n // size)]
+    _same_report(is_ame_grouped(g, groups), _scalar_report(g, [party_cuts(groups)], False))
 
 
 @settings(max_examples=60, deadline=None)

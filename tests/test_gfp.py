@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from amegraph import composite, gfp
 
@@ -126,19 +127,58 @@ def test_rank_batch_matches_scalar():
         assert got.tolist() == want
 
 
-@pytest.mark.parametrize("p", [31, 181, 191, 251, 257, 65537])
+@pytest.mark.parametrize("p", [31, 181, 191, 251, 257, 65537, 2**31 - 1])
 def test_rank_batch_exact_for_large_p(p):
     # products of two (3 x 2) and (2 x 3) factors: rank at most 2, and the
-    # elimination multiplies residues up to (p - 1)^2
+    # elimination multiplies residues up to (p - 1)^2; above p = 181 it
+    # inverts pivots as piv^(p-2) on int64
     rng = np.random.default_rng(p)
-    left = rng.integers(0, p, size=(300, 3, 2))
-    right = rng.integers(0, p, size=(300, 2, 3))
-    mats = np.einsum("bij,bjk->bik", left, right) % p
+    left = rng.integers(0, p, size=(300, 3, 2)).astype(object)
+    right = rng.integers(0, p, size=(300, 2, 3)).astype(object)
+    mats = np.array(left @ right % p, dtype=np.int64)  # Python ints: exact at any p
     mats[:100, :, 2] = mats[:100, :, 0]  # some of rank at most 1
     mats[:100, :, 1] = (7 * mats[:100, :, 0]) % p
     want = [gfp.mat_rank(m, p) for m in mats]
     assert gfp.rank_batch(mats, p).tolist() == want
     assert set(want) >= {1, 2}
+
+
+@st.composite
+def _rank_stacks(draw):
+    """A prime and a (B, r, c) stack with B in {0, 1, many} and r, c in
+    0..7 (so r > c too). Each matrix is random, a product of thin factors
+    (rank below min(r, c)), or has rows that repeat an earlier row times a
+    scalar."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 181, 191, 257, 65537]))
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    count = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 24)))
+    entry = st.one_of(st.just(0), st.just(1), st.just(p - 1), st.integers(0, p - 1))
+    mats = np.zeros((count, rows, cols), dtype=np.int64)
+    for m in mats:
+        kind = draw(st.sampled_from(["random", "thin", "repeat"]))
+        if kind == "thin":
+            k = draw(st.integers(0, max(min(rows, cols) - 1, 0)))
+            left = draw(hnp.arrays(np.int64, (rows, k), elements=entry))
+            right = draw(hnp.arrays(np.int64, (k, cols), elements=entry))
+            m[...] = left @ right % p  # at most 6 * 65536^2: exact
+        else:
+            m[...] = draw(hnp.arrays(np.int64, (rows, cols), elements=entry))
+        if kind == "repeat":
+            for i in range(1, rows):
+                if draw(st.booleans()):
+                    m[i] = m[draw(st.integers(0, i - 1))] * draw(entry) % p
+    return p, mats
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rank_stacks())
+def test_rank_batch_matches_mat_rank(pm):
+    # scalar Gauss-Jordan (row_reduce) is the independent oracle for the
+    # batched forward elimination
+    p, mats = pm
+    got = gfp.rank_batch(mats, p)
+    assert got.shape == (len(mats),)
+    assert got.tolist() == [gfp.mat_rank(m, p) for m in mats]
 
 
 def test_rank_batch_refuses_inexact_p():
