@@ -8,11 +8,14 @@ floor(n/2); is_ame_grouped asks the same of the cuts that are unions of
 floor(G/2) of G equal vertex groups.
 
 cut_edits ranks one cut with scalar gfp.mat_rank, and the tests use it as
-the oracle. is_ame and is_ame_grouped stack the cut matrices of one cut
-size and rank them with gfp.rank_batch, whose forward elimination runs
-over each cut's shorter side. Their reports list cuts in enumeration
-order, and the witness is the first cut ranked below its size; fast mode
-stops recording there. codes certifies [2k, k]_p codes through is_ame on
+the oracle. Batched cut ranks take their cuts from one cut_plan, which
+is_ame and is_ame_grouped gather from the graph's edge word and rank with
+gfp.rank_stack. Their reports list cuts in enumeration order, and the
+witness is the first cut ranked below its size; fast mode stops
+recording there. At even n, is_ame ranks only the half cuts holding
+vertex 0, which come first in lexicographic order, and reports the rest,
+their complements in reverse order, with the same ranks (rank(A^T) =
+rank(A)). codes certifies [2k, k]_p codes through is_ame on
 the graph their codeword state reduces to: the code is MDS exactly when
 that graph is AME, since a size-k cut loses rank exactly when a nonzero
 codeword vanishes on one side of it.
@@ -24,12 +27,13 @@ lc_orbit and its helpers explore the graphs that the two local rewrites
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, islice
 
 import numpy as np
 
 from . import gfp
-from .graph import Graph, canonical_form, op_mult, op_star
+from .graph import Graph, canonical_form, edge_word, op_mult, op_star, slot_matrix
 
 
 class UnequalGroupsError(ValueError):
@@ -59,38 +63,31 @@ def cut_edits(g: Graph, cut) -> int:
     return gfp.mat_rank(cut_matrix(g, cut), g.p)
 
 
-_BATCH = 1 << 12  # cut matrices ranked per rank_batch call at most
+_BATCH = 1 << 12  # cut matrices ranked per gfp.rank_stack call at most
 
 
-def _certify(g: Graph, cut_lists, stop: bool) -> AmeReport:
-    """Rank each list's cuts (one list per cut size) in batches of stacked
-    cut matrices and record them in order; the witness is the first cut
-    ranked below its size. With stop=True the batches grow 1, 8, 64, ...
-    and recording ends at the witness."""
-    report = AmeReport(True, None)
-    for cuts in cut_lists:
-        size = len(cuts[0])
-        if not 0 < size < g.n:
-            raise ValueError("cut must be a proper nonempty vertex subset")
-        start, chunk = 0, 1 if stop else _BATCH
-        while start < len(cuts):
-            batch = cuts[start:start + chunk]
-            inside = np.array(batch, dtype=np.int64)
-            keep = np.ones((len(batch), g.n), dtype=bool)
-            keep[np.arange(len(batch))[:, None], inside] = False
-            rest = np.nonzero(keep)[1].reshape(len(batch), g.n - size)
-            ranks = gfp.rank_batch(g.adj[inside[:, :, None], rest[:, None, :]], g.p)
-            for cut, r in zip(batch, ranks.tolist()):
-                report.cut_ranks[cut] = r
-                if r < size:
-                    report.is_ame = False
-                    if report.witness is None:
-                        report.witness = cut
-                    if stop:
-                        return report
-            start += chunk
-            chunk = min(8 * chunk, _BATCH)
-    return report
+def _certify(report: AmeReport, g: Graph, plan: CutPlan, stop: bool) -> list[int] | None:
+    """Rank the plan's cuts in batches of cut blocks gathered from g's edge
+    word and record them in order; the witness is the first cut ranked
+    below its size. With stop=True the batches grow 1, 8, 64, ... and
+    recording ends at the witness, and None is returned; else the ranks."""
+    word = edge_word(g)
+    ranks = []
+    start, chunk = 0, 1 if stop else _BATCH
+    while start < len(plan.cuts):
+        blocks = word[plan.cols[start:start + chunk]].reshape(-1, plan.rows, plan.width)
+        ranks += gfp.rank_stack(blocks, g.p).tolist()
+        for cut, r in zip(plan.cuts[start:start + chunk], ranks[start:]):
+            report.cut_ranks[cut] = r
+            if r < plan.rows:
+                report.is_ame = False
+                if report.witness is None:
+                    report.witness = cut
+                if stop:
+                    return None
+        start += chunk
+        chunk = min(8 * chunk, _BATCH)
+    return ranks
 
 
 def is_ame(g: Graph, full: bool = False) -> AmeReport:
@@ -105,8 +102,17 @@ def is_ame(g: Graph, full: bool = False) -> AmeReport:
     if g.n < 2:
         raise ValueError("need at least two vertices")
     m = g.n // 2
-    sizes = range(1, m + 1) if full else (m,)
-    return _certify(g, [list(combinations(range(g.n), size)) for size in sizes], stop=not full)
+    report = AmeReport(True, None)
+    singles = tuple((v,) for v in range(g.n))
+    for size in range(1, m + 1) if full else (m,):
+        plan = cut_plan(g.n, singles, size)
+        ranks = _certify(report, g, plan, stop=not full)
+        if ranks is None:
+            return report
+        if 2 * size == g.n:  # the complements, in reverse order of their cuts
+            rest = islice(combinations(range(g.n), size), len(ranks), None)
+            report.cut_ranks.update(zip(rest, reversed(ranks)))
+    return report
 
 
 def is_ame_grouped(g: Graph, groups) -> AmeReport:
@@ -116,14 +122,16 @@ def is_ame_grouped(g: Graph, groups) -> AmeReport:
     keep each group intact are checked, with K a union of floor(G/2)
     groups. For an even group count, complementary cuts are skipped.
     """
-    groups = [tuple(sorted(grp)) for grp in groups]
+    groups = tuple(tuple(sorted(grp)) for grp in groups)
     sizes = {len(grp) for grp in groups}
     if len(sizes) != 1:
         raise UnequalGroupsError("groups must have equal sizes")
     flat = sorted(v for grp in groups for v in grp)
     if flat != list(range(g.n)):
         raise UnequalGroupsError("groups must partition the vertices")
-    return _certify(g, [party_cuts(groups)], stop=False)
+    report = AmeReport(True, None)
+    _certify(report, g, cut_plan(g.n, groups, len(groups) // 2), stop=False)
+    return report
 
 
 def party_cuts(groups, size: int | None = None) -> list[tuple[int, ...]]:
@@ -137,6 +145,35 @@ def party_cuts(groups, size: int | None = None) -> list[tuple[int, ...]]:
         for chosen in combinations(range(gcount), size)
         if 2 * size != gcount or 0 in chosen
     ]
+
+
+@dataclass(frozen=True)
+class CutPlan:
+    """The cuts of party_cuts(groups, size), each a rows x width cross block
+    of the rows of its vertices at the columns of the others, and `cols`:
+    row c holds cut c's block, row-major, as edge slots of an edge word."""
+    cuts: tuple[tuple[int, ...], ...]
+    cols: np.ndarray
+    rows: int
+    width: int
+
+
+@lru_cache(maxsize=16)
+def cut_plan(n: int, groups: tuple[tuple[int, ...], ...], size: int) -> CutPlan:
+    """The CutPlan of party_cuts(groups, size) on n vertices. The slots are
+    held in the smallest unsigned dtype, and the plan is cached."""
+    cuts = tuple(party_cuts(groups, size))
+    rows = len(cuts[0])
+    if not 0 < rows < n:
+        raise ValueError("cut must be a proper nonempty vertex subset")
+    inside = np.array(cuts, dtype=np.intp)
+    keep = np.ones((len(cuts), n), dtype=bool)
+    keep[np.arange(len(cuts))[:, None], inside] = False
+    rest = np.nonzero(keep)[1].reshape(len(cuts), n - rows)
+    slots = slot_matrix(n).astype(np.min_scalar_type(max(n * (n - 1) // 2 - 1, 0)))
+    cols = slots[inside[:, :, None], rest[:, None, :]].reshape(len(cuts), -1)
+    cols.setflags(write=False)
+    return CutPlan(cuts, cols, rows, n - rows)
 
 
 @dataclass

@@ -2,12 +2,19 @@
 
 Everything in this package reduces to rank computations, inverses and
 kernels of small integer matrices mod p; this module is that kernel.
-Matrices are plain numpy integer arrays with entries in [0, p).
+Matrices are plain numpy integer arrays; entries are reduced mod p on
+input, so any integers are accepted.
+
+Batched cut ranks go through one kernel, rank_rows on packed rows
+(rank_stack packs a stack for it): rank tables built by row peeling, a
+streaming peel where a table would be too large, and rank_batch
+elimination where a peel table would be too, picked from p, shape and
+stack size only (_affords).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -173,20 +180,21 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
     independent; the steps keep the row space, and the other rows end up
     zero. The rank is the number of nonzero rows left.
 
-    Every intermediate is a residue, a product of two residues, or a
-    residue minus such a product, so int16 is exact while (p - 1)^2 < 2^15
+    Entries are reduced mod p first. Every intermediate is a residue, a
+    product of two residues, or a residue minus such a product, so int16
+    is exact while (p - 1)^2 < 2^15
     (p <= 181) and int64 while (p - 1)^2 < 2^63; larger p is refused.
     Pivot inverses come from inverse_table on int16 and as piv^(p-2) on
     int64.
     """
     _check_exact(p)
     small = (p - 1) ** 2 < 1 << 15
-    a = np.asarray(mats, dtype=np.int16 if small else np.int64)
+    a = np.asarray(mats, dtype=np.int64)
     if a.ndim != 3:
         raise ValueError("expected a (B, r, c) stack")
     if a.shape[1] > a.shape[2]:
         a = a.transpose(0, 2, 1)
-    a = np.remainder(a, p, order="C")
+    a = (a % p).astype(np.int16 if small else np.int64, order="C")  # reduced first: the cast would wrap
     each = np.arange(len(a))
     inv = inverse_table(p).astype(np.int16) if small else None
     for r in range(a.shape[1] - 1):
@@ -205,6 +213,131 @@ def rank_batch(mats: np.ndarray, p: int) -> np.ndarray:
         below -= factor[:, :, None] * row[:, None, :]
         below %= p
     return a.any(axis=2).sum(axis=1)
+
+
+_TABLE_CAP = 1 << 22  # most bytes one rank or peel table may allocate
+_REPAY = 16  # most table bytes per matrix that eliminating it would pay for
+_ELIM_CALL = 64  # a rank_batch call's cost apart from its matrices, counted in matrices
+
+
+def _affords(nbytes: int, count: int) -> bool:
+    """Whether a table of nbytes may be built to rank `count` matrices: one
+    such call without it would cost about as much as building it."""
+    return nbytes <= min(_TABLE_CAP, _REPAY * (count + _ELIM_CALL))
+
+
+def digit_sums(parts, dtype=np.intp) -> np.ndarray:
+    """out[x] = sum_k parts[k][digit k of x] for every mixed-radix number x
+    (digit 0 lowest, digit k below len(parts[k])), broadcast one digit at a
+    time with no digit expansion. Every sum must fit `dtype`."""
+    out = np.zeros(1, dtype=dtype)
+    for part in parts:
+        out = (np.asarray(part, dtype=dtype)[:, None] + out).ravel()
+    return out
+
+
+def _peel_bytes(p: int, width: int) -> int:
+    """Bytes of _peel(p, width) as allocated."""
+    return p ** (2 * width) * np.min_scalar_type(p ** (width - 1) - 1).itemsize
+
+
+def _peel_row(every: np.ndarray, p: int, first: int) -> np.ndarray:
+    """Every packed row, given by its width base-p digits as a row of
+    `every`, peeled by the nonzero packed row `first`: minus the multiple of
+    `first` that clears first's pivot column (its first nonzero digit),
+    with that column dropped, packed again over width - 1 digits."""
+    lead = every[first]
+    pivot = int(np.flatnonzero(lead)[0])
+    scale = every[:, pivot] * field_inv(int(lead[pivot]), p) % p
+    reduced = np.delete((every - scale[:, None] * lead) % p, pivot, axis=1)
+    return reduced @ p ** np.arange(every.shape[1] - 1)
+
+
+@lru_cache(maxsize=None)
+def _peel(p: int, width: int) -> np.ndarray:
+    """The row-peeling table: entry first * p^width + row is the packed
+    `row` peeled by the packed `first` (_peel_row). Entries with first = 0
+    are 0: a zero lead means every row is zero."""
+    size = p**width
+    every = digits(np.arange(size), p, width)
+    out = np.zeros((size, size), dtype=np.min_scalar_type(p ** (width - 1) - 1))
+    for first in range(1, size):
+        out[first] = _peel_row(every, p, first)
+    return out.ravel()
+
+
+@lru_cache(maxsize=None)
+def rank_table(p: int, rows: int, width: int) -> np.ndarray:
+    """table[v] (uint8) is the rank of the rows x width matrix packed into
+    the base-p digits of v (row-major, digit 0 first); rows <= width.
+
+    Built by row peeling, with no elimination: where the first row (the
+    lowest `width` digits of v) is zero, the rank is that of the other
+    rows; else it is 1 + the rank of the other rows peeled by the first
+    (_peel_row), a (rows - 1) x (width - 1) matrix. Both tables are built
+    the same way. Peeled rows are computed per first row, so the build
+    holds no peel table, which can be larger than the table."""
+    size = p**width
+    if rows == 1:
+        return (np.arange(size) != 0).astype(np.uint8)
+    rest = rank_table(p, rows - 1, width - 1)
+    out = np.empty((p ** ((rows - 1) * width), size), dtype=np.uint8)  # [other rows, first row]
+    out[:, 0] = rank_table(p, rows - 1, width)
+    every = digits(np.arange(size), p, width)
+    for first in range(1, size):
+        peeled = _peel_row(every, p, first)
+        out[:, first] = rest[digit_sums([peeled * (size // p) ** k for k in range(rows - 1)])] + 1
+    return out.ravel()
+
+
+def _eliminates(p: int, rows: int, width: int, count: int) -> bool:
+    """Whether rank_rows ranks `count` rows x width matrices by rank_batch:
+    neither their rank_table nor the first peel table is affordable. Peel
+    tables shrink with the width, so once one is, every later one is."""
+    affordable = _affords(p ** (rows * width), count) or _affords(_peel_bytes(p, width), count)
+    return rows > 1 and not affordable
+
+
+def rank_rows(rows, p: int, width: int) -> np.ndarray:
+    """Ranks (uint8) of a stack of len(rows) x width matrices, len(rows) <=
+    width, given by their packed rows: rows[i][b] holds row i of matrix b
+    as the base-p number of its entries (entry j the digit of p^j).
+
+    Peels each matrix by a nonzero row (_peel), adding 1 where it has one,
+    until the rows left have an affordable rank_table; where _eliminates,
+    rank_batch ranks the digits instead."""
+    rows = list(rows)
+    count = len(rows[0])
+    if _eliminates(p, len(rows), width, count):
+        mats = np.stack([digits(r, p, width) for r in rows], axis=1)
+        return rank_batch(mats, p).astype(np.uint8)
+    rank = np.zeros(count, dtype=np.uint8)
+    while len(rows) > 1 and not _affords(p ** (len(rows) * width), count):
+        # the lead is rows[0], or where that is zero the largest other row (0
+        # where every row is); rows[1:] peeled by it are the other rows and a
+        # zero row, as rows[0] is zero wherever the lead is another row
+        lead = np.where(rows[0] != 0, rows[0], reduce(np.maximum, rows[1:]))
+        rank += lead != 0
+        peel, first = _peel(p, width), lead.astype(np.intp) * p**width
+        rows = [peel.take(first + r) for r in rows[1:]]
+        width -= 1
+    if len(rows) == 1:
+        return rank + (rows[0] != 0)
+    index = np.zeros(count, dtype=np.intp)
+    for r in reversed(rows):
+        index = index * p**width + r
+    return rank + rank_table(p, len(rows), width).take(index)
+
+
+def rank_stack(mats, p: int) -> np.ndarray:
+    """Ranks (uint8) of a (B, rows, width) stack, 1 <= rows <= width: by
+    rank_rows on its packed rows, or by rank_batch where rank_rows would
+    eliminate or a row's number would not fit int64."""
+    a = np.asarray(mats, dtype=np.int64)
+    count, rows, width = a.shape
+    if p ** width > 1 << 62 or _eliminates(p, rows, width, count):
+        return rank_batch(a, p).astype(np.uint8)
+    return rank_rows((a % p @ p ** np.arange(width)).T, p, width)
 
 
 def rank_gf2(rows: list[int]) -> int:

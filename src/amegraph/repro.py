@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codes, composite, entanglement, gfp, qss, search, simulator, witnesses
-from .graph import Graph, graph_from_edges, graph_from_word, op_mult, op_star, slot_matrix
+from .graph import Graph, graph_from_edges, graph_from_word, op_mult, op_star
 from .simulator import omega_powers
 
 
@@ -44,22 +44,20 @@ def _entropy_rank_delta(p: int, n: int, weights: np.ndarray) -> float:
     is handled with one batched Gram-spectrum entropy and one batched rank
     computation.
     """
-    slot = slot_matrix(n)
-    plans = []  # per bipartition: the cut, and its cut matrix's edge slots
-    for m in range(1, n // 2 + 1):
-        for cut in entanglement.party_cuts([(v,) for v in range(n)], m):
-            rest = [u for u in range(n) if u not in cut]
-            plans.append((cut, slot[np.ix_(cut, rest)].ravel()))
+    singles = tuple((v,) for v in range(n))
+    plans = [entanglement.cut_plan(n, singles, m) for m in range(1, n // 2 + 1)]
     amp = omega_powers(p) * p ** (-n / 2)
     worst = 0.0
     chunk = 2048
     for lo in range(0, weights.shape[0], chunk):
         batch = weights[lo : lo + chunk].astype(np.int64)
         amps = amp[simulator._phase_exponents(p, n, batch)]
-        for cut, cols in plans:
-            ranks = gfp.rank_batch(batch[:, cols].reshape(-1, len(cut), n - len(cut)), p)
-            ent = simulator._gram_entropies(simulator._split_axes(amps, n, cut), p)
-            worst = max(worst, float(np.abs(ent - ranks).max()))
+        for plan in plans:  # every cut of the plan at once: ranks[b, c] is graph b's at cut c
+            blocks = batch[:, plan.cols].reshape(-1, plan.rows, plan.width)
+            ranks = gfp.rank_stack(blocks, p).reshape(len(batch), len(plan.cuts))
+            for cut, cut_ranks in zip(plan.cuts, ranks.T):
+                ent = simulator._gram_entropies(simulator._split_axes(amps, n, cut), p)
+                worst = max(worst, float(np.abs(ent - cut_ranks).max()))
     return worst
 
 

@@ -5,16 +5,13 @@ slots in lexicographic order. An exhaustive run scans all base^E words
 (base = p, or 2 under the weight-one restriction) as the little-endian
 integers of gfp.digits.
 
-The rank predicate is a table lookup per cut: the cut's cross block,
-read row-major, packs into the index sum_k w_k p^k of a precomputed "is
-full rank" table. Tables are built by row peeling, with no elimination:
-a matrix whose first row is nonzero has full row rank exactly when its
-other rows, reduced by the first and with the first's pivot column
-dropped, have full rank. A cut whose table would exceed _TABLE_CAP bytes
-is ranked row by row: a cached peel table maps (first row, other row) to
-the reduced row, and _full_rank peels until the rows left have a table.
-gfp.rank_batch runs only where that peel table would itself exceed the
-cap (large p), or where a row's index would not fit int64.
+The rank predicate asks that each cut's cross block, at the edge slots
+of its entanglement.cut_plan, have full row rank. Where gfp affords the
+block's rank_table for every graph the search may examine (base^E of
+them, or the samples), the block, read row-major, packs into the index
+sum_k w_k p^k of that table: one lookup per cut. Otherwise each row of
+the block packs into its own index and gfp.rank_rows ranks the rows; where
+a row's index would not fit int64, gfp.rank_stack ranks the block itself.
 
 Both modes index a cut through chunk tables. Chunk c holds the L edge
 slots from c * L on, base^L being at most _LOW_IDS, and a word's id over
@@ -30,7 +27,7 @@ written in base base^L, holds its ids over chunks 1, 2, .... So a part's
 index is A[lo] + B(hi): A is its chunk-0 table, over every low id, and B
 its other chunk tables summed at the block's chunk ids. Per cut, a block
 takes A at its surviving low ids and looks them up in the table shifted
-by B, or hands each row's A + B to _full_rank; survivors are compacted
+by B, or hands each row's A + B to gfp.rank_rows; survivors are compacted
 after every cut, so each cut sees only the graphs that passed the cuts
 before it. The first cut is the one with a table and the fewest high
 slots, and a block's survivors of it depend only on its B and its row
@@ -95,7 +92,7 @@ from math import factorial
 import numpy as np
 
 from . import gfp
-from .entanglement import cut_edits, party_cuts
+from .entanglement import cut_edits, cut_plan
 from .graph import (
     _BLOCK,
     _EXACT,
@@ -112,7 +109,6 @@ _CHUNK = 1 << 16
 _LOW_IDS = 1 << 14  # most ids in one block of the exhaustive scan
 _BLOCK_BATCH = 1 << 10  # blocks whose chunk ids and row keys are expanded together
 _REUSE_CAP = 256  # most first-cut survivor arrays the scan keeps for reuse, each of at most _LOW_IDS intp
-_TABLE_CAP = 1 << 22  # most bytes one rank or peel table may allocate
 # most relabelings canonical pruning compares a word with, once no adjacent
 # swap makes it smaller (6! at n = 6)
 _PRUNE_RELABELINGS = 720
@@ -195,141 +191,44 @@ class SearchResult:
         )
 
 
-def _digit_sums(parts, dtype=np.intp) -> np.ndarray:
-    """out[x] = sum_k parts[k][digit k of x] for every mixed-radix number x
-    (digit 0 lowest, digit k below len(parts[k])), broadcast one digit at a
-    time with no digit expansion. Every sum must fit `dtype`."""
-    out = np.zeros(1, dtype=dtype)
-    for part in parts:
-        out = (np.asarray(part, dtype=dtype)[:, None] + out).ravel()
-    return out
-
-
-def _peel_bytes(p: int, width: int) -> int:
-    """Bytes of _peel(p, width) as allocated."""
-    return p ** (2 * width) * np.min_scalar_type(p ** (width - 1) - 1).itemsize
-
-
-def _peel_row(digits: np.ndarray, p: int, first: int) -> np.ndarray:
-    """Every row of `digits` (width base-p digits per packed row) peeled by
-    the nonzero packed row `first`: minus the multiple of `first` that
-    clears first's pivot column (its first nonzero digit), with that column
-    dropped, packed again over width - 1 digits."""
-    lead = digits[first]
-    pivot = int(np.flatnonzero(lead)[0])
-    scale = digits[:, pivot] * gfp.field_inv(int(lead[pivot]), p) % p
-    reduced = np.delete((digits - scale[:, None] * lead) % p, pivot, axis=1)
-    return reduced @ p ** np.arange(digits.shape[1] - 1)
-
-
-@lru_cache(maxsize=None)
-def _peel(p: int, width: int) -> np.ndarray:
-    """The row-peeling table: entry first * p^width + row is the packed
-    `row` peeled by the packed `first` (_peel_row). Entries with first = 0
-    are 0, so a zero first row leaves only zero rows, never of full rank."""
-    size = p**width
-    digits = gfp.digits(np.arange(size), p, width)
-    out = np.zeros((size, size), dtype=np.min_scalar_type(p ** (width - 1) - 1))
-    for first in range(1, size):
-        out[first] = _peel_row(digits, p, first)
-    return out.ravel()
-
-
-@lru_cache(maxsize=None)
-def _rank_full_table(p: int, rows: int, width: int) -> np.ndarray:
-    """table[v] = True iff the rows x width matrix packed into the base-p
-    digits of v (row-major, digit 0 first) has full row rank; rows <= width.
-
-    Built by row peeling, with no elimination: a matrix whose first row
-    (the lowest `width` digits of v) is nonzero has full row rank exactly
-    when its other rows, peeled by the first (_peel_row), have full rank
-    as a (rows - 1) x (width - 1) matrix; that table is built the same
-    way. Peeled rows are computed per first row, so the build holds no
-    peel table, which can be larger than the table."""
-    size = p**width
-    if rows == 1:
-        return np.arange(size) != 0
-    rest = _rank_full_table(p, rows - 1, width - 1)
-    digits = gfp.digits(np.arange(size), p, width)
-    out = np.zeros((p ** ((rows - 1) * width), size), dtype=bool)  # [other rows, first row]
-    for first in range(1, size):
-        peeled = _peel_row(digits, p, first)
-        out[:, first] = rest[_digit_sums([peeled * (size // p) ** k for k in range(rows - 1)])]
-    return out.ravel()
-
-
-def _full_rank(rows, p: int, width: int) -> np.ndarray:
-    """Full-row-rank flags of a stack of len(rows) x width matrices
-    (len(rows) <= width) given by their packed rows: rows[i][b] holds row
-    i of matrix b, its base-p digits (digit 0 first) the row's entries.
-
-    Peels the first row (_peel) until the rows left have a
-    _rank_full_table within _TABLE_CAP bytes. Where the next peel table
-    would itself exceed the cap (large p), the rows left are expanded
-    into digits and ranked by gfp.rank_batch."""
-    rows = list(rows)
-    while len(rows) > 1 and p ** (len(rows) * width) > _TABLE_CAP:
-        if _peel_bytes(p, width) > _TABLE_CAP:
-            mats = np.stack([gfp.digits(r, p, width) for r in rows], axis=1)
-            return gfp.rank_batch(mats, p) == len(rows)
-        peel, first = _peel(p, width), rows[0].astype(np.intp) * p**width
-        rows = [peel.take(first + r) for r in rows[1:]]
-        width -= 1
-    if len(rows) == 1:
-        return rows[0] != 0
-    index = np.zeros(len(rows[0]), dtype=np.intp)
-    for r in reversed(rows):
-        index = index * p**width + r
-    return _rank_full_table(p, len(rows), width).take(index)
-
-
 def _chunk_tables(coef: np.ndarray, low: int, base: int) -> list[tuple[int, np.ndarray]]:
     """(c, the partial index over every id of chunk c) for each chunk c of
     `low` edge slots that holds some of the part's slots, `coef` the part's
     row of _Cut.coef. A part's index is the sum of these tables at the
     word's chunk ids."""
     dtype = np.min_scalar_type(int(coef.sum()) * (base - 1))  # holds the part's largest index
-    return [(c, _digit_sums(np.multiply.outer(coef[s : s + low], np.arange(base)), dtype))
+    return [(c, gfp.digit_sums(np.multiply.outer(coef[s : s + low], np.arange(base)), dtype))
             for c, s in enumerate(range(0, coef.size, low)) if coef[s : s + low].any()]
 
 
 class _Cut:
     """One cut's plan: `cols`, the edge slots of its rows x width cross
-    block, row-major; `table`, the full-rank flag of each packed index of
-    the block, when that table fits _TABLE_CAP bytes; `coef`, one row per
-    part of the block, the p^k that pack each edge slot of the part into
-    the part's index (0 off the part). The one part is the whole block
-    when there is a table, else each row is a part and _full_rank ranks
-    the rows; `coef` is None when a row's index would not fit int64.
-    `chunks` holds the parts' _chunk_tables once random search needs them."""
+    block, row-major; `table`, the gfp.rank_table of the block's packed
+    index, when the search affords it; `coef`, one row per part of the
+    block, the p^k that pack each edge slot of the part into the part's
+    index (0 off the part). The one part is the whole block when there is
+    a table, else each row is a part and gfp.rank_rows ranks the rows;
+    `coef` is None when a row's index would not fit int64. `chunks` holds
+    the parts' _chunk_tables once random search needs them."""
 
     def __init__(self, cols: np.ndarray, rows: int, width: int, table: np.ndarray | None,
                  coef: np.ndarray | None):
         self.cols, self.rows, self.width, self.table, self.coef = cols, rows, width, table, coef
         self.chunks = None
 
-    def passes(self, words: np.ndarray, p: int) -> np.ndarray:
-        """Full-rank flags of this cut's block in each edge word of `words`,
-        by gfp.rank_batch: for cuts whose row index would not fit int64."""
-        sub = words[:, self.cols].reshape(-1, self.rows, self.width)
-        return gfp.rank_batch(sub, p) == self.rows
-
 
 def _cut_plans(spec: SearchSpec) -> list[_Cut]:
-    """One plan per cut of the groups, in party_cuts order."""
-    n, p = spec.n, spec.p
-    slot = slot_matrix(n)
+    """One plan per cut of the groups, in party_cuts order. The cuts have
+    tables when gfp affords one for every graph the search may examine."""
+    p = spec.p
+    plan = cut_plan(spec.n, tuple(tuple(grp) for grp in spec.groups), spec.n // spec.group_size // 2)
+    rows, width = plan.rows, plan.width
+    graphs = spec.base**spec.edge_slots if spec.mode == "exhaustive" else spec.samples
+    table = gfp.rank_table(p, rows, width) if gfp._affords(p ** (rows * width), graphs) else None
     plans = []
-    for cut in party_cuts(spec.groups):
-        rest = [u for u in range(n) if u not in cut]
-        rows, width = len(cut), len(rest)
-        cols = slot[np.ix_(cut, rest)].ravel()
-        table = coef = None
-        if p ** (rows * width) <= _TABLE_CAP:
-            table = _rank_full_table(p, rows, width)
-            parts = [cols]
-        else:
-            parts = cols.reshape(rows, width)
+    for cols in plan.cols:
+        parts = [cols] if table is not None else cols.reshape(rows, width)
+        coef = None
         if p ** len(parts[0]) <= 1 << 62:  # each part's index fits int64
             coef = np.zeros((len(parts), spec.edge_slots), dtype=np.int64)
             for k, part in enumerate(parts):
@@ -368,20 +267,24 @@ def _predicate_mask(weights: np.ndarray, spec: SearchSpec, plans: list[_Cut]) ->
 
     Each word is packed once into its chunk ids of _low_slots edge slots
     each. A cut's part indices are sums of its chunk tables at those ids,
-    looked up in its table or ranked by _full_rank; the survivors of each
-    cut are compacted together with their chunk ids."""
+    looked up in its table or ranked by gfp.rank_rows; the survivors of
+    each cut are compacted together with their chunk ids."""
     low = _low_slots(spec)
     # the chunk ids, then a last row with each word's position in `weights`
     ids = np.vstack([_chunk_ids(weights, spec, low), np.arange(weights.shape[0])])
     for cut in plans:
         if cut.coef is None:
-            ok = cut.passes(weights[ids[-1]], spec.p)
+            blocks = weights[ids[-1]][:, cut.cols].reshape(-1, cut.rows, cut.width)
+            ranks = gfp.rank_stack(blocks, spec.p)
         else:
             if cut.chunks is None:  # built when a batch first reaches the cut
                 cut.chunks = [_chunk_tables(coef, low, spec.base) for coef in cut.coef]
             parts = [_part_index(chunks, ids) for chunks in cut.chunks]
-            ok = cut.table.take(parts[0]) if cut.table is not None else _full_rank(parts, spec.p, cut.width)
-        ids = ids.compress(ok, axis=1)
+            if cut.table is not None:
+                ranks = cut.table.take(parts[0])
+            else:
+                ranks = gfp.rank_rows(parts, spec.p, cut.width)
+        ids = ids.compress(ranks == cut.rows, axis=1)
         if ids.shape[1] == 0:
             break
     mask = np.zeros(weights.shape[0], dtype=bool)
@@ -523,13 +426,15 @@ def _scan_blocks(spec: SearchSpec) -> tuple[np.ndarray, int, int]:
             for c in range(cached is not None, len(scan.plans)):
                 cut, parts = scan.plans[c], scan.parts[c]
                 if parts is None:
-                    ok = cut.passes(_weights_from_ids(hi * scan.size + alive, spec), spec.p)
+                    words = _weights_from_ids(hi * scan.size + alive, spec)
+                    ranks = gfp.rank_stack(words[:, cut.cols].reshape(-1, cut.rows, cut.width), spec.p)
                 elif cut.table is not None:  # table[A[lo] + B] as a lookup in the table shifted by B
                     a = scan.low_index[parts[0]]
-                    ok = cut.table[b[parts[0]]:].take(a if alive is every else a.take(alive))
+                    ranks = cut.table[b[parts[0]]:].take(a if alive is every else a.take(alive))
                 else:
-                    ok = _full_rank([scan.low_index[k].take(alive) + b[k] for k in parts], spec.p, cut.width)
-                alive = alive.compress(ok)
+                    rows = [scan.low_index[k].take(alive) + b[k] for k in parts]
+                    ranks = gfp.rank_rows(rows, spec.p, cut.width)
+                alive = alive.compress(ranks == cut.rows)
                 if c == 0 and reuse and len(starts) < _REUSE_CAP:
                     starts[key, b[0]] = kept, alive
                 if alive.size == 0:
@@ -780,7 +685,7 @@ def _reference_search(spec: SearchSpec) -> SearchResult:
     if total > spec.budget:
         raise BudgetExceededError(f"{total} graphs exceed the budget of {spec.budget}")
     # every union of floor(G/2) groups, complements included, each ranked
-    # by scalar cut_edits: independent of party_cuts and gfp.rank_batch
+    # by scalar cut_edits: independent of cut_plan and gfp's batched ranks
     half = spec.n // spec.group_size // 2 * spec.group_size
     cuts = [
         cut for cut in combinations(range(spec.n), half)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amegraph import codes, gfp, repro
 from amegraph.entanglement import (
     AmeReport,
     UnequalGroupsError,
@@ -305,3 +306,47 @@ def test_cut_rank_equals_dense_entropy(n, p, data):
     for size in range(1, n):
         for cut in itertools.combinations(range(n), size):
             assert abs(cut_entropy_edits(state, cut) - cut_edits(g, cut)) < 1e-9
+
+
+def _spy(monkeypatch, *names):
+    """Wrap gfp functions: the returned dict lists each one's stack sizes
+    (or other first arguments), one entry per call."""
+    seen = {name: [] for name in names}
+
+    def wrap(name, fn):
+        def call(*args):
+            seen[name].append(len(args[0]) if name == "rank_stack" else args)
+            return fn(*args)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(gfp, name, wrap(name, getattr(gfp, name)))
+    return seen
+
+
+def test_check1_ranks_by_table_lookup(monkeypatch):
+    # every p=3 n=4 graph: 729 x 3 2x2 blocks repay the 81-byte table
+    seen = _spy(monkeypatch, "rank_table", "_peel", "rank_batch")
+    words = gfp.digits(np.arange(3**6), 3, 6)
+    assert repro._entropy_rank_delta(3, 4, words) < 1e-6
+    assert seen["rank_table"] == [(3, 2, 2)] and not seen["_peel"] and not seen["rank_batch"]
+
+
+def test_cold_is_ame_builds_no_table(monkeypatch):
+    # a p=11 n=6 AME graph, disguised: its 10 3x3 blocks, ranked in fast
+    # mode's batches of 1, 8 and 1, would need the 1.77 MB _peel(11, 3),
+    # so they are eliminated
+    g = codes.code_to_ame_graph(codes.grs_code(11, 6, 3))
+    g = permute(op_mult(op_star(g, 2, 5), 4, 7), [3, 0, 5, 1, 4, 2])
+    seen = _spy(monkeypatch, "rank_table", "_peel", "rank_batch")
+    assert is_ame(g).is_ame
+    assert not seen["rank_table"] and not seen["_peel"]
+    assert [len(args[0]) for args in seen["rank_batch"]] == [1, 8, 1]
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_is_ame_ranks_each_complementary_pair_once(monkeypatch, full):
+    seen = _spy(monkeypatch, "rank_stack")
+    rep = is_ame(ame62(), full=full)
+    assert rep.is_ame and len(rep.cut_ranks) == (6 + 15 + 20 if full else 20)
+    assert sum(seen["rank_stack"]) == (6 + 15 + 10 if full else 10)

@@ -144,18 +144,22 @@ def test_rank_batch_exact_for_large_p(p):
 
 
 @st.composite
-def _rank_stacks(draw):
+def _rank_stacks(draw, cut_blocks=False):
     """A prime and a (B, r, c) stack with B in {0, 1, many} and r, c in
-    0..7 (so r > c too). Each matrix is random, a product of thin factors
-    (rank below min(r, c)), or has rows that repeat an earlier row times a
-    scalar."""
+    0..7 (so r > c too), or 1 <= r <= c as in a cut block. Each matrix is
+    random, a product of thin factors (rank below min(r, c)), has rows that
+    repeat an earlier row times a scalar, or has some leading rows zero."""
     p = draw(st.sampled_from([2, 3, 5, 7, 13, 181, 191, 257, 65537]))
-    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    if cut_blocks:
+        cols = draw(st.integers(1, 7))
+        rows = draw(st.integers(1, cols))
+    else:
+        rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     count = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 24)))
     entry = st.one_of(st.just(0), st.just(1), st.just(p - 1), st.integers(0, p - 1))
     mats = np.zeros((count, rows, cols), dtype=np.int64)
     for m in mats:
-        kind = draw(st.sampled_from(["random", "thin", "repeat"]))
+        kind = draw(st.sampled_from(["random", "thin", "repeat", "lead zero"]))
         if kind == "thin":
             k = draw(st.integers(0, max(min(rows, cols) - 1, 0)))
             left = draw(hnp.arrays(np.int64, (rows, k), elements=entry))
@@ -167,6 +171,8 @@ def _rank_stacks(draw):
             for i in range(1, rows):
                 if draw(st.booleans()):
                     m[i] = m[draw(st.integers(0, i - 1))] * draw(entry) % p
+        if kind == "lead zero":
+            m[:draw(st.integers(0, rows))] = 0
     return p, mats
 
 
@@ -179,6 +185,40 @@ def test_rank_batch_matches_mat_rank(pm):
     got = gfp.rank_batch(mats, p)
     assert got.shape == (len(mats),)
     assert got.tolist() == [gfp.mat_rank(m, p) for m in mats]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rank_stacks(cut_blocks=True))
+def test_rank_kernel_matches_mat_rank(pm):
+    # the one cut-rank kernel against scalar row_reduce, with the cap alone
+    # deciding (_REPAY lifted) and lowered through every branch: table
+    # lookups, one or more peels, elimination. rank_rows takes packed rows,
+    # where they fit int64; rank_stack packs them itself
+    p, mats = pm
+    count, rows, width = mats.shape
+    want = [gfp.mat_rank(m, p) for m in mats]
+    caps = {1, 1 << 22} | {gfp._peel_bytes(p, w) for w in range(1, width + 1)}
+    caps |= {p ** (r * (r + width - rows)) for r in range(1, rows + 1)}
+    for cap in sorted(c for c in caps if c <= 1 << 22):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gfp, "_TABLE_CAP", cap)
+            mp.setattr(gfp, "_REPAY", 1 << 62)
+            got = gfp.rank_stack(mats, p)
+            assert got.dtype == np.uint8 and got.tolist() == want
+            if p**width <= 1 << 62:
+                got = gfp.rank_rows((mats @ p ** np.arange(width)).T, p, width)
+                assert got.dtype == np.uint8 and got.tolist() == want
+
+
+def test_rank_kernels_reduce_before_narrowing(monkeypatch):
+    # 65539 = 1 mod 3, but an int16 cast wraps it to 3 = 0 mod 3; above
+    # p = 181 entries stay int64, here a row 5 times the other mod 191
+    wide = [([[65539, 0], [0, 1]], 3, 2), ([[191 * 2**40 + 5, -186], [1, 1]], 191, 1)]
+    monkeypatch.setattr(gfp, "_REPAY", 1 << 62)  # rank_stack packs rows at p = 3
+    for mat, p, rank in wide:
+        assert gfp.mat_rank(mat, p) == rank
+        assert gfp.rank_batch(np.array([mat]), p).tolist() == [rank]
+        assert gfp.rank_stack(np.array([mat]), p).tolist() == [rank]
 
 
 def test_rank_batch_refuses_inexact_p():

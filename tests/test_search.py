@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amegraph import gfp, search
-from amegraph.entanglement import cut_edits, is_ame, is_ame_grouped
+from amegraph.entanglement import cut_edits, is_ame, is_ame_grouped, party_cuts
 from amegraph.graph import (
     canonical_form,
     canonical_form_grouped,
@@ -119,7 +119,8 @@ def test_many_blocks_match_reference_on_pruned_specs(monkeypatch, flags):
 
 
 # cap 1: no cut has a table and gfp.rank_batch ranks each; cap 256 at n=6
-# p=2: each 3x3 cut is peeled once down to a 2x2 table
+# p=2: each 3x3 cut is peeled once down to a 2x2 table (the cap alone
+# decides: gfp._REPAY is lifted)
 @pytest.mark.parametrize("flags", [(dict(n=5, p=3), 1), (dict(n=4, p=5, prune_rescale=True), 1),
                                    (dict(n=4, p=3, group_size=2, prune_zero_row=True), 1),
                                    (dict(n=6, p=2), 256)])
@@ -130,7 +131,8 @@ def test_rank_fallback_matches_tables(monkeypatch, flags):
     ids, examined, pruned = search._scan_blocks(spec)
     assert len(ids) > 0
     with_tables = enumerate_graphs(spec)
-    monkeypatch.setattr(search, "_TABLE_CAP", cap)
+    monkeypatch.setattr(gfp, "_TABLE_CAP", cap)
+    monkeypatch.setattr(gfp, "_REPAY", 1 << 62)
     assert all(cut.table is None for cut in search._cut_plans(spec))
     fallback_ids, fallback_examined, fallback_pruned = search._scan_blocks(spec)
     assert fallback_ids.tolist() == ids.tolist()
@@ -178,7 +180,7 @@ def test_exhaustive_refuses_n_over_8_before_scanning(monkeypatch):
 
 def test_scan_ranks_rows_past_int64():
     # at p > 2^31 no row of two or more weights packs into int64, so the
-    # scan ranks every cut by gfp.rank_batch on expanded digits
+    # scan ranks every cut by gfp.rank_stack on expanded digits
     for n, classes in ((3, 2), (4, 0)):
         spec = SearchSpec(n=n, p=2147483659, weights_one=True)
         assert all(cut.coef is None for cut in search._cut_plans(spec))
@@ -382,22 +384,24 @@ def test_run_dispatch_and_stats_line():
     assert line.endswith("/s exhaustive=yes")
 
 
+# gfp's cut-rank kernel: rank tables, row peeling and the stack-size rule
+
 @pytest.mark.parametrize("p,rows,cols", [(2, 2, 3), (2, 3, 3), (3, 2, 2), (5, 1, 3),
                                          (3, 3, 3), (7, 2, 2), (2, 4, 4)])
 def test_rank_tables_match_scalar_rank(p, rows, cols):
-    table = search._rank_full_table(p, rows, cols)
+    table = gfp.rank_table(p, rows, cols)
     mats = gfp.digits(np.arange(p ** (rows * cols)), p, rows * cols).reshape(-1, rows, cols)
     if p == 2:  # scalar bitwise elimination on packed rows, about 20 times faster than mat_rank
         packed = (mats @ 2 ** np.arange(cols)).tolist()
-        assert table.tolist() == [gfp.rank_gf2(m) == rows for m in packed]
+        assert table.tolist() == [gfp.rank_gf2(m) for m in packed]
     else:
-        assert table.tolist() == [gfp.mat_rank(m, p) == rows for m in mats]
+        assert table.tolist() == [gfp.mat_rank(m, p) for m in mats]
 
 
 def test_rank_tables_hold_weights_beyond_int16():
-    # the n = 2 cut is one weight; every nonzero weight, also above 32767, is full rank
-    table = search._rank_full_table(65537, 1, 1)
-    assert not table[0] and table[1:].all()
+    # the n = 2 cut is one weight; every nonzero weight, also above 32767, has rank 1
+    table = gfp.rank_table(65537, 1, 1)
+    assert table[0] == 0 and (table[1:] == 1).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -410,21 +414,21 @@ def test_full_rank_matches_scalar_rank(p, rows, width, seed):
         r = int(rng.integers(rows))
         m[r] = rng.integers(0, p, size=rows - 1) @ np.delete(m, r, axis=0) % p if rows > 1 else 0
     packed = (mats @ p ** np.arange(width)).T
-    want = [gfp.mat_rank(m, p) == rows for m in mats]
-    # every cap up to the default: table lookups, one or more peels, rank_batch
-    caps = {1, 1 << 22} | {search._peel_bytes(p, w) for w in range(1, width + 1)}
+    want = [gfp.mat_rank(m, p) for m in mats]
+    # every cap up to the default, which alone decides: table lookups, one
+    # or more peels, rank_batch
+    caps = {1, 1 << 22} | {gfp._peel_bytes(p, w) for w in range(1, width + 1)}
     caps |= {p ** (r * (r + width - rows)) for r in range(1, rows + 1)}
     for cap in sorted(c for c in caps if c <= 1 << 22):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search, "_TABLE_CAP", cap)
-            assert search._full_rank(packed, p, width).tolist() == want
+            mp.setattr(gfp, "_TABLE_CAP", cap)
+            mp.setattr(gfp, "_REPAY", 1 << 62)
+            assert gfp.rank_rows(packed, p, width).tolist() == want
 
 
-@pytest.mark.parametrize("cap,peels,fallbacks", [(1 << 20, 0, 0), (4096, 1, 0), (1024, 2, 0), (1, 0, 1)])
-def test_full_rank_peels_until_a_table_fits(monkeypatch, cap, peels, fallbacks):
-    # 4 x 5 qubit matrices: a 2^20-entry table; _peel(2, 5) takes 1024 bytes,
-    # the 3 x 4 table 4096 and the 2 x 3 table 64
-    calls = {"peel": 0, "rank_batch": 0}
+def _count_calls(monkeypatch, *names):
+    """Spy on gfp functions: the returned dict counts each one's calls."""
+    calls = dict.fromkeys(names, 0)
 
     def spy(name, fn):
         def call(*args):
@@ -432,21 +436,46 @@ def test_full_rank_peels_until_a_table_fits(monkeypatch, cap, peels, fallbacks):
             return fn(*args)
         return call
 
-    monkeypatch.setattr(search, "_peel", spy("peel", search._peel))
-    monkeypatch.setattr(gfp, "rank_batch", spy("rank_batch", gfp.rank_batch))
-    monkeypatch.setattr(search, "_TABLE_CAP", cap)
+    for name in names:
+        monkeypatch.setattr(gfp, name, spy(name, getattr(gfp, name)))
+    return calls
+
+
+@pytest.mark.parametrize("cap,peels,fallbacks", [(1 << 20, 0, 0), (4096, 1, 0), (1024, 2, 0), (1, 0, 1)])
+def test_full_rank_peels_until_a_table_fits(monkeypatch, cap, peels, fallbacks):
+    # 4 x 5 qubit matrices: a 2^20-byte table; _peel(2, 5) takes 1024 bytes,
+    # the 3 x 4 table 4096 and the 2 x 3 table 64; the cap alone decides
+    calls = _count_calls(monkeypatch, "_peel", "rank_batch")
+    monkeypatch.setattr(gfp, "_TABLE_CAP", cap)
+    monkeypatch.setattr(gfp, "_REPAY", 1 << 62)
     rng = np.random.default_rng(5)
     mats = rng.integers(0, 2, size=(500, 4, 5))
-    got = search._full_rank((mats @ 2 ** np.arange(5)).T, 2, 5)
-    assert got.tolist() == [gfp.mat_rank(m, 2) == 4 for m in mats]
-    assert 0 < got.sum() < len(got)
-    assert (calls["peel"], calls["rank_batch"]) == (peels, fallbacks)
+    got = gfp.rank_rows((mats @ 2 ** np.arange(5)).T, 2, 5)
+    assert got.dtype == np.uint8 and got.tolist() == [gfp.mat_rank(m, 2) for m in mats]
+    assert len(set(got.tolist())) > 1
+    assert (calls["_peel"], calls["rank_batch"]) == (peels, fallbacks)
+
+
+@pytest.mark.parametrize("p,count,peels,fallbacks", [(2, 1, 2, 0), (2, 200, 1, 0), (2, 1 << 16, 0, 0),
+                                                     (3, 1000, 0, 1), (3, 4000, 2, 0)])
+def test_rank_rows_builds_what_the_stack_repays(monkeypatch, p, count, peels, fallbacks):
+    # 4 x 5 matrices; a stack of B affords 16 * (B + 64) bytes. At p = 2,
+    # _peel(2, 5) takes 1024 bytes, _peel(2, 4) 256, the 2 x 3 table 64, the
+    # 3 x 4 table 4096 and the stack's own 2^20. At p = 3, _peel(3, 5) takes
+    # 59049, _peel(3, 4) 6561 and the 2 x 3 table 729, and the 3 x 4 table
+    # 531441 bytes; a stack that cannot afford _peel(3, 5) is eliminated
+    calls = _count_calls(monkeypatch, "_peel", "rank_batch")
+    mats = np.random.default_rng(count).integers(0, p, size=(count, 4, 5))
+    got = gfp.rank_rows((mats @ p ** np.arange(5)).T, p, 5)
+    check = slice(None, None, -(-count // 500))  # mat_rank on at most 500
+    assert got[check].tolist() == [gfp.mat_rank(m, p) for m in mats[check]]
+    assert (calls["_peel"], calls["rank_batch"]) == (peels, fallbacks)
 
 
 @pytest.mark.parametrize("p,width", [(7, 1), (5, 2), (3, 3), (2, 9)])
 def test_peel_cap_counts_allocated_bytes(p, width):
     # at (2, 9) a reduced row takes 256 values, so each entry is two bytes
-    assert search._peel_bytes(p, width) == search._peel(p, width).nbytes
+    assert gfp._peel_bytes(p, width) == gfp._peel(p, width).nbytes
 
 
 def test_rank_tables_built_without_rank_batch(monkeypatch):
@@ -454,9 +483,9 @@ def test_rank_tables_built_without_rank_batch(monkeypatch):
         raise AssertionError("rank_batch called")
 
     monkeypatch.setattr(gfp, "rank_batch", refuse)
-    table = search._rank_full_table.__wrapped__(3, 3, 4)
-    # full-rank 3 x 4 matrices mod 3: (3^4 - 1)(3^4 - 3)(3^4 - 9)
-    assert table.size == 3**12 and table.sum() == 80 * 78 * 72
+    table = gfp.rank_table.__wrapped__(3, 3, 4)
+    # 3 x 4 matrices mod 3 of rank 0, 1, 2 and 3; full rank: (3^4 - 1)(3^4 - 3)(3^4 - 9)
+    assert table.size == 3**12 and np.bincount(table).tolist() == [1, 1040, 81120, 80 * 78 * 72]
 
 
 # (spec fields, examined, pruned, witness line) of seeded random searches,
@@ -552,16 +581,18 @@ def test_random_weights_match_rng_integers(fields, n, counts, draw, seed):
 def test_predicate_matches_scalar_cut_ranks(monkeypatch, n, p, cap):
     # no exhaustive reference exists at these sizes: each cut's verdict on
     # sampled words against scalar cut_edits. n=9, 10 cuts are peeled once
-    # (p=2, 3) or twice (n=10, p=3); cap 1 sends them to rank_batch, and at
-    # p=65537 a row does not pack into int64
-    monkeypatch.setattr(search, "_TABLE_CAP", cap)
+    # (p=2, 3) or twice (n=10, p=3), the cap alone deciding (gfp._REPAY is
+    # lifted); cap 1 sends them to rank_batch, and at p=65537 a row does
+    # not pack into int64
+    monkeypatch.setattr(gfp, "_TABLE_CAP", cap)
+    monkeypatch.setattr(gfp, "_REPAY", 1 << 62)
     spec = SearchSpec(n=n, p=p, mode="random", seed=0)
     rng = np.random.default_rng(n * p)
     words = search._random_weights(rng, 48, spec)
     words[::3] = words[::3] * (rng.random(words[::3].shape) < 0.5)  # sparser: more rank-deficient cuts
     graphs = [graph_from_word(p, n, w) for w in words]
     plans = search._cut_plans(spec)
-    cuts = search.party_cuts(spec.groups)
+    cuts = party_cuts(spec.groups)
     every = np.ones(len(words), dtype=bool)
     for cut, plan in zip(cuts, plans):
         want = np.array([cut_edits(g, cut) == len(cut) for g in graphs])
