@@ -104,15 +104,6 @@ def is_mds(c: LinearCode, max_words: int = 10**7) -> bool:
     return min_distance(c, max_words) == c.n - c.k + 1
 
 
-def is_ame_code(c: LinearCode) -> bool:
-    """MDS with n = 2k, the shape that produces an AME state."""
-    try:
-        certified(c)
-    except NotAmeCodeError:
-        return False
-    return True
-
-
 def grs_code(p: int, n: int, k: int, points=None) -> LinearCode:
     """Polynomial-evaluation (generalized Reed-Solomon) code, MDS for
     n <= p + 1.

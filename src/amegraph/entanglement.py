@@ -33,7 +33,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from . import gfp
-from .graph import Graph, canonical_form, edge_word, op_mult, op_star, slot_matrix
+from .graph import Graph, canonical_form, edge_word, op_mult, op_star, slot_matrix, vertex_list
 
 
 class UnequalGroupsError(ValueError):
@@ -57,7 +57,7 @@ def cut_matrix(g: Graph, cut) -> np.ndarray:
 
 def cut_edits(g: Graph, cut) -> int:
     """Entanglement across the (cut, complement) bipartition, in edits."""
-    cut = list(cut)
+    cut = vertex_list(g.n, cut)
     if not 0 < len(cut) < g.n:
         raise ValueError("cut must be a proper nonempty vertex subset")
     return gfp.mat_rank(cut_matrix(g, cut), g.p)
@@ -214,15 +214,6 @@ def lc_orbit(g: Graph, max_nodes: int) -> OrbitResult:
                 nxt.append(nb)
         frontier = nxt
     return OrbitResult(order, truncated)
-
-
-def lc_orbit_canonical(g: Graph, max_nodes: int) -> OrbitResult:
-    """lc_orbit collapsed by canonical form (one representative per class)."""
-    res = lc_orbit(g, max_nodes)
-    seen: dict[Graph, Graph] = {}
-    for gr in res.graphs:
-        seen.setdefault(canonical_form(gr), gr)
-    return OrbitResult(list(seen.keys()), res.truncated)
 
 
 def min_edge_representative(g: Graph, max_nodes: int) -> Graph:

@@ -145,9 +145,23 @@ def row_restrict(g: Graph, v: int, cut) -> np.ndarray:
     return g.adj[v, keep].copy()
 
 
+def vertex_list(n: int, vertices) -> list:
+    """`vertices` as a list, once each lies in [0, n) and none repeats: the
+    one check of a cut or a measured set, O(|vertices|) in plain Python."""
+    vertices = list(vertices)
+    seen = set()
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} is not in [0, {n})")
+        if v in seen:
+            raise ValueError(f"vertex {v} is given twice")
+        seen.add(v)
+    return vertices
+
+
 def truncate(g: Graph, cut) -> Graph:
     """Graph with the vertices in `cut` and their incident edges removed."""
-    cut = set(cut)
+    cut = set(vertex_list(g.n, cut))
     if len(cut) >= g.n and g.n > 0:
         raise ValueError("cannot truncate every vertex")
     keep = [u for u in range(g.n) if u not in cut]
@@ -186,7 +200,7 @@ def z_measure_symbolic(s: LabeledGraph, cut, outcomes) -> LabeledGraph:
     the cut columns deleted). Global phase is dropped.
     """
     g = s.graph
-    cut = list(cut)
+    cut = vertex_list(g.n, cut)
     out = gfp.as_residues(outcomes, g.p)
     if out.shape != (len(cut),):
         raise ValueError("one outcome per measured vertex required")

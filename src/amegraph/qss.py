@@ -16,13 +16,13 @@ dealer l's secret coordinate (register 0 first).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
 from . import gfp
 from .entanglement import is_ame
-from .graph import Graph, row_restrict, truncate
+from .graph import Graph, LabeledGraph, row_restrict, truncate
 from .simulator import (
     DEFAULT_CAP,
     StateVector,
@@ -155,10 +155,10 @@ def encode_symbolic(scheme, secret, outcomes):
     """Labeled-graph superposition equal (up to global phase) to encode().
 
     Returns [(coefficient, LabeledGraph), ...] over the dealer coordinate
-    tuples; coefficients fold in the Bell-outcome corrections.
+    tuples; coefficients fold in the Bell-outcome corrections. This is the
+    paper's encoding in graph-state form; the tests hold it against the
+    dense encode(), which the audits run on.
     """
-    from .graph import LabeledGraph
-
     g = scheme.graph
     p = g.p
     dealers = list(scheme.dealers)
@@ -325,3 +325,24 @@ def audit_forbidden(scheme, forbidden, trials: int, rng: np.random.Generator,
             rhos.append(reduced_density(state, positions))
         worst = max(worst, trace_distance(rhos[0], rhos[1]))
     return worst
+
+
+def audit(scheme, secrets: int, rng: np.random.Generator):
+    """Yield ("AUTH", players, min fidelity) per authorized set of m players,
+    then ("FORBID", players, max trace distance) per forbidden set of 1 ... m - L
+    players, in combinations order: `secrets` random secrets per Bell outcome
+    (every one for a threshold scheme, (0, 0) for ramp), `secrets` pairs per set."""
+    p, m, L = scheme.graph.p, scheme.m, len(scheme.dealers)
+    threshold = isinstance(scheme, ThresholdScheme)
+    outcomes = list(product(range(p), repeat=2)) if threshold else [(0, 0)]
+    for b in combinations(scheme.players, m):
+        worst = 1.0
+        for outcome in outcomes:
+            for _ in range(secrets):
+                s = random_secret(p, L, rng)
+                fid = run_threshold(scheme, s, b, outcome) if threshold else run_ramp(scheme, s, b)
+                worst = min(worst, fid)
+        yield "AUTH", b, worst
+    for size in range(1, m - L + 1):
+        for f in combinations(scheme.players, size):
+            yield "FORBID", f, audit_forbidden(scheme, f, secrets, rng)

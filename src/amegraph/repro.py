@@ -244,50 +244,34 @@ def check_measurement_consistency(quick: bool = False) -> CheckResult:
     )
 
 
-def check_threshold_qss(quick: bool = False) -> CheckResult:
+def _audit_check(ident: int, name: str, seed: int, schemes, limit: float) -> CheckResult:
+    """qss.audit of each scheme with 20 secrets: every authorized set must
+    recover the secret and no forbidden set learn anything, within `limit` s."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(424242)
-    worst_fid = 1.0
-    worst_dist = 0.0
-    for g, n_secrets in ((witnesses.quad_weighted(3), 20), (witnesses.ame62(), 20)):
-        scheme = qss.ThresholdScheme(g, dealer=0)
-        p, m = g.p, scheme.m
-        for b in itertools.combinations(scheme.players, m):
-            for outcome in itertools.product(range(p), repeat=2):
-                for _ in range(n_secrets):
-                    s = qss.random_secret(p, 1, rng)
-                    worst_fid = min(worst_fid, qss.run_threshold(scheme, s, b, outcome))
-        for size in range(1, m):
-            for f in itertools.combinations(scheme.players, size):
-                worst_dist = max(worst_dist, qss.audit_forbidden(scheme, f, 20, rng))
+    rng = np.random.default_rng(seed)
+    worst_fid, worst_dist = 1.0, 0.0
+    for scheme in schemes:
+        for kind, _, value in qss.audit(scheme, 20, rng):
+            if kind == "AUTH":
+                worst_fid = min(worst_fid, value)
+            else:
+                worst_dist = max(worst_dist, value)
     elapsed = time.perf_counter() - t0
-    ok = worst_fid >= 1 - 1e-9 and worst_dist <= 1e-9 and elapsed <= 180
+    ok = worst_fid >= 1 - 1e-9 and worst_dist <= 1e-9 and elapsed <= limit
     return CheckResult(
-        9, "threshold-qss", "PASS" if ok else "FAIL",
+        ident, name, "PASS" if ok else "FAIL",
         f"min fidelity={worst_fid:.12f} max forbidden distance={worst_dist:.2e} "
         f"elapsed={elapsed:.1f}s",
     )
+
+
+def check_threshold_qss(quick: bool = False) -> CheckResult:
+    schemes = [qss.ThresholdScheme(g, dealer=0) for g in (witnesses.quad_weighted(3), witnesses.ame62())]
+    return _audit_check(9, "threshold-qss", 424242, schemes, 180)
 
 
 def check_ramp_qss(quick: bool = False) -> CheckResult:
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(99)
-    scheme = qss.RampScheme(witnesses.ame62(), (0, 1))
-    worst_fid = 1.0
-    for b in itertools.combinations(scheme.players, scheme.m):
-        for _ in range(20):
-            s = qss.random_secret(2, 2, rng)
-            worst_fid = min(worst_fid, qss.run_ramp(scheme, s, b))
-    worst_dist = 0.0
-    for f in scheme.players:
-        worst_dist = max(worst_dist, qss.audit_forbidden(scheme, [f], 20, rng))
-    elapsed = time.perf_counter() - t0
-    ok = worst_fid >= 1 - 1e-9 and worst_dist <= 1e-9 and elapsed <= 120
-    return CheckResult(
-        10, "ramp-qss", "PASS" if ok else "FAIL",
-        f"min fidelity={worst_fid:.12f} max forbidden distance={worst_dist:.2e} "
-        f"elapsed={elapsed:.1f}s",
-    )
+    return _audit_check(10, "ramp-qss", 99, [qss.RampScheme(witnesses.ame62(), (0, 1))], 120)
 
 
 def check_composite_4_4(quick: bool = False) -> CheckResult:

@@ -84,7 +84,7 @@ call, canonicalisation included.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
@@ -176,7 +176,6 @@ class SearchResult:
     pruned: int
     elapsed: float
     exhaustive: bool
-    spec: SearchSpec = field(repr=False, default=None)
 
     @property
     def rate(self) -> float:
@@ -594,7 +593,7 @@ def enumerate_graphs(spec: SearchSpec) -> SearchResult:
     candidates = _class_candidates(ids, spec)
     witnesses = _canonical_classes(candidates, spec)
     elapsed = time.perf_counter() - t0
-    return SearchResult(witnesses, examined, pruned, elapsed, True, spec)
+    return SearchResult(witnesses, examined, pruned, elapsed, True)
 
 
 def _integers(rng: np.random.Generator, low: int, high: int, shape: tuple[int, int],
@@ -657,11 +656,11 @@ def random_search(spec: SearchSpec) -> SearchResult:
             pruned_total += int(pruned[: first + 1].sum())
             g = graph_from_word(spec.p, spec.n, weights[first])
             cf = canonical_form_grouped(g, spec.group_size) if spec.group_size > 1 else canonical_form(g)
-            return SearchResult([cf], examined, pruned_total, time.perf_counter() - t0, False, spec)
+            return SearchResult([cf], examined, pruned_total, time.perf_counter() - t0, False)
         examined += int(keep.sum())
         pruned_total += int(pruned.sum())
     elapsed = time.perf_counter() - t0
-    return SearchResult([], examined, pruned_total, elapsed, False, spec)
+    return SearchResult([], examined, pruned_total, elapsed, False)
 
 
 def grouped_search(n_parties: int, group_size: int, p: int, **kwargs) -> SearchResult:
@@ -704,4 +703,4 @@ def _reference_search(spec: SearchSpec) -> SearchResult:
         if all(cut_edits(g, cut) == len(cut) for cut in cuts):
             witnesses.append(g)
     witnesses = _dedupe_canonical(witnesses, spec.group_size)
-    return SearchResult(witnesses, examined, pruned_total, time.perf_counter() - t0, True, spec)
+    return SearchResult(witnesses, examined, pruned_total, time.perf_counter() - t0, True)

@@ -108,24 +108,6 @@ def apply_x(s: StateVector, i: int, power: int = 1) -> StateVector:
     return _site_pauli(s, i, power, 0)
 
 
-def _apply_single(s: StateVector, i: int, mat: np.ndarray) -> StateVector:
-    ax = _axis(s.n, i)
-    t = np.moveaxis(s.amps.reshape([s.p] * s.n), ax, 0)
-    t = np.tensordot(mat, t, axes=(1, 0))
-    t = np.moveaxis(t, 0, ax)
-    return StateVector(s.p, s.n, t.reshape(-1))
-
-
-def fourier_matrix(p: int) -> np.ndarray:
-    """F[k, l] = omega^(k l) / sqrt(p)."""
-    k = np.arange(p)
-    return omega_powers(p)[np.outer(k, k) % p] / np.sqrt(p)
-
-
-def apply_f(s: StateVector, i: int) -> StateVector:
-    return _apply_single(s, i, fourier_matrix(s.p))
-
-
 def apply_cz(s: StateVector, i: int, j: int, power: int = 1) -> StateVector:
     if _axis(s.n, i) == _axis(s.n, j):
         raise ValueError("CZ needs two distinct qudits")
@@ -196,11 +178,6 @@ def reduced_density(s: StateVector, keep) -> np.ndarray:
     return m @ m.conj().T
 
 
-def entropy_edits(rho: np.ndarray, p: int) -> float:
-    """Von Neumann entropy of a density matrix in units of log p."""
-    return float(_spectrum_edits(np.linalg.eigvalsh(rho), p))
-
-
 def _spectrum_edits(lam: np.ndarray, p: int) -> np.ndarray:
     """-sum lam log lam / log p over the last axis, eigenvalues <= 1e-12 dropped."""
     lam = np.where(lam > 1e-12, lam, 1.0)  # 1 log 1 = 0
@@ -265,10 +242,6 @@ def ugh_matrix(p: int, g: int, h: int) -> np.ndarray:
     u = np.zeros((p, p), dtype=np.complex128)
     u[j, (j + h) % p] = omega_powers(p)[(j * g) % p]
     return u
-
-
-def apply_ugh(s: StateVector, i: int, g: int, h: int) -> StateVector:
-    return _apply_single(s, i, ugh_matrix(s.p, g, h))
 
 
 def bell_state(p: int, g: int, h: int) -> StateVector:
@@ -360,10 +333,3 @@ def stabilizer_state(p: int, x: np.ndarray, z: np.ndarray, cap: int = DEFAULT_CA
     if norm <= 1e-8:
         raise ValueError("no +1 joint eigenvector found; invalid stabilizer?")
     return StateVector(p, n, (t / norm).reshape(-1))
-
-
-def format_state(s: StateVector) -> str:
-    """Debug dump: `p n` header then one `re im` line per amplitude."""
-    lines = [f"{s.p} {s.n}"]
-    lines += [f"{a.real:.17g} {a.imag:.17g}" for a in s.amps]
-    return "\n".join(lines) + "\n"

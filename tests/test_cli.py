@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -69,6 +70,17 @@ def test_entropy_cut(c4_file, capsys):
     assert main(["entropy", c4_file, "--cut", "1,4", "--oracle"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("CUT {1,4} RANK 1 ENTROPY 1.000000")
+
+
+@pytest.mark.parametrize("cut,err", [
+    ("0", "error: vertex -1 is not in [0, 4)\n"),
+    ("1,9", "error: vertex 8 is not in [0, 4)\n"),
+    ("1,1", "error: vertex 0 is given twice\n"),
+], ids=["zero", "past-n", "repeat"])
+def test_entropy_bad_cut_exits_2(quad_file, capsys, cut, err):
+    assert main(["entropy", quad_file, "--cut", cut]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == err
 
 
 def test_entropy_all_halves(quad_file, capsys):
@@ -179,14 +191,25 @@ def test_code2graph_unknown(capsys):
     assert main(["code2graph", "mystery"]) == 2
 
 
+def _masked(out: str) -> list[str]:
+    # fidelities and distances are float noise around 1 and 1e-16
+    return [re.sub(r"=\S+", "=#", line) for line in out.splitlines()]
+
+
 def test_qss_threshold_audit(quad_file, capsys):
     rc = main(["qss", "--graph", quad_file, "--mode", "threshold",
                "--dealers", "1", "--seed", "3", "--secrets", "2"])
     assert rc == 0
-    out = capsys.readouterr().out.splitlines()
-    assert any(line.startswith("AUTH {2,3}") for line in out)
-    assert any(line.startswith("FORBID {2}") for line in out)
-    assert out[-1] == "ALL PASS"
+    out = _masked(capsys.readouterr().out)
+    assert out == [
+        "AUTH {2,3} fidelity_min=# PASS",
+        "AUTH {2,4} fidelity_min=# PASS",
+        "AUTH {3,4} fidelity_min=# PASS",
+        "FORBID {2} distance_max=# PASS",
+        "FORBID {3} distance_max=# PASS",
+        "FORBID {4} distance_max=# PASS",
+        "ALL PASS",
+    ]
 
 
 def test_qss_rejects_not_ame(c4_file, capsys):
@@ -202,7 +225,17 @@ def test_qss_ramp_audit(tmp_path, capsys):
     rc = main(["qss", "--graph", str(path), "--mode", "ramp",
                "--dealers", "1,2", "--seed", "4", "--secrets", "2"])
     assert rc == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "ALL PASS"
+    assert _masked(capsys.readouterr().out) == [
+        "AUTH {3,4,5} fidelity_min=# PASS",
+        "AUTH {3,4,6} fidelity_min=# PASS",
+        "AUTH {3,5,6} fidelity_min=# PASS",
+        "AUTH {4,5,6} fidelity_min=# PASS",
+        "FORBID {3} distance_max=# PASS",
+        "FORBID {4} distance_max=# PASS",
+        "FORBID {5} distance_max=# PASS",
+        "FORBID {6} distance_max=# PASS",
+        "ALL PASS",
+    ]
 
 
 def test_qss_over_the_cap_exits_2(tmp_path, capsys):

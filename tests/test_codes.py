@@ -71,9 +71,12 @@ def test_min_distance_too_large():
 
 def test_mds_flags():
     ham = codes.hamming433()
-    assert codes.is_mds(ham) and codes.is_ame_code(ham)
+    assert codes.is_mds(ham)
+    codes.certified(ham)
     rep = codes.LinearCode(2, np.array([[1], [1], [1]]))
-    assert codes.is_mds(rep) and not codes.is_ame_code(rep)
+    assert codes.is_mds(rep)
+    with pytest.raises(codes.NotAmeCodeError):
+        codes.certified(rep)
 
 
 @pytest.mark.parametrize("p,n,k", [(5, 4, 2), (7, 6, 3), (11, 4, 2), (13, 6, 3)])
@@ -168,12 +171,11 @@ def test_cut_rank_gate_matches_min_distance(p, k, data):
     assume(gfp.mat_rank(gen, p) == k)
     c = codes.LinearCode(p, gen)
     mds = codes.min_distance(c) == k + 1
-    assert codes.is_ame_code(c) == mds
     if mds:
-        assert is_ame(codes.code_to_ame_graph(c)).is_ame
+        assert is_ame(codes.certified(c)[1]).is_ame
     else:
         with pytest.raises(codes.NotAmeCodeError):
-            codes.code_to_ame_graph(c)
+            codes.certified(c)
 
 
 @pytest.mark.parametrize("code", [codes.hamming433(), codes.grs_code(5, 4, 2)],

@@ -81,7 +81,7 @@ def test_entropy_additivity_across_factors():
     import itertools
 
     from amegraph.entanglement import cut_edits
-    from amegraph.simulator import entropy_edits, reduced_density
+    from amegraph.simulator import cut_entropy_edits, reduced_density
 
     c = comp.build_composite(5, 6)
     states = {f.p: build_graph_state(f.graph) for f in c.factors}
@@ -95,7 +95,8 @@ def test_entropy_additivity_across_factors():
             cut_edits(f.graph, cut) * np.log(f.p) for f in c.factors
         )
         assert abs(joint_entropy - want) < 1e-6
-        assert abs(entropy_edits(rhos[0], 2) - cut_edits(c.factors[0].graph, cut)) < 1e-6
+        f0 = c.factors[0]
+        assert abs(cut_entropy_edits(states[f0.p], cut) - cut_edits(f0.graph, cut)) < 1e-6
 
 
 def test_repeated_prime_needs_grouped_witness():

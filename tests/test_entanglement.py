@@ -14,7 +14,6 @@ from amegraph.entanglement import (
     is_ame,
     is_ame_grouped,
     lc_orbit,
-    lc_orbit_canonical,
     min_edge_representative,
     party_cuts,
 )
@@ -47,6 +46,16 @@ def test_cut_edits_examples():
     assert cut_edits(g, (0, 3)) == 1
     assert cut_edits(g, (0, 1)) == 2
     assert cut_edits(empty_graph(2, 4), (0, 1)) == 0
+
+
+@pytest.mark.parametrize("cut,msg", [
+    ((-1,), r"vertex -1 is not in \[0, 4\)"),
+    ((0, 8), r"vertex 8 is not in \[0, 4\)"),
+    ((0, 0), "vertex 0 is given twice"),
+], ids=["neg", "n", "repeat"])
+def test_cut_edits_rejects_bad_cuts(cut, msg):
+    with pytest.raises(ValueError, match=msg):
+        cut_edits(quad_weighted(3), cut)
 
 
 def test_is_ame_examples():
@@ -178,8 +187,6 @@ def test_min_edge_representative():
     rep = min_edge_representative(g, max_nodes=4000)
     full = lc_orbit(g, max_nodes=4000)
     assert rep.edge_count() == min(m.edge_count() for m in full.graphs)
-    collapsed = lc_orbit_canonical(g, max_nodes=4000)
-    assert len(collapsed.graphs) <= len(full.graphs)
 
 
 def test_format_report():

@@ -162,6 +162,19 @@ def test_z_measure_symbolic_examples():
     assert out2.label.tolist() == [1, 1]
 
 
+@pytest.mark.parametrize("cut,msg", [
+    ([-1], r"vertex -1 is not in \[0, 4\)"),
+    ([9], r"vertex 9 is not in \[0, 4\)"),
+    ([0, 0], "vertex 0 is given twice"),
+], ids=["neg", "n", "repeat"])
+def test_truncate_and_z_measure_reject_bad_vertex_sets(cut, msg):
+    g = c4()
+    with pytest.raises(ValueError, match=msg):
+        truncate(g, cut)
+    with pytest.raises(ValueError, match=msg):
+        z_measure_symbolic(LabeledGraph(g, np.zeros(4, dtype=int)), cut, [1] * len(cut))
+
+
 def test_z_measure_keeps_existing_label():
     g = c4()
     lg = LabeledGraph(g, np.array([1, 1, 0, 1]))

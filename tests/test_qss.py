@@ -205,3 +205,16 @@ def test_trace_distance_basics():
     b = np.diag([0.0, 1.0]).astype(complex)
     assert abs(qss.trace_distance(a, b) - 1.0) < 1e-12
     assert qss.trace_distance(a, a) < 1e-12
+
+
+@pytest.mark.parametrize("scheme,auth,forbid", [
+    (qss.ThresholdScheme(quad_weighted(3), 0), [(1, 2), (1, 3), (2, 3)], [(1,), (2,), (3,)]),
+    (qss.RampScheme(ame62(), (0, 1)), [(2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5)],
+     [(2,), (3,), (4,), (5,)]),
+], ids=["threshold-quad", "ramp-ame62"])
+def test_audit_yields_authorized_then_forbidden_sets(scheme, auth, forbid):
+    rows = list(qss.audit(scheme, 2, np.random.default_rng(0)))
+    assert [(kind, players) for kind, players, _ in rows] == \
+        [("AUTH", b) for b in auth] + [("FORBID", f) for f in forbid]
+    for kind, _, value in rows:
+        assert value >= 1 - 1e-9 if kind == "AUTH" else value <= 1e-9
