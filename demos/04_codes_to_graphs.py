@@ -1,9 +1,10 @@
 """From a classical MDS code to an AME graph state, step by step.
 
-An [n, k] code with n = 2k and distance k + 1 yields a stabilizer state
-(X-type rows from the generator, Z-type rows from the parity check)
-whose local-Clifford reduction is an AME graph state. With evaluation
-codes this works for any even number of parties once p >= n.
+An MDS [n, k] code (distance n - k + 1) with k = floor(n/2) or ceil(n/2)
+yields a stabilizer state (X-type rows from the generator, Z-type rows
+from the parity check) whose local-Clifford reduction is an AME graph
+state. With evaluation codes this works for any number of parties once
+p >= n - 1.
 """
 
 from amegraph import codes
@@ -28,7 +29,7 @@ print(format_graph(graph), end="")
 print("AME(4,3)?", is_ame(graph).is_ame)
 
 print("\nlarger fields, same pipeline:")
-for p, n, k in ((5, 4, 2), (7, 6, 3), (13, 6, 3)):
+for p, n, k in ((5, 4, 2), (7, 6, 3), (13, 6, 3), (7, 7, 3)):
     code = codes.grs_code(p, n, k)
     g = codes.code_to_ame_graph(code)
     print(f"  GRS [{n},{k}]_{p}: distance {codes.min_distance(code)}, "

@@ -19,7 +19,6 @@ from .graph import (
     parse_graph,
     format_graph,
     permute,
-    row_restrict,
     truncate,
     z_measure_symbolic,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "op_star",
     "parse_graph",
     "permute",
-    "row_restrict",
     "to_graph",
     "truncate",
     "z_measure_symbolic",

@@ -36,6 +36,18 @@ def _load(path: str):
         raise UsageError(f"cannot read graph {path!r}: {exc}") from exc
 
 
+def _vertices(text: str, n: int) -> tuple[int, ...]:
+    """A comma-separated 1-indexed vertex list, checked for range and
+    repeats in that numbering; returned 0-indexed."""
+    vertices = [int(v) for v in text.split(",")]
+    for i, v in enumerate(vertices):
+        if not 1 <= v <= n:
+            raise UsageError(f"vertex {v} is not in [1, {n}]")
+        if v in vertices[:i]:
+            raise UsageError(f"vertex {v} is given twice")
+    return tuple(v - 1 for v in vertices)
+
+
 def cmd_verify(args) -> int:
     g = _load(args.graph)
     report = entanglement.is_ame(g, full=args.full)
@@ -59,7 +71,7 @@ def cmd_verify(args) -> int:
 def cmd_entropy(args) -> int:
     g = _load(args.graph)
     if args.cut:
-        cuts = [tuple(int(v) - 1 for v in args.cut.split(","))]
+        cuts = [_vertices(args.cut, g.n)]
     else:
         cuts = list(itertools.combinations(range(g.n), g.n // 2))
     state = None
@@ -136,7 +148,7 @@ def cmd_code2graph(args) -> int:
 
 def cmd_qss(args) -> int:
     g = _load(args.graph)
-    dealers = tuple(int(v) - 1 for v in args.dealers.split(","))
+    dealers = _vertices(args.dealers, g.n)
     rng = np.random.default_rng(args.seed)
     if args.mode == "threshold":
         if len(dealers) != 1:

@@ -2,11 +2,11 @@
 
 A code is stored by its n x k generator matrix G with codewords G x for
 x in Z_p^k. Its codeword superposition is stabilized by [[G^T, 0], [0, H]],
-which to_graph reduces to a graph state. For n = 2k that state is AME
-exactly when the code is MDS (distance k + 1): a size-k cut loses rank
-exactly when a nonzero codeword vanishes on one side of it (weight <= k).
-So the reduced graph's C(n, n/2) cut ranks are the AME gate; min_distance
-enumerates the p^k codewords and stays only as a cross-check.
+which to_graph reduces to a graph state with rank G[A] + rank G[A'] - k
+edits across each cut (A, A'). So an MDS code gives an AME state exactly
+when k = floor(n/2) or ceil(n/2). The reduced graph's floor(n/2) cut
+ranks are the AME gate for every n and k; min_distance enumerates the
+p^k codewords and stays only as a cross-check.
 """
 
 from __future__ import annotations
@@ -136,24 +136,30 @@ def hamming433() -> LinearCode:
 
 def certified(c: LinearCode) -> tuple[GeneratorMatrix, Graph]:
     """The codeword state's stabilizer matrix and its reduced graph, once
-    the graph's n/2 cuts all have full rank; NotAmeCodeError otherwise.
-    This is the one AME gate for codes: call it once when both are needed."""
-    if c.n == 2 * c.k:
-        zeros = np.zeros((c.k, c.n), dtype=np.int64)
-        m = GeneratorMatrix(c.p, np.vstack([c.gen.T, zeros]), np.vstack([zeros, parity_check(c)]))
-        g = to_graph(m)[0]
-        if is_ame(g).is_ame:
-            return m, g
-    raise NotAmeCodeError(f"[{c.n},{c.k}]_{c.p} code is not MDS with n = 2k")
+    the graph's floor(n/2) cuts all have full rank; NotAmeCodeError, naming
+    the first failing cut 1-indexed, otherwise. This is the one AME gate
+    for codes: call it once when both are needed."""
+    fail = f"[{c.n},{c.k}]_{c.p} code state is not AME"
+    if c.n < 2:
+        raise NotAmeCodeError(f"{fail}: one qudit has no cut")
+    h = parity_check(c)
+    m = GeneratorMatrix(c.p, np.vstack([c.gen.T, 0 * h]), np.vstack([0 * c.gen.T, h]))
+    g = to_graph(m)[0]
+    report = is_ame(g)
+    if report.is_ame:
+        return m, g
+    cut = report.witness
+    shown = ",".join(str(v + 1) for v in cut)
+    raise NotAmeCodeError(f"{fail}: cut {{{shown}}} has rank {report.cut_ranks[cut]} < {len(cut)}")
 
 
 def ame_generator_matrix(c: LinearCode) -> GeneratorMatrix:
     """Stabilizer matrix [[G^T, 0], [0, H]] of the codeword superposition.
 
     X-type rows shift by codewords; Z-type rows phase by parity checks.
-    Only defined for codes with n = 2k and distance k + 1, which is
-    decided by the cut ranks of the matrix's reduced graph, without
-    enumerating codewords.
+    Only defined when that state is AME (MDS with k = floor(n/2) or
+    ceil(n/2)), which the cut ranks of the matrix's reduced graph decide
+    without enumerating codewords.
     """
     return certified(c)[0]
 

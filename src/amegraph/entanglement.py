@@ -15,10 +15,9 @@ witness is the first cut ranked below its size; fast mode stops
 recording there. At even n, is_ame ranks only the half cuts holding
 vertex 0, which come first in lexicographic order, and reports the rest,
 their complements in reverse order, with the same ranks (rank(A^T) =
-rank(A)). codes certifies [2k, k]_p codes through is_ame on
-the graph their codeword state reduces to: the code is MDS exactly when
-that graph is AME, since a size-k cut loses rank exactly when a nonzero
-codeword vanishes on one side of it.
+rank(A)). codes certifies [n, k]_p codes through is_ame on the graph
+their codeword state reduces to, whose cut (A, A') has rank
+rank G[A] + rank G[A'] - k for the code's generator matrix G.
 
 lc_orbit and its helpers explore the graphs that the two local rewrites
 (op_mult, op_star) reach; every cut rank is the same across an orbit.

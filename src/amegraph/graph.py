@@ -138,13 +138,6 @@ def graph_from_edges(p: int, n: int, edges) -> Graph:
     return Graph(p, a)
 
 
-def row_restrict(g: Graph, v: int, cut) -> np.ndarray:
-    """Row v of the adjacency with the columns in `cut` deleted."""
-    drop = set(cut)
-    keep = [u for u in range(g.n) if u not in drop]
-    return g.adj[v, keep].copy()
-
-
 def vertex_list(n: int, vertices) -> list:
     """`vertices` as a list, once each lies in [0, n) and none repeats: the
     one check of a cut or a measured set, O(|vertices|) in plain Python."""
@@ -205,9 +198,7 @@ def z_measure_symbolic(s: LabeledGraph, cut, outcomes) -> LabeledGraph:
     if out.shape != (len(cut),):
         raise ValueError("one outcome per measured vertex required")
     keep = [u for u in range(g.n) if u not in set(cut)]
-    label = s.label[keep].copy()
-    for k, a in zip(cut, out):
-        label = (label + a * row_restrict(g, k, cut)) % g.p
+    label = (s.label[keep] + out @ g.adj[np.ix_(cut, keep)]) % g.p
     return LabeledGraph(truncate(g, cut), label)
 
 

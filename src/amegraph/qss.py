@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gfp
 from .entanglement import is_ame
-from .graph import Graph, LabeledGraph, row_restrict, truncate
+from .graph import Graph, LabeledGraph, truncate, vertex_list
 from .simulator import (
     DEFAULT_CAP,
     StateVector,
@@ -81,11 +81,7 @@ class RampScheme:
 
     def __post_init__(self):
         _check_scheme_graph(self.graph)
-        object.__setattr__(self, "dealers", tuple(sorted(self.dealers)))
-        if len(set(self.dealers)) != len(self.dealers):
-            raise ValueError("dealers must be distinct")
-        if not all(0 <= d < self.graph.n for d in self.dealers):
-            raise ValueError("dealers must be vertices")
+        object.__setattr__(self, "dealers", tuple(sorted(vertex_list(self.graph.n, self.dealers))))
         if not 1 <= len(self.dealers) <= self.graph.n // 2:
             raise ValueError("need 1 <= L <= m dealers")
 
@@ -166,7 +162,7 @@ def encode_symbolic(scheme, secret, outcomes):
     outcomes = [tuple(o) for o in outcomes]
     s = _secret_array(scheme, secret)
     w = omega_powers(p)
-    rows = [row_restrict(g, d, dealers) for d in dealers]
+    rows = g.adj[np.ix_(dealers, scheme.players)]
     trunc = truncate(g, dealers)
     terms = []
     for flat, digits in enumerate(gfp.digits(np.arange(p**L), p, L).tolist()):
@@ -199,19 +195,14 @@ def recovery_map(scheme, authorized) -> np.ndarray:
     g = scheme.graph
     p = g.p
     dealers = list(scheme.dealers)
-    B = sorted(authorized)
-    if set(B) & set(dealers):
-        raise ValueError("authorized set must not contain dealers")
+    B = sorted(vertex_list(g.n, authorized))
     if not set(B) <= set(scheme.players):
         raise ValueError("authorized set must consist of players")
     if len(B) < scheme.m:
         raise NotAuthorizedError(f"need at least {scheme.m} players")
     traced = [v for v in scheme.players if v not in set(B)]
-    removed = sorted(dealers + traced)
-    rows = [row_restrict(g, d, removed) for d in dealers]
-    rows += [row_restrict(g, k, removed) for k in traced]
-    R = np.array(rows, dtype=np.int64) % p
-    if gfp.mat_rank(R, p) != len(rows):
+    R = g.adj[np.ix_(dealers + traced, B)]
+    if gfp.mat_rank(R, p) != R.shape[0]:
         raise NotAuthorizedError("restricted rows are dependent")  # non-AME only
     # complete to a basis of the label space with unit vectors
     full = R
@@ -225,7 +216,7 @@ def recovery_map(scheme, authorized) -> np.ndarray:
             full = cand
     rinv = gfp.mat_inverse(full, p)
 
-    sub = truncate(g, removed)
+    sub = truncate(g, dealers + traced)
     base = graph_state_amplitudes(sub)
     dim = p ** len(B)
     labels = gfp.digits(np.arange(dim), p, len(B))  # all label vectors, little-endian enumeration
@@ -331,7 +322,10 @@ def audit(scheme, secrets: int, rng: np.random.Generator):
     """Yield ("AUTH", players, min fidelity) per authorized set of m players,
     then ("FORBID", players, max trace distance) per forbidden set of 1 ... m - L
     players, in combinations order: `secrets` random secrets per Bell outcome
-    (every one for a threshold scheme, (0, 0) for ramp), `secrets` pairs per set."""
+    (every one for a threshold scheme, (0, 0) for ramp), `secrets` pairs per set.
+    A count below 1 would test nothing: ValueError before the first row."""
+    if secrets < 1:
+        raise ValueError(f"need at least one secret, got {secrets}")
     p, m, L = scheme.graph.p, scheme.m, len(scheme.dealers)
     threshold = isinstance(scheme, ThresholdScheme)
     outcomes = list(product(range(p), repeat=2)) if threshold else [(0, 0)]

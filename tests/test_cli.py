@@ -73,9 +73,9 @@ def test_entropy_cut(c4_file, capsys):
 
 
 @pytest.mark.parametrize("cut,err", [
-    ("0", "error: vertex -1 is not in [0, 4)\n"),
-    ("1,9", "error: vertex 8 is not in [0, 4)\n"),
-    ("1,1", "error: vertex 0 is given twice\n"),
+    ("0", "error: vertex 0 is not in [1, 4]\n"),
+    ("1,9", "error: vertex 9 is not in [1, 4]\n"),
+    ("1,1", "error: vertex 1 is given twice\n"),
 ], ids=["zero", "past-n", "repeat"])
 def test_entropy_bad_cut_exits_2(quad_file, capsys, cut, err):
     assert main(["entropy", quad_file, "--cut", cut]) == 2
@@ -187,6 +187,18 @@ def test_code2graph_rejects_non_ame_code(capsys):
     assert capsys.readouterr().out.startswith("FAIL")
 
 
+def test_code2graph_odd_n(tmp_path, capsys):
+    # a GRS code with k = (n - 1)/2 gives an AME graph on an odd number of parties
+    path = str(tmp_path / "ame7.graph")
+    assert main(["code2graph", "grs:7,7,3", "--out", path]) == 0
+    assert main(["verify", path, "--oracle"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "AME yes" and out[-1].startswith("ORACLE agree")
+    assert len(out) == 2 + 35  # every 3|4 cut of the 7 vertices
+    assert main(["code2graph", "grs:7,7,2"]) == 1
+    assert capsys.readouterr().out == "FAIL [7,2]_7 code state is not AME: cut {1,2,3} has rank 2 < 3\n"
+
+
 def test_code2graph_unknown(capsys):
     assert main(["code2graph", "mystery"]) == 2
 
@@ -215,6 +227,18 @@ def test_qss_threshold_audit(quad_file, capsys):
 def test_qss_rejects_not_ame(c4_file, capsys):
     assert main(["qss", "--graph", c4_file, "--mode", "threshold",
                  "--dealers", "1", "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize("flags,err", [
+    (["--secrets", "0"], "error: need at least one secret, got 0\n"),
+    (["--secrets", "-2"], "error: need at least one secret, got -2\n"),
+    (["--dealers", "5"], "error: vertex 5 is not in [1, 4]\n"),
+    (["--dealers", "0"], "error: vertex 0 is not in [1, 4]\n"),
+], ids=["no-secret", "negative", "dealer-past-n", "dealer-zero"])
+def test_qss_bad_arguments_exit_2(quad_file, capsys, flags, err):
+    assert main(["qss", "--graph", quad_file, "--mode", "threshold", "--seed", "1"] + flags) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == err
 
 
 def test_qss_ramp_audit(tmp_path, capsys):

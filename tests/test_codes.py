@@ -10,7 +10,8 @@ from amegraph import codes
 from amegraph import gfp
 from amegraph.entanglement import cut_edits, is_ame
 from amegraph.repro import _codeword_state, _stabilized_by_displacements
-from amegraph.stabilizer import is_valid
+from amegraph.simulator import build_graph_state, cut_entropy_edits
+from amegraph.stabilizer import GeneratorMatrix, is_valid, to_graph
 
 
 def test_linear_code_validation():
@@ -73,10 +74,27 @@ def test_mds_flags():
     ham = codes.hamming433()
     assert codes.is_mds(ham)
     codes.certified(ham)
+    # the 3-bit repetition code is MDS with k = floor(3/2): its codeword
+    # state is the GHZ state, which is AME
     rep = codes.LinearCode(2, np.array([[1], [1], [1]]))
     assert codes.is_mds(rep)
-    with pytest.raises(codes.NotAmeCodeError):
-        codes.certified(rep)
+    g = codes.certified(rep)[1]
+    report = is_ame(g, full=True)
+    assert report.is_ame and list(report.cut_ranks.values()) == [1, 1, 1]
+    graph_state, ghz = build_graph_state(g), _codeword_state(rep)
+    for cut, rank in report.cut_ranks.items():
+        assert abs(cut_entropy_edits(graph_state, cut) - rank) < 1e-9
+        assert abs(cut_entropy_edits(ghz, cut) - rank) < 1e-9
+    # the 4-bit repetition code is MDS too, but k = 1 < floor(4/2)
+    rep4 = codes.LinearCode(2, np.ones((4, 1), dtype=np.int64))
+    assert codes.is_mds(rep4)
+    with pytest.raises(codes.NotAmeCodeError, match=r"not AME: cut \{1,2\} has rank 1 < 2"):
+        codes.certified(rep4)
+
+
+def test_one_qudit_code_is_not_ame():
+    with pytest.raises(codes.NotAmeCodeError, match="one qudit"):
+        codes.certified(codes.LinearCode(3, np.array([[1]])))
 
 
 @pytest.mark.parametrize("p,n,k", [(5, 4, 2), (7, 6, 3), (11, 4, 2), (13, 6, 3)])
@@ -146,9 +164,14 @@ def test_ame_generator_matrix_grs_valid():
 
 
 def test_ame_generator_matrix_rejects_non_ame():
+    # the GHZ code [3,1]_2 has one; the non-MDS [4,2,2]_2 code has none
     rep = codes.LinearCode(2, np.array([[1], [1], [1]]))
-    with pytest.raises(codes.NotAmeCodeError):
-        codes.ame_generator_matrix(rep)
+    m = codes.ame_generator_matrix(rep)
+    assert is_valid(m) and m.x.tolist() == [[1, 1, 1], [0, 0, 0], [0, 0, 0]]
+    pairs = codes.LinearCode(2, np.array([[1, 0], [1, 0], [0, 1], [0, 1]]))
+    assert codes.min_distance(pairs) == 2
+    with pytest.raises(codes.NotAmeCodeError, match=r"\[4,2\]_2 code state is not AME"):
+        codes.ame_generator_matrix(pairs)
 
 
 @pytest.mark.parametrize(
@@ -162,20 +185,49 @@ def test_code_to_ame_graph(code):
     assert is_ame(g).is_ame
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.data())
-def test_cut_rank_gate_matches_min_distance(p, k, data):
-    # [2k, k] codes: AME through the graph's cut ranks exactly when MDS
-    n = 2 * k
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(2, 6), st.data())
+def test_cut_rank_gate_matches_min_distance(p, n, data):
+    # the codeword state holds rank G[A] + rank G[A'] - k edits across every
+    # cut A, so the gate passes exactly the MDS codes with k = floor(n/2)
+    # or ceil(n/2)
+    k = data.draw(st.integers(1, n))
     gen = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=n * k, max_size=n * k))).reshape(n, k)
     assume(gfp.mat_rank(gen, p) == k)
     c = codes.LinearCode(p, gen)
-    mds = codes.min_distance(c) == k + 1
-    if mds:
-        assert is_ame(codes.certified(c)[1]).is_ame
+    h = codes.parity_check(c)
+    g = to_graph(GeneratorMatrix(p, np.vstack([gen.T, 0 * h]), np.vstack([0 * gen.T, h])))[0]
+    for size in range(1, n):
+        for cut in itertools.combinations(range(n), size):
+            rest = [v for v in range(n) if v not in cut]
+            assert cut_edits(g, cut) == gfp.mat_rank(gen[list(cut)], p) + gfp.mat_rank(gen[rest], p) - k
+    if codes.min_distance(c) == n - k + 1 and k in (n // 2, (n + 1) // 2):
+        assert codes.certified(c)[1] == g
     else:
         with pytest.raises(codes.NotAmeCodeError):
             codes.certified(c)
+
+
+@pytest.mark.parametrize("n", range(3, 18, 2))
+def test_grs_graph_is_ame_for_odd_n(n):
+    # AME graph states exist for odd numbers of parties as well, from GRS
+    # codes with k = (n - 1)/2 or (n + 1)/2 at the smallest prime p >= n - 1;
+    # n = 3 is the doubly extended [3, k]_2 code
+    p = min(q for q in range(n - 1, 2 * n) if gfp.is_prime(q))
+    m = n // 2
+    cuts = list(itertools.combinations(range(n), m))
+    if n > 13:  # every scalar rank would take seconds: a fixed sample
+        rng = np.random.default_rng(n)
+        cuts = [cuts[i] for i in rng.choice(len(cuts), size=1000, replace=False)]
+    for k in (m, m + 1):
+        g = codes.code_to_ame_graph(codes.grs_code(p, n, k))
+        rep = is_ame(g)
+        assert rep.is_ame and rep.witness is None and g.n == n
+        assert list(rep.cut_ranks) == list(itertools.combinations(range(n), m))
+        assert all(rep.cut_ranks[cut] == cut_edits(g, cut) == m for cut in cuts)
+        if n <= 7:  # each 3|4 entropy at p = 7 is a 343 x 2401 spectrum: every seventh cut
+            state = build_graph_state(g)
+            assert all(abs(cut_entropy_edits(state, cut) - m) < 1e-6 for cut in cuts[::1 if n < 7 else 7])
 
 
 @pytest.mark.parametrize("code", [codes.hamming433(), codes.grs_code(5, 4, 2)],

@@ -25,6 +25,7 @@ from amegraph.graph import (
     op_mult,
     op_star,
     permute,
+    truncate,
 )
 from amegraph.simulator import build_graph_state, cut_entropy_edits
 from amegraph.witnesses import ame44_grouped, ame62, c5, quad_weighted
@@ -130,6 +131,32 @@ def test_dense_oracle_agreement_small():
                 for size in range(1, n // 2 + 1):
                     for cut in itertools.combinations(range(n), size):
                         assert abs(cut_entropy_edits(state, cut) - cut_edits(g, cut)) < 1e-6
+
+
+@pytest.mark.parametrize("name", [
+    "quad:3", "quad:5", "quad:7", "ame62", "grs:3,4,2", "grs:5,4,2", "grs:5,6,3", "grs:7,6,3",
+    "grs:7,8,4", "grs:11,10,5", "grs:11,12,6", "grs:13,14,7", "grs:17,16,8", "grs:17,18,9",
+])
+def test_deleting_a_vertex_keeps_ame(name):
+    # deleting a vertex Z-measures its qudit, and an AME state on an even
+    # number n of parties leaves one on n - 1 (arXiv:1204.2289)
+    if name.startswith("grs:"):
+        g = codes.code_to_ame_graph(codes.get_code(name))
+    else:
+        g = ame62() if name == "ame62" else quad_weighted(int(name[5:]))
+    assert g.n % 2 == 0 and is_ame(g).is_ame
+    rng = np.random.default_rng(g.n * g.p)
+    for v in range(g.n):
+        h = truncate(g, [v])
+        rep = is_ame(h)
+        assert rep.is_ame and rep.witness is None
+        cuts = list(rep.cut_ranks)
+        sample = [cuts[i] for i in rng.choice(len(cuts), size=min(len(cuts), 40), replace=False)]
+        assert all(rep.cut_ranks[cut] == cut_edits(h, cut) == len(cut) for cut in sample)
+        if h.n <= 7:  # one 3|4 entropy at p = 7 is a 343 x 2401 spectrum: one cut there
+            state = build_graph_state(h)
+            for cut in sample[:1] if h.n == 7 else sample:
+                assert abs(cut_entropy_edits(state, cut) - len(cut)) < 1e-6
 
 
 def test_maximal_implies_smaller_cuts_maximal():

@@ -27,7 +27,6 @@ from amegraph.graph import (
     parse_graph,
     parse_graph_line,
     permute,
-    row_restrict,
     slot_matrix,
     to_dot,
     truncate,
@@ -59,12 +58,6 @@ def test_empty_edge_list():
     assert (g.adj == 0).all() and g.n == 3
 
 
-def test_quad_weighted_cut_vectors():
-    g = quad()
-    assert row_restrict(g, 0, (0, 3)).tolist() == [1, 1]
-    assert row_restrict(g, 3, (0, 3)).tolist() == [2, 1]
-
-
 def test_construction_errors():
     with pytest.raises(gr.SelfLoopError):
         graph_from_edges(2, 3, [(1, 1, 1)])
@@ -91,11 +84,6 @@ def test_graph_checks(p, adj, error, message):
 def test_zero_weight_edge_dropped():
     g = graph_from_edges(3, 3, [(0, 1, 0), (1, 2, 1)])
     assert g.edges() == [(1, 2, 1)]
-
-
-def test_row_restrict_full_cut():
-    g = c4()
-    assert row_restrict(g, 1, (0, 1, 2, 3)).size == 0
 
 
 def test_truncate_examples():

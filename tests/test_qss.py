@@ -33,6 +33,10 @@ def test_scheme_shape():
     r = qss.RampScheme(ame62(), (2, 0))
     assert r.dealers == (0, 2) and r.L == 2
     assert r.players == (1, 3, 4, 5)
+    with pytest.raises(ValueError, match="vertex 0 is given twice"):
+        qss.RampScheme(ame62(), (0, 0))
+    with pytest.raises(ValueError, match=r"vertex 6 is not in \[0, 6\)"):
+        qss.RampScheme(ame62(), (0, 6))
 
 
 def test_encode_zero_secret_is_truncated_graph_state(quad_scheme):
@@ -94,6 +98,9 @@ def test_recovery_map_too_small(quad_scheme):
 def test_recovery_map_rejects_dealer(quad_scheme):
     with pytest.raises(ValueError):
         qss.recovery_map(quad_scheme, (0, 1))
+    # a repeated player is refused as such, not as a dependent row set
+    with pytest.raises(ValueError, match="vertex 1 is given twice"):
+        qss.recovery_map(quad_scheme, (1, 1, 2))
 
 
 def test_threshold_fidelity_all_sets_outcomes(quad_scheme):
@@ -218,3 +225,10 @@ def test_audit_yields_authorized_then_forbidden_sets(scheme, auth, forbid):
         [("AUTH", b) for b in auth] + [("FORBID", f) for f in forbid]
     for kind, _, value in rows:
         assert value >= 1 - 1e-9 if kind == "AUTH" else value <= 1e-9
+
+
+@pytest.mark.parametrize("secrets", [0, -1])
+def test_audit_refuses_fewer_than_one_secret(quad_scheme, secrets):
+    # no secret tested would pass every set vacuously
+    with pytest.raises(ValueError, match="at least one secret"):
+        next(qss.audit(quad_scheme, secrets, np.random.default_rng(0)))
