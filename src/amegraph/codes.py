@@ -195,11 +195,12 @@ def parse_code(text: str) -> LinearCode:
     if not rows or len(rows[0]) != 3:
         raise ValueError("header must be `p n k`")
     p, n, k = (int(v) for v in rows[0])
+    gfp.ensure_prime(p)  # first, so that every entry reduced mod p fits int64
     if len(rows) != k + 1:
         raise ValueError(f"expected {k} generator columns")
     cols = []
     for parts in rows[1:]:
         if len(parts) != n:
             raise ValueError("each column needs n residues")
-        cols.append([int(v) for v in parts])
+        cols.append([int(v) % p for v in parts])
     return LinearCode(p, np.array(cols, dtype=np.int64).T)

@@ -149,8 +149,10 @@ def parse_manifest(text: str, base_dir=".") -> CompositeAme:
         parts = line.split()
         if len(parts) != 5 or parts[0] != "factor" or parts[3] != "groupsize":
             raise ValueError(f"bad manifest line: {raw!r}")
-        p, path, gs = int(parts[1]), parts[2], int(parts[4])
-        entries.append((p, load_graph(base / path), gs))
+        p, g, gs = int(parts[1]), load_graph(base / parts[2]), int(parts[4])
+        if p != g.p or not 1 <= gs <= g.n:  # else d = prod p^gs could take a huge p or gs
+            raise ValueError(f"bad manifest line: {raw!r} (the graph has p = {g.p} and {g.n} vertices)")
+        entries.append((p, g, gs))
     if not entries:
         raise ValueError("empty manifest")
     n_parties = {g.n // gs for _, g, gs in entries}

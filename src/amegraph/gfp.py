@@ -53,6 +53,8 @@ def is_prime(p: int) -> bool:
 
 
 def ensure_prime(p: int) -> int:
+    if p >= 2:  # every exact path refuses a larger p; is_prime takes sqrt(p) steps
+        _check_exact(p)
     if not is_prime(p):
         raise NotPrimeError(f"p = {p} is not prime")
     return p

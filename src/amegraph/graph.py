@@ -3,6 +3,13 @@
 A Graph is (p, adjacency): a symmetric zero-diagonal matrix of edge
 weights in [0, p), weight 0 meaning no edge. Vertices are 0-indexed in
 the API; the text format and DOT export are 1-indexed.
+
+Canonical labelling lives here alone. The canonical form is the
+lexicographically smallest relabeling by the permutations that map
+consecutive blocks of vertices onto blocks; canonical_words computes it
+for a batch of edge words, is_minimal_word tells which words already are
+minimal, and check_relabelings bounds both at 8! relabelings before any
+is enumerated.
 """
 
 from __future__ import annotations
@@ -120,7 +127,11 @@ def empty_graph(p: int, n: int) -> Graph:
 
 
 def graph_from_edges(p: int, n: int, edges) -> Graph:
-    """Build a graph from (i, j, w) triples; zero-weight edges are dropped."""
+    """Build a graph from (i, j, w) triples; zero-weight edges are dropped.
+    p is checked, and n bounded by the adjacency's bytes, before allocating."""
+    gfp.ensure_prime(p)
+    if n * n * 8 > gfp._TABLE_CAP:
+        raise ValueError(f"{n} vertices need {n * n * 8} bytes of adjacency; at most {gfp._TABLE_CAP} allowed")
     a = np.zeros((n, n), dtype=np.int64)
     seen = set()
     for i, j, w in edges:
@@ -260,10 +271,26 @@ def graph_from_word(p: int, n: int, word) -> Graph:
     return graphs_from_words(p, n, [word])[0]
 
 
+_RELABELINGS = 40320  # 8!: the most relabelings canonical labelling enumerates
+
+
+def check_relabelings(gcount: int, gsize: int) -> None:
+    """Refuse gcount blocks of gsize vertices when they have more than
+    _RELABELINGS relabelings, gcount! * gsize!^gcount. The product stops
+    once past the bound, gcount! first, so it forms no large number."""
+    count = 1
+    for factor in itertools.chain(range(2, gcount + 1), (k**gcount for k in range(2, gsize + 1))):
+        count *= factor
+        if count > _RELABELINGS:
+            raise ValueError(f"canonical labelling enumerates at most {_RELABELINGS} relabelings; "
+                             f"{gcount} blocks of size {gsize} have more")
+
+
 @lru_cache(maxsize=8)
 def _group_perms(gcount: int, gsize: int) -> np.ndarray:
     """Permutations that map consecutive size-gsize blocks onto blocks;
     gsize = 1 gives all gcount! permutations."""
+    check_relabelings(gcount, gsize)
     sigma = np.array(list(itertools.permutations(range(gcount))), dtype=np.int64)
     taus = np.array(
         list(itertools.product(itertools.permutations(range(gsize)), repeat=gcount)), dtype=np.int64
@@ -323,9 +350,9 @@ def canonical_words(words, base: int, gcount: int, gsize: int = 1) -> np.ndarray
     minimum is taken limb by limb among the relabelings still tied.
     """
     words = np.asarray(words)
+    gathers, limbs = _relabelings(gcount, gsize, base)  # refuses past the bound, whatever the words
     if words.size == 0:
         return words.copy()
-    gathers, limbs = _relabelings(gcount, gsize, base)
     out = np.empty_like(words)
     rows = max(1, _BLOCK // len(gathers))
     for lo in range(0, len(words), rows):
@@ -343,17 +370,62 @@ def canonical_words(words, base: int, gcount: int, gsize: int = 1) -> np.ndarray
     return out
 
 
-def _canonical(g: Graph, gcount: int, gsize: int) -> Graph:
-    return graph_from_word(g.p, g.n, canonical_words(edge_word(g)[None, :], g.p, gcount, gsize)[0])
+@lru_cache(maxsize=8)
+def _swap_keys(gcount: int, gsize: int, base: int) -> np.ndarray:
+    """(E, n) float64 matrix: word @ column 0 is the edge word read as a
+    big-endian base-`base` number, and word @ column k that of the word
+    relabeled by the k-th adjacent swap, which swaps vertices k - 1 and k
+    when they share a block, else the block ending at k - 1 with the next.
+    Exact while base^E <= 2^53."""
+    n = gcount * gsize
+    perms = np.tile(np.arange(n), (n - 1, 1))
+    for v, perm in enumerate(perms):
+        if (v + 1) % gsize:  # v and v + 1 share a block: swap them
+            perm[[v, v + 1]] = v + 1, v
+        else:  # v ends a block: swap that block with the next
+            first = v + 1 - gsize
+            perm[first : first + 2 * gsize] = np.roll(perm[first : first + 2 * gsize], gsize)
+    i, j = _upper(n)
+    gathers = slot_matrix(n)[perms[:, i], perms[:, j]]
+    big = float(base) ** np.arange(len(i) - 1, -1, -1)
+    keys = np.zeros((len(i), n))
+    keys[:, 0] = big
+    for k, gather in enumerate(gathers, 1):
+        keys[gather, k] = big  # the relabeled word holds word[gather[s]] at slot s
+    keys.setflags(write=False)
+    return keys
+
+
+def _swap_smaller(words: np.ndarray, base: int, gcount: int, gsize: int = 1) -> np.ndarray:
+    """True where one adjacent swap (_swap_keys) makes the edge word
+    smaller, so that it is not the minimal word of its class."""
+    keys = words @ _swap_keys(gcount, gsize, base)
+    return (keys[:, 1:] < keys[:, :1]).any(axis=1)
+
+
+def is_minimal_word(words, base: int, gcount: int, gsize: int = 1) -> np.ndarray:
+    """True where canonical_words leaves the edge word unchanged. The bound
+    is checked before any word is read. A word that one adjacent swap makes
+    smaller (_swap_smaller, exact while base^E <= 2^53; past that every
+    word passes) is not minimal, and only the others go to canonical_words.
+    The swap test runs on blocks whose float64 copy holds at most _BLOCK
+    numbers."""
+    check_relabelings(gcount, gsize)
+    words = np.asarray(words)
+    smaller = np.zeros(len(words), dtype=bool)
+    if base ** words.shape[1] <= _EXACT:  # else every word goes to canonical_words
+        rows = _BLOCK // max(words.shape[1], 1)
+        for lo in range(0, len(words), rows):
+            smaller[lo : lo + rows] = _swap_smaller(words[lo : lo + rows], base, gcount, gsize)
+    alive = np.flatnonzero(~smaller)
+    out = np.zeros(len(words), dtype=bool)
+    out[alive] = (canonical_words(words[alive], base, gcount, gsize) == words[alive]).all(axis=1)
+    return out
 
 
 def canonical_form(g: Graph) -> Graph:
     """Lexicographically minimal relabeling, exact via all n! permutations."""
-    if g.n > 8:
-        raise ValueError("canonical_form enumerates n! permutations; n <= 8 only")
-    if g.n <= 1:
-        return g
-    return _canonical(g, g.n, 1)
+    return canonical_form_grouped(g, 1)
 
 
 def canonical_form_grouped(g: Graph, group_size: int) -> Graph:
@@ -364,12 +436,10 @@ def canonical_form_grouped(g: Graph, group_size: int) -> Graph:
     """
     if g.n % group_size:
         raise ValueError("group size must divide the vertex count")
-    gcount = g.n // group_size
-    if group_size == 1:
-        return canonical_form(g)
-    if gcount > 5 or g.n > 12:
-        raise ValueError("grouped canonical form is desk-scale only")
-    return _canonical(g, gcount, group_size)
+    if g.n <= 1:
+        return g
+    word = canonical_words(edge_word(g)[None, :], g.p, g.n // group_size, group_size)[0]
+    return graph_from_word(g.p, g.n, word)
 
 
 @dataclass(frozen=True)

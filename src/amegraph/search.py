@@ -58,50 +58,35 @@ for the prune_canonical layer and for cuts whose row index would not fit
 int64.
 
 Witnesses are reported one per relabeling class (relabelings that keep
-the groups, when there are groups), as the canonical form of graph.py.
-Canonicalisation stays on edge words: the lexicographically smallest
-adjacency of a class is the relabeling whose edge word is the smallest
-big-endian number, and graph.canonical_words finds it for a whole batch
-of words with one float64 matrix product per block of words and
-relabelings. That product is exact while base^E <= 2^53; longer words
-are compared in limbs of at most 2^53 each, most significant first.
-
-Before that, one float64 product per block of words reads each word and
-its n - 1 adjacent swaps (two adjacent vertices of a group, or two
-adjacent groups) as numbers (_swap_keys). A word that a swap makes
-smaller is not the minimal word of its class; at n = 6, p = 2 this
-rejects 99 % of all words. An exhaustive run drops such raw witnesses
-(no class loses its minimal word), canonicalises the rest at once,
-dedupes their integer ids with np.unique and builds the Graph of every
-class with one graph.graphs_from_words call, which checks all of them as
-one stack. The prune_canonical layer drops every graph whose edge word
-is not already minimal: the swap test rejects most of them, and only the
-words that pass it are compared with every relabeling. Past 2^53 every
-word goes to the full comparison. A result's `elapsed` covers the whole
-call, canonicalisation included.
+the groups) as graph's canonical form. graph owns the minimality test
+and the relabeling bound, which an exhaustive run checks before it
+scans. The predicate and the zero-row and canonical layers are invariant
+under those relabelings, so the classes are the raw witnesses that
+graph.is_minimal_word keeps, made Graphs by one graphs_from_words call.
+Scale-normal witnesses (prune_rescale) are not closed under relabeling:
+those are canonicalised and deduped by integer id. The prune_canonical
+layer drops the graphs is_minimal_word rejects. A result's `elapsed`
+covers the whole call, canonicalisation included.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import combinations
-from math import factorial
 
 import numpy as np
 
 from . import gfp
 from .entanglement import cut_edits, cut_plan
 from .graph import (
-    _BLOCK,
-    _EXACT,
     Graph,
-    canonical_form,
     canonical_form_grouped,
     canonical_words,
+    check_relabelings,
     graph_from_word,
     graphs_from_words,
+    is_minimal_word,
     slot_matrix,
 )
 
@@ -109,9 +94,6 @@ _CHUNK = 1 << 16
 _LOW_IDS = 1 << 14  # most ids in one block of the exhaustive scan
 _BLOCK_BATCH = 1 << 10  # blocks whose chunk ids and row keys are expanded together
 _REUSE_CAP = 256  # most first-cut survivor arrays the scan keeps for reuse, each of at most _LOW_IDS intp
-# most relabelings canonical pruning compares a word with, once no adjacent
-# swap makes it smaller (6! at n = 6)
-_PRUNE_RELABELINGS = 720
 
 
 class BudgetExceededError(ValueError):
@@ -443,11 +425,6 @@ def _scan_blocks(spec: SearchSpec) -> tuple[np.ndarray, int, int]:
     return np.concatenate(wit), examined, pruned_total
 
 
-def _minimal_words(weights: np.ndarray, spec: SearchSpec) -> np.ndarray:
-    """Minimal edge words over the relabelings that keep the groups."""
-    return canonical_words(weights, spec.base, spec.n // spec.group_size, spec.group_size)
-
-
 def _prune_mask(weights: np.ndarray, spec: SearchSpec) -> np.ndarray:
     """True where a pruning layer rejects the graph before the predicate."""
     n = spec.n
@@ -470,32 +447,8 @@ def _prune_mask(weights: np.ndarray, spec: SearchSpec) -> np.ndarray:
         # keep one graph per orbit of the relabelings that preserve the
         # groups (the predicate is invariant under exactly these): the one
         # whose edge word is already minimal
-        gcount, gsize = n // spec.group_size, spec.group_size
-        if factorial(gcount) * factorial(gsize) ** gcount > _PRUNE_RELABELINGS:
-            raise ValueError(
-                f"canonical pruning compares each graph that no adjacent swap "
-                f"makes smaller with all its relabelings; at most {_PRUNE_RELABELINGS} allowed"
-            )
-        pruned |= _not_minimal(weights, spec)
+        pruned |= ~is_minimal_word(weights, spec.base, n // spec.group_size, spec.group_size)
     return pruned
-
-
-def _not_minimal(weights: np.ndarray, spec: SearchSpec) -> np.ndarray:
-    """True where some relabeling that keeps the groups makes the edge word
-    smaller. A word that an adjacent swap (_swap_smaller) makes smaller is
-    not minimal; only the others are compared with every relabeling. The
-    words go in blocks whose float64 copy holds at most graph._BLOCK
-    numbers. Past 2^53 every word is compared with every relabeling."""
-    if spec.base**spec.edge_slots > _EXACT:
-        return (_minimal_words(weights, spec) != weights).any(axis=1)
-    out = np.ones(len(weights), dtype=bool)
-    rows = max(1, _BLOCK // spec.edge_slots)
-    for lo in range(0, len(weights), rows):
-        block = weights[lo : lo + rows]
-        alive = np.flatnonzero(~_swap_smaller(block, spec))
-        words = block[alive]
-        out[lo + alive] = (_minimal_words(words, spec) != words).any(axis=1)
-    return out
 
 
 def _weights_from_ids(ids: np.ndarray, spec: SearchSpec) -> np.ndarray:
@@ -503,77 +456,35 @@ def _weights_from_ids(ids: np.ndarray, spec: SearchSpec) -> np.ndarray:
 
 
 def _dedupe_canonical(graphs: list[Graph], group_size: int = 1) -> list[Graph]:
-    """Scalar reference dedupe: one canonical_form call per graph."""
+    """Scalar reference dedupe: one canonical_form_grouped call per graph."""
     seen: dict[bytes, Graph] = {}
     for g in graphs:
-        cf = canonical_form_grouped(g, group_size) if group_size > 1 else canonical_form(g)
+        cf = canonical_form_grouped(g, group_size)
         seen.setdefault(cf.adj.tobytes(), cf)
     return [seen[k] for k in sorted(seen)]
 
 
-@lru_cache(maxsize=8)
-def _swap_keys(n: int, group_size: int, base: int) -> np.ndarray:
-    """(E, n) float64 matrix: word @ column 0 is the edge word read as a
-    big-endian base-`base` number, and word @ column k that of the word
-    relabeled by the k-th adjacent swap, which swaps vertices k - 1 and k
-    when they share a group, else the group ending at k - 1 with the next.
-    Exact while base^E <= 2^53."""
-    perms = np.tile(np.arange(n), (n - 1, 1))
-    for v, perm in enumerate(perms):
-        if (v + 1) % group_size:  # v and v + 1 share a group: swap them
-            perm[[v, v + 1]] = v + 1, v
-        else:  # v ends a group: swap that group with the next
-            first = v + 1 - group_size
-            perm[first : first + 2 * group_size] = np.roll(perm[first : first + 2 * group_size], group_size)
-    i, j = np.triu_indices(n, 1)
-    gathers = slot_matrix(n)[perms[:, i], perms[:, j]]
-    big = float(base) ** np.arange(len(i) - 1, -1, -1)
-    keys = np.zeros((len(i), n))
-    keys[:, 0] = big
-    for k, gather in enumerate(gathers, 1):
-        keys[gather, k] = big  # the relabeled word holds word[gather[s]] at slot s
-    keys.setflags(write=False)
-    return keys
-
-
-def _swap_smaller(words: np.ndarray, spec: SearchSpec) -> np.ndarray:
-    """True where one adjacent swap (_swap_keys) makes the edge word
-    smaller, so that it is not the minimal word of its class."""
-    keys = words @ _swap_keys(spec.n, spec.group_size, spec.base)
-    return (keys[:, 1:] < keys[:, :1]).any(axis=1)
-
-
-def _class_candidates(ids: np.ndarray, spec: SearchSpec) -> np.ndarray:
-    """The raw witness ids that may be the minimal word of their class.
-
-    The predicate and the zero-row and canonical layers are invariant
-    under the relabelings that keep the groups, so the raw witnesses hold
-    the minimal word of each of their classes, and _canonical_classes of
-    any subset that keeps those words finds the same classes. A word that
-    an adjacent swap makes smaller (_swap_smaller) is dropped; that test
-    is exact while base^E <= 2^53. Scale-normal witnesses (prune_rescale)
-    are not closed under relabeling, so all of them are kept.
-    """
-    if (spec.prune_rescale and spec.p > 2) or spec.base**spec.edge_slots > _EXACT:
-        return ids
-    keep = [np.empty(0, dtype=np.int64)]
-    rows = _CHUNK // spec.n  # the keys of a chunk hold _CHUNK numbers
-    for start in range(0, len(ids), rows):
-        chunk = ids[start : start + rows]
-        keep.append(chunk[~_swap_smaller(_weights_from_ids(chunk, spec), spec)])
-    return np.concatenate(keep)
-
-
 def _canonical_classes(ids: np.ndarray, spec: SearchSpec) -> list[Graph]:
-    """One canonical Graph per relabeling class of the graphs with these
-    ids, in the order of _dedupe_canonical."""
-    if spec.n > 8:
-        raise ValueError("canonical_form enumerates n! permutations; n <= 8 only")
-    words = _minimal_words(_weights_from_ids(ids, spec), spec)
-    canon = np.zeros(len(words), dtype=np.int64)  # their scan ids, without an int64 copy of words
-    for digit in words.T[::-1]:
-        canon = canon * spec.base + digit
-    classes = graphs_from_words(spec.p, spec.n, _weights_from_ids(np.unique(canon), spec))
+    """One canonical Graph per relabeling class of the raw witnesses with
+    these ids, in the order of _dedupe_canonical: the minimal ones, or under
+    rescale their deduped canonical forms. Ids become words _CHUNK at a
+    time."""
+    if len(ids) == 0:
+        return []
+    gcount, gsize = spec.n // spec.group_size, spec.group_size
+    rescale = spec.prune_rescale and spec.p > 2
+    kept = []
+    for start in range(0, len(ids), _CHUNK):
+        words = _weights_from_ids(ids[start : start + _CHUNK], spec)
+        if not rescale:
+            kept.append(words[is_minimal_word(words, spec.base, gcount, gsize)])
+            continue
+        canon = np.zeros(len(words), dtype=np.int64)  # their scan ids, without an int64 copy of words
+        for digit in canonical_words(words, spec.base, gcount, gsize).T[::-1]:
+            canon = canon * spec.base + digit
+        kept.append(canon)
+    words = _weights_from_ids(np.unique(np.concatenate(kept)), spec) if rescale else np.concatenate(kept)
+    classes = graphs_from_words(spec.p, spec.n, words)
     return sorted(classes, key=lambda g: g.adj.tobytes())
 
 
@@ -587,11 +498,9 @@ def enumerate_graphs(spec: SearchSpec) -> SearchResult:
     total = spec.base**spec.edge_slots
     if total > spec.budget:
         raise BudgetExceededError(f"{total} graphs exceed the budget of {spec.budget}")
-    if spec.n > 8:  # _canonical_classes would refuse the witnesses after the scan
-        raise ValueError("canonical_form enumerates n! permutations; n <= 8 only")
+    check_relabelings(spec.n // spec.group_size, spec.group_size)  # refuse before scanning, not after
     ids, examined, pruned = _scan_blocks(spec)
-    candidates = _class_candidates(ids, spec)
-    witnesses = _canonical_classes(candidates, spec)
+    witnesses = _canonical_classes(ids, spec)
     elapsed = time.perf_counter() - t0
     return SearchResult(witnesses, examined, pruned, elapsed, True)
 
@@ -655,7 +564,7 @@ def random_search(spec: SearchSpec) -> SearchResult:
             examined += int(keep[: first + 1].sum())
             pruned_total += int(pruned[: first + 1].sum())
             g = graph_from_word(spec.p, spec.n, weights[first])
-            cf = canonical_form_grouped(g, spec.group_size) if spec.group_size > 1 else canonical_form(g)
+            cf = canonical_form_grouped(g, spec.group_size)
             return SearchResult([cf], examined, pruned_total, time.perf_counter() - t0, False)
         examined += int(keep.sum())
         pruned_total += int(pruned.sum())

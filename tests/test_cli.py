@@ -56,6 +56,36 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command, text", [
+    (["verify"], "3 65537\n"),  # a 32 GiB adjacency
+    (["verify"], "1000000000000000003 2\n"),  # a prime past exact int64 elimination
+    (["verify"], "1000000000000000003 2\n1 2 99999999999999999999\n"),
+    (["export", "--dot"], "3 725\n"),
+])
+def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, command, text):
+    path = tmp_path / "input.graph"
+    path.write_text(text)
+    assert main([command[0], str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_code_entries_past_int64_read_mod_p(tmp_path, capsys):
+    # 10^20 + 1 = 2 mod 3: the file reads as its reduced twin
+    outputs = []
+    for entry in ("100000000000000000001", "2"):
+        path = tmp_path / f"code{len(outputs)}.txt"
+        path.write_text(f"3 2 1\n{entry} 1\n")
+        code = main(["code2graph", str(path), "--code-file"])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0 and outputs[0][1].err == ""
+
+
+def test_huge_prime_code_exits_2(capsys):
+    assert main(["code2graph", "grs:1000000000000000003,4,2"]) == 2
+    assert "too large for exact int64" in capsys.readouterr().err
+
+
 def test_verify_missing_file():
     assert main(["verify", "/nonexistent/g.graph"]) == 2
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,42 @@ def test_canonical_form_grouped_is_brute_force_minimum(shape, p, data):
     assert (canonical_form_grouped(g, gsize).adj == _brute_min(g, perms)).all()
     perm = perms[data.draw(st.integers(0, len(perms) - 1))]
     assert canonical_form_grouped(permute(g, perm.tolist()), gsize) == canonical_form_grouped(g, gsize)
+
+
+@pytest.mark.parametrize("gcount, gsize", [(3, 4), (2, 6)])
+def test_canonical_form_grouped_refuses_past_relabeling_bound(gcount, gsize):
+    # 3! * 4!^3 = 82,944 and 2! * 6!^2 = 1,036,800 relabelings, over 8!
+    g = empty_graph(2, gcount * gsize)
+    with pytest.raises(ValueError, match="at most 40320 relabelings"):
+        canonical_form_grouped(g, gsize)
+
+
+def test_relabeling_bound_is_eight_factorial():
+    for gcount, gsize in ((8, 1), (1, 8), (4, 3), (2, 5), (5, 2)):  # 31,104 at 4 x 3
+        gr.check_relabelings(gcount, gsize)
+    # the huge ones are refused without forming gcount! or gsize!^gcount
+    for gcount, gsize in ((9, 1), (1, 9), (3, 4), (2, 6), (6, 2), (10**9, 2), (2, 10**9)):
+        with pytest.raises(ValueError, match="at most 40320 relabelings"):
+            gr.check_relabelings(gcount, gsize)
+    with pytest.raises(ValueError, match="at most 40320 relabelings"):
+        canonical_form(empty_graph(2, 9))
+
+
+def test_graph_from_edges_bounds_bytes_before_allocating():
+    # 65537^2 int64 weights would be 32 GiB; 725^2 * 8 bytes exceed
+    # gfp._TABLE_CAP = 2^22, and 724^2 * 8 do not
+    tracemalloc.start()
+    try:
+        for text in ("3 65537\n", "3 725\n"):
+            with pytest.raises(ValueError, match="bytes of adjacency"):
+                parse_graph(text)
+        with pytest.raises(ValueError, match="bytes of adjacency"):
+            parse_graph_line("3 725")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert graph_from_edges(3, 724, [(0, 723, 2)]).edges() == [(0, 723, 2)]
 
 
 def test_edge_word_roundtrip():

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amegraph import gfp, search
+from amegraph import graph as gr
 from amegraph.entanglement import cut_edits, is_ame, is_ame_grouped, party_cuts
 from amegraph.graph import (
     canonical_form,
@@ -17,6 +18,7 @@ from amegraph.graph import (
     format_graph_line,
     graph_from_edges,
     graph_from_word,
+    graphs_from_words,
 )
 from amegraph.search import (
     BudgetExceededError,
@@ -158,13 +160,14 @@ def test_first_cut_reuse_matches_fresh_blocks(monkeypatch, flags):
                                    dict(n=4, p=5, group_size=2, prune_zero_row=True),
                                    dict(n=4, p=5, prune_rescale=True), dict(n=5, p=5, weights_one=True)])
 def test_class_candidates_keep_every_class(flags):
+    # the classes found from the raw witnesses' minimal words (or, under
+    # rescale, their canonical ids) are the scalar dedupe of all of them
     spec = SearchSpec(**flags)
     ids = search._scan_blocks(spec)[0]
-    candidates = search._class_candidates(ids, spec)
-    assert set(candidates.tolist()) <= set(ids.tolist())
-    assert search._canonical_classes(candidates, spec) == search._canonical_classes(ids, spec)
-    if not spec.prune_rescale:
-        assert len(candidates) < len(ids)
+    raw = graphs_from_words(spec.p, spec.n, search._weights_from_ids(ids, spec))
+    classes = search._canonical_classes(ids, spec)
+    assert classes == search._dedupe_canonical(raw, spec.group_size)
+    assert 0 < len(classes) < len(ids)
 
 
 def test_exhaustive_refuses_n_over_8_before_scanning(monkeypatch):
@@ -172,7 +175,7 @@ def test_exhaustive_refuses_n_over_8_before_scanning(monkeypatch):
         raise AssertionError("scanned before refusing")
 
     monkeypatch.setattr(search, "_scan_blocks", scan)
-    with pytest.raises(ValueError, match="n <= 8 only"):
+    with pytest.raises(ValueError, match="at most 40320 relabelings"):
         enumerate_graphs(SearchSpec(n=9, p=2, budget=2**36))
     with pytest.raises(BudgetExceededError):  # the budget is still checked first
         enumerate_graphs(SearchSpec(n=9, p=2))
@@ -269,13 +272,48 @@ def test_pruning_layers_preserve_witness_classes():
 
 
 def test_prune_canonical_bounded_by_relabelings():
-    # 4 parties of 2 qudits: 4! * 2^4 = 384 relabelings, within the 720 of n = 6
+    # 4 parties of 2 qudits: 4! * 2^4 = 384 relabelings, within the 8! bound
     spec = SearchSpec(n=8, p=2, group_size=2, mode="random", seed=1, samples=1000, prune_canonical=True)
     res = random_search(spec)
     assert res.examined + res.pruned == 1000 and res.pruned > 0
-    # 7! = 5040 relabelings of 7 single qudits
-    with pytest.raises(ValueError):
-        random_search(SearchSpec(n=7, p=2, mode="random", seed=1, samples=10, prune_canonical=True))
+    # 3 parties of 4 qudits: 3! * 4!^3 = 82,944 relabelings
+    with pytest.raises(ValueError, match="at most 40320 relabelings"):
+        random_search(SearchSpec(n=12, p=2, group_size=4, mode="random", seed=1, samples=10,
+                                 prune_canonical=True))
+
+
+def test_relabeling_bound_refuses_before_any_word(monkeypatch):
+    # a spec over the bound is refused even when no word survives the swap
+    # test, and before any permutation is enumerated
+    def enumerate_perms(*args):
+        raise AssertionError("enumerated relabelings before refusing")
+
+    monkeypatch.setattr(gr.itertools, "permutations", enumerate_perms)
+    for n, gsize in ((9, 1), (12, 4), (12, 6)):
+        spec = SearchSpec(n=n, p=2, group_size=gsize, prune_canonical=True)
+        slots = spec.edge_slots
+        swapped = np.zeros((3, slots), dtype=np.uint8)
+        swapped[:, 0] = 1  # edge {0, 1}: swapping vertices 1 and 2 makes the word smaller
+        assert gr._swap_smaller(swapped, 2, n // gsize, gsize).all()
+        for words in (swapped, swapped[:0]):
+            with pytest.raises(ValueError, match="at most 40320 relabelings"):
+                _prune_mask(words, spec)
+            with pytest.raises(ValueError, match="at most 40320 relabelings"):
+                gr.is_minimal_word(words, 2, n // gsize, gsize)
+            with pytest.raises(ValueError, match="at most 40320 relabelings"):
+                gr.canonical_words(words, 2, n // gsize, gsize)
+
+
+def test_prune_canonical_keeps_canonical_forms_at_n7():
+    # 7! = 5040 relabelings, within the bound: a random search keeps
+    # exactly the sampled words that canonical_form leaves unchanged
+    spec = SearchSpec(n=7, p=2, mode="random", seed=3, samples=3000, prune_canonical=True)
+    drawn = search._random_weights(np.random.default_rng(3), 3000, spec)
+    kept = [bool((edge_word(canonical_form(graph_from_word(2, 7, w))) == w).all()) for w in drawn]
+    assert (~_prune_mask(drawn, spec)).tolist() == kept
+    res = random_search(spec)
+    assert 0 < sum(kept) and res.witnesses == [] and res.examined == sum(kept)
+    assert res.examined + res.pruned == 3000
 
 
 @pytest.mark.parametrize("n, p, gsize, extra", [
@@ -294,7 +332,7 @@ def test_prune_canonical_matches_canonical_form(n, p, gsize, extra):
         return edge_word(canonical_form_grouped(g, gsize) if gsize > 1 else canonical_form(g))
 
     drawn = np.random.default_rng(n * p).integers(0, p, size=(20000, spec.edge_slots), dtype=spec.word_dtype)
-    unswapped = drawn[~search._swap_smaller(drawn, spec)][:300]
+    unswapped = drawn[~gr._swap_smaller(drawn, p, n // gsize, gsize)][:300]
     words = np.vstack([drawn[:100], [canonical(w) for w in drawn[:100]], unswapped, *extra])
     minimal = [bool((canonical(w) == w).all()) for w in words]
     assert (~_prune_mask(words, spec)).tolist() == minimal
@@ -371,7 +409,7 @@ def test_elapsed_covers_canonicalisation(monkeypatch):
 
     monkeypatch.setattr(search, "_canonical_classes", slowed(search._canonical_classes))
     monkeypatch.setattr(search, "_dedupe_canonical", slowed(search._dedupe_canonical))
-    monkeypatch.setattr(search, "canonical_form", slowed(search.canonical_form))
+    monkeypatch.setattr(search, "canonical_form_grouped", slowed(search.canonical_form_grouped))
     assert enumerate_graphs(SearchSpec(n=3, p=2)).elapsed >= delay
     assert _reference_search(SearchSpec(n=3, p=2)).elapsed >= delay
     assert random_search(SearchSpec(n=3, p=2, mode="random", seed=1)).elapsed >= delay
