@@ -69,6 +69,24 @@ def default_registry(n: int, d: int) -> dict[int, tuple[Graph, int]]:
     return registry
 
 
+def _prime_counts(d: int, registry) -> dict[int, int]:
+    """Each prime factor of d with its multiplicity. The registry's primes
+    (keys whose witness graph is over that prime, which Graph checks) are
+    divided out first; only the cofactor left, whose primes have no
+    witness, is trial-divided by factorize, which also refuses d < 2."""
+    counts: dict[int, int] = {}
+    rest = d
+    if d >= 2:
+        for p in sorted(q for q, (g, _) in registry.items() if g.p == q):
+            while rest % p == 0:
+                counts[p] = counts.get(p, 0) + 1
+                rest //= p
+    if rest > 1 or not counts:
+        for p in factorize(rest):
+            counts[p] = counts.get(p, 0) + 1
+    return counts
+
+
 def build_composite(n: int, d: int, registry=None) -> CompositeAme:
     """Assemble and validate a CompositeAme from per-prime witnesses.
 
@@ -78,9 +96,7 @@ def build_composite(n: int, d: int, registry=None) -> CompositeAme:
     """
     if registry is None:
         registry = default_registry(n, d)
-    counts: dict[int, int] = {}
-    for p in factorize(d):
-        counts[p] = counts.get(p, 0) + 1
+    counts = _prime_counts(d, registry)
     factors = []
     for p in sorted(counts):
         mu = counts[p]

@@ -371,12 +371,12 @@ def canonical_words(words, base: int, gcount: int, gsize: int = 1) -> np.ndarray
 
 
 @lru_cache(maxsize=8)
-def _swap_keys(gcount: int, gsize: int, base: int) -> np.ndarray:
-    """(E, n) float64 matrix: word @ column 0 is the edge word read as a
-    big-endian base-`base` number, and word @ column k that of the word
-    relabeled by the k-th adjacent swap, which swaps vertices k - 1 and k
-    when they share a block, else the block ending at k - 1 with the next.
-    Exact while base^E <= 2^53."""
+def _swap_keys(gcount: int, gsize: int, base: int, dtype=np.float64) -> np.ndarray:
+    """(E, n) matrix: word @ column 0 is the edge word read as a big-endian
+    base-`base` number, and word @ column k that of the word relabeled by
+    the k-th adjacent swap, which swaps vertices k - 1 and k when they
+    share a block, else the block ending at k - 1 with the next. Exact
+    while base^E <= 2^53 in float64, and base^E <= 2^63 in int64."""
     n = gcount * gsize
     perms = np.tile(np.arange(n), (n - 1, 1))
     for v, perm in enumerate(perms):
@@ -387,8 +387,8 @@ def _swap_keys(gcount: int, gsize: int, base: int) -> np.ndarray:
             perm[first : first + 2 * gsize] = np.roll(perm[first : first + 2 * gsize], gsize)
     i, j = _upper(n)
     gathers = slot_matrix(n)[perms[:, i], perms[:, j]]
-    big = float(base) ** np.arange(len(i) - 1, -1, -1)
-    keys = np.zeros((len(i), n))
+    big = np.array([base**e for e in range(len(i) - 1, -1, -1)], dtype=dtype)
+    keys = np.zeros((len(i), n), dtype=dtype)
     keys[:, 0] = big
     for k, gather in enumerate(gathers, 1):
         keys[gather, k] = big  # the relabeled word holds word[gather[s]] at slot s

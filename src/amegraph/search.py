@@ -51,11 +51,19 @@ prefix of its row: the row is zero iff both parts are, and its first
 nonzero weight lies in the low part unless that part is zero. Two flags
 per vertex over the low ids ("low part zero", "low part leads with a
 weight other than 1") and a row key per block (a bit per vertex whose
-high part decides) give the ids both layers prune. Digits in base
-`base` are still expanded for those row keys, once per batch of blocks,
-and where no index exists, on the ids of a block that are still alive:
-for the prune_canonical layer and for cuts whose row index would not fit
-int64.
+high part decides) give the ids both layers prune.
+
+The prune_canonical layer is split the same way. Adjacent swap k of
+graph._swap_keys makes a word smaller iff the linear form
+(key_0 - key_k) . word is positive: D_k[lo] + H_k(hi) over its int64
+chunk tables. A block drops the ids where D_k exceeds -H_k for some k
+and expands into digits only the few percent left, which
+graph.is_minimal_word decides. The form lies within (-base^E, base^E)
+and scan ids are int64, so the compare is exact.
+
+Digits in base `base` are still expanded for the row keys, once per
+batch of blocks, and on a block's live ids for those swap survivors and
+for cuts whose row index would not fit int64.
 
 Witnesses are reported one per relabeling class (relabelings that keep
 the groups) as graph's canonical form. graph owns the minimality test
@@ -64,15 +72,16 @@ scans. The predicate and the zero-row and canonical layers are invariant
 under those relabelings, so the classes are the raw witnesses that
 graph.is_minimal_word keeps, made Graphs by one graphs_from_words call.
 Scale-normal witnesses (prune_rescale) are not closed under relabeling:
-those are canonicalised and deduped by integer id. The prune_canonical
-layer drops the graphs is_minimal_word rejects. A result's `elapsed`
-covers the whole call, canonicalisation included.
+those are canonicalised and deduped by integer id. Random search prunes
+each batch of sampled words with _prune_mask, whose canonical layer is
+is_minimal_word on every word. A result's `elapsed` covers the whole
+call, canonicalisation included.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -81,6 +90,7 @@ from . import gfp
 from .entanglement import cut_edits, cut_plan
 from .graph import (
     Graph,
+    _swap_keys,
     canonical_form_grouped,
     canonical_words,
     check_relabelings,
@@ -172,12 +182,14 @@ class SearchResult:
         )
 
 
-def _chunk_tables(coef: np.ndarray, low: int, base: int) -> list[tuple[int, np.ndarray]]:
+def _chunk_tables(coef: np.ndarray, low: int, base: int, dtype=None) -> list[tuple[int, np.ndarray]]:
     """(c, the partial index over every id of chunk c) for each chunk c of
     `low` edge slots that holds some of the part's slots, `coef` the part's
-    row of _Cut.coef. A part's index is the sum of these tables at the
-    word's chunk ids."""
-    dtype = np.min_scalar_type(int(coef.sum()) * (base - 1))  # holds the part's largest index
+    row of _Cut.coef (or a swap's form). A part's index is the sum of these
+    tables at the word's chunk ids. `dtype` defaults to the smallest that
+    holds the part's largest index."""
+    if dtype is None:
+        dtype = np.min_scalar_type(int(coef.sum()) * (base - 1))
     return [(c, gfp.digit_sums(np.multiply.outer(coef[s : s + low], np.arange(base)), dtype))
             for c, s in enumerate(range(0, coef.size, low)) if coef[s : s + low].any()]
 
@@ -296,9 +308,12 @@ class _BlockScan:
     fit int64, else a column per part; per column, A (`low_index`, intp)
     and the part's other chunk tables (`part_chunks`), which sum to B;
     per vertex, its row's high slots (`row_high`) and, when a row layer
-    is on, whether the row's low part is zero (`row_zero`); and whether
-    some row's low part leads with a weight other than 1 (`static`, under
-    rescale)."""
+    is on, whether the row's low part is zero (`row_zero`); whether some
+    row's low part leads with a weight other than 1 (`static`, under
+    rescale); and, under prune_canonical, per adjacent swap k of
+    graph._swap_keys, the chunk tables of the int64 linear form
+    (key_0 - key_k) . word: its chunk-0 table as row k - 1 of `swaps`, and
+    its other chunk tables as one of the last n - 1 `part_chunks`."""
 
     def __init__(self, spec: SearchSpec):
         n = spec.n
@@ -338,9 +353,18 @@ class _BlockScan:
             self.row_zero = np.stack([~part.any(axis=1) for part in low_parts])
             if rescale:
                 self.static = np.logical_or.reduce([_first_nonzero_not_one(part) for part in low_parts])
-        self.canonical = None  # the spec with only the prune_canonical layer, if that is on
+        self.swaps = None
         if spec.prune_canonical:
-            self.canonical = replace(spec, prune_zero_row=False, prune_rescale=False)
+            # swap k makes a word smaller iff (key_0 - key_k) . word > 0; at
+            # any part of a word that form lies in (-base^E, base^E), and the
+            # scan's int64 ids bound base^E by 2^63
+            keys = _swap_keys(n // spec.group_size, spec.group_size, spec.base, np.int64).T
+            lows = []
+            for diff in keys[0] - keys[1:]:
+                tables = dict(_chunk_tables(diff, low, spec.base, np.int64))
+                lows.append(tables.pop(0) if 0 in tables else np.zeros(self.size, np.int64))
+                self.part_chunks.append(list(tables.items()))
+            self.swaps = np.array(lows)
 
 
 def _row_keys(his: np.ndarray, spec: SearchSpec, scan: _BlockScan) -> list[int]:
@@ -373,13 +397,16 @@ def _scan_blocks(spec: SearchSpec) -> tuple[np.ndarray, int, int]:
 
     Without the canonical layer, what a block keeps up to its first cut
     depends only on its row key and its first cut's offset, so the
-    survivors of the first cut are kept for the next block with both."""
+    survivors of the first cut are kept for the next block with both.
+    With it, a block drops the ids that an adjacent swap makes smaller,
+    those where the swap's low table exceeds minus the swap's offset, and
+    expands digits only for the rest, which graph.is_minimal_word decides."""
     scan = _BlockScan(spec)
     wit = [np.empty(0, dtype=np.int64)]
     examined = 0
     pruned_total = 0
     every = np.arange(scan.size)
-    reuse = scan.canonical is None and scan.plans[0].table is not None
+    reuse = scan.swaps is None and scan.plans[0].table is not None
     # (row key, first offset) -> (ids the prune layers keep, survivors of the first cut)
     starts: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
     blocks = spec.base**spec.edge_slots // scan.size
@@ -392,15 +419,19 @@ def _scan_blocks(spec: SearchSpec) -> tuple[np.ndarray, int, int]:
             if chunks:
                 offsets[:, k] = _part_index(chunks, ids)
         keys = [0] * len(his) if scan.row_zero is None else _row_keys(his, spec, scan)
-        for hi, key, b in zip(his.tolist(), keys, offsets.tolist()):
+        swaps = [None] * len(his) if scan.swaps is None else -offsets[:, -len(scan.swaps):]
+        for hi, key, b, swap in zip(his.tolist(), keys, offsets.tolist(), swaps):
             cached = starts.get((key, b[0])) if reuse else None
             if cached is not None:
                 kept, alive = cached
             else:
                 alive = every if scan.row_zero is None else _row_survivors(key, scan)
-                if scan.canonical is not None:
-                    weights = _weights_from_ids(hi * scan.size + alive, spec)
-                    alive = alive[~_prune_mask(weights, scan.canonical)]
+                if swap is not None:
+                    low = scan.swaps if alive is every else scan.swaps[:, alive]
+                    alive = alive[~(low > swap[:, None]).any(axis=0)]
+                    words = _weights_from_ids(hi * scan.size + alive, spec)
+                    alive = alive[is_minimal_word(words, spec.base, spec.n // spec.group_size,
+                                                  spec.group_size)]
                 kept = alive.size
             examined += kept
             pruned_total += scan.size - kept
@@ -498,6 +529,8 @@ def enumerate_graphs(spec: SearchSpec) -> SearchResult:
     total = spec.base**spec.edge_slots
     if total > spec.budget:
         raise BudgetExceededError(f"{total} graphs exceed the budget of {spec.budget}")
+    if total > 1 << 63:
+        raise BudgetExceededError(f"{total} graphs exceed the scan's int64 ids")
     check_relabelings(spec.n // spec.group_size, spec.group_size)  # refuse before scanning, not after
     ids, examined, pruned = _scan_blocks(spec)
     witnesses = _canonical_classes(ids, spec)

@@ -5,7 +5,7 @@ from amegraph import composite as comp
 from amegraph.entanglement import is_ame
 from amegraph.graph import save_graph
 from amegraph.simulator import build_graph_state, cut_entropy_edits
-from amegraph.witnesses import ame44_grouped, c5, quad_weighted
+from amegraph.witnesses import ame44_grouped, c5, quad_weighted, small_ame
 
 
 @pytest.mark.parametrize("d,factors", [(6, [2, 3]), (4, [2, 2]), (12, [2, 2, 3]),
@@ -115,6 +115,40 @@ def test_manifest_roundtrip(tmp_path):
     text = comp.format_report(c, rep)
     assert text.splitlines()[0] == "COMPOSITE n=5 d=6"
     assert text.rstrip().endswith("RESULT pass")
+
+
+def test_manifest_over_large_primes_needs_no_trial_division(tmp_path, monkeypatch):
+    # d = 2147483647 * 2147483659 is about 2^62: trial division would take
+    # about 2^31 steps, but both primes are the manifest's own
+    def refuse(d):
+        raise AssertionError(f"factorize({d}) called")
+
+    primes = (2147483647, 2147483659)
+    for p in primes:
+        save_graph(small_ame(2, p), tmp_path / f"f{p}.graph")
+    manifest = "".join(f"factor {p} f{p}.graph groupsize 1\n" for p in primes)
+    monkeypatch.setattr(comp, "factorize", refuse)
+    c = comp.parse_manifest(manifest, tmp_path)
+    assert c.d == primes[0] * primes[1] and [f.p for f in c.factors] == list(primes)
+    assert comp.verify_composite(c).is_ame
+
+
+@pytest.mark.parametrize("n, d, registry, message", [
+    (5, 6, {2: (c5(2), 1)}, "no witness for prime 3 (multiplicity 1)"),
+    (5, 30, {3: (c5(3), 1)}, "no witness for prime 2 (multiplicity 1)"),
+    (5, 6, {3: (c5(2), 1)}, "no witness for prime 2 (multiplicity 1)"),  # keyed by the wrong prime
+    (4, 12, {2: (quad_weighted(3), 1)}, "witness for prime 2 has group size 1, need 2"),
+    (4, 12, {3: (quad_weighted(3), 1)}, "no witness for prime 2 (multiplicity 2)"),
+    (4, 8, {2: (ame44_grouped()[0], 2)}, "witness for prime 2 has group size 2, need 3"),
+])
+def test_cofactor_errors_keep_their_order(n, d, registry, message):
+    # only the cofactor without witnesses is trial-divided; the errors and
+    # the order they are raised in are those of factorising d whole
+    with pytest.raises(comp.MissingWitnessError) as err:
+        comp.build_composite(n, d, registry)
+    assert str(err.value) == message
+    with pytest.raises(ValueError, match="need d >= 2"):
+        comp.build_composite(n, 1, registry)
 
 
 def test_manifest_errors(tmp_path):

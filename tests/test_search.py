@@ -2,6 +2,7 @@ import concurrent.futures
 import multiprocessing
 import threading
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -56,6 +57,9 @@ def test_quad_weighted_found_at_p3():
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         enumerate_graphs(SearchSpec(n=7, p=3))
+    # scan ids are int64: 5^28 graphs are refused whatever the budget
+    with pytest.raises(BudgetExceededError, match="int64"):
+        enumerate_graphs(SearchSpec(n=8, p=5, budget=1 << 80))
 
 
 @pytest.mark.parametrize("n,p", [(4, 2), (4, 3), (5, 2), (2, 257)])
@@ -111,6 +115,8 @@ def test_many_blocks_match_reference(p, shape, weights_one, zero_row, rescale, c
     dict(n=4, p=3, weights_one=True, prune_zero_row=True, prune_rescale=True),
     dict(n=4, p=3, group_size=2, prune_rescale=True),
     dict(n=4, p=5, prune_zero_row=True, prune_rescale=True),
+    dict(n=5, p=3, prune_canonical=True),
+    dict(n=4, p=3, group_size=2, prune_zero_row=True, prune_canonical=True),
 ])
 def test_many_blocks_match_reference_on_pruned_specs(monkeypatch, flags):
     spec = SearchSpec(**flags)
@@ -118,6 +124,82 @@ def test_many_blocks_match_reference_on_pruned_specs(monkeypatch, flags):
     fast, ref = enumerate_graphs(spec), _reference_search(spec)
     assert fast.witnesses == ref.witnesses
     assert (fast.examined, fast.pruned) == (ref.examined, ref.pruned) and fast.pruned > 0
+
+
+def _table_smaller(spec, ids):
+    """The scan's verdict on each id: does some adjacent swap make its word
+    smaller, read off the swap tables at its low id and its block's offsets."""
+    scan = search._BlockScan(spec)
+    his, los = np.divmod(np.asarray(ids, dtype=np.int64), scan.size)
+    chunk_ids = gfp.digits(his * scan.size, scan.size, -(-spec.edge_slots // scan.low)).T
+    highs = [search._part_index(chunks, chunk_ids) for chunks in scan.part_chunks[-len(scan.swaps):]]
+    return (scan.swaps[:, los] > -np.array(highs)).any(axis=0)
+
+
+def _swap_smaller_by_ints(word, n, base):
+    """Python-int reference: the word and each adjacent swap of vertices
+    k - 1 and k, read as big-endian base-`base` numbers over the edge slots
+    in combinations order; is some swapped number smaller?"""
+    pairs = list(combinations(range(n), 2))
+    weight = dict(zip(pairs, word))
+
+    def number(perm):
+        return sum(weight[tuple(sorted((perm[i], perm[j])))] * base ** (len(pairs) - 1 - s)
+                   for s, (i, j) in enumerate(pairs))
+
+    own = number(list(range(n)))
+    swaps = [list(range(n)) for _ in range(n - 1)]
+    for k, perm in enumerate(swaps, 1):
+        perm[k - 1], perm[k] = k, k - 1
+    return any(number(perm) < own for perm in swaps)
+
+
+def test_swap_tables_exact_past_2_53():
+    # n=9 p=3: base^E = 3^36, about 2^57, which float64 keys cannot resolve.
+    # The words include the largest id, words fixed by every swap, and words
+    # whose swap by vertices 7 and 8 differs from them only at edges
+    # (6, 7) and (6, 8), the lowest digits but one or two, either way round.
+    spec = SearchSpec(n=9, p=3, prune_canonical=True, budget=3**36)
+    slots, rng = spec.edge_slots, np.random.default_rng(9)
+    slot = {pair: s for s, pair in enumerate(combinations(range(9), 2))}
+    words = [[2] * slots, [0] * slots, [1] * slots]
+    for _ in range(100):
+        words.append(list(rng.integers(0, 3, size=slots)))
+    for _ in range(100):
+        w = rng.integers(0, 3, size=slots)
+        for i in range(6):
+            w[slot[i, 8]] = w[slot[i, 7]]
+        a, b = rng.choice(3, size=2, replace=False)
+        w[slot[6, 7]], w[slot[6, 8]] = a, b
+        words.append(list(w))
+        w[slot[6, 7]], w[slot[6, 8]] = b, a
+        words.append(list(w))
+    ids = [sum(int(d) * 3**s for s, d in enumerate(w)) for w in words]
+    assert ids[0] == 3**slots - 1 and 3**slots > 1 << 53
+    truth = [_swap_smaller_by_ints(w, 9, 3) for w in words]
+    assert _table_smaller(spec, ids).tolist() == truth
+    assert any(truth) and not all(truth)
+    # float64 keys lose those low digits: the exact tables are needed here
+    floats = gr._swap_smaller(np.array(words, dtype=np.uint8), 3, 9)
+    assert floats.tolist() != truth
+
+
+@pytest.mark.parametrize("flags, survivors", [(dict(n=6, p=2), 325), (dict(n=5, p=3), 1554)])
+def test_scan_expands_digits_only_for_swap_survivors(monkeypatch, flags, survivors):
+    # with prune_canonical the scan expands into digits exactly the words
+    # that no adjacent swap makes smaller, and each once
+    spec = SearchSpec(prune_canonical=True, **flags)
+    words = search._weights_from_ids(np.arange(spec.base**spec.edge_slots), spec)
+    kept = int((~gr._swap_smaller(words, spec.base, spec.n)).sum())
+    rows = []
+
+    def counted(ids, spec):
+        rows.append(len(ids))
+        return gfp.digits(ids, spec.base, spec.edge_slots, spec.word_dtype)
+
+    monkeypatch.setattr(search, "_weights_from_ids", counted)
+    search._scan_blocks(spec)
+    assert sum(rows) == kept == survivors
 
 
 # cap 1: no cut has a table and gfp.rank_batch ranks each; cap 256 at n=6
