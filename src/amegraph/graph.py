@@ -122,6 +122,16 @@ class LabeledGraph:
         return hash((self.graph, self.label.tobytes()))
 
 
+def _unchecked_graph(p: int, adj: np.ndarray) -> Graph:
+    """Graph around adj without Graph's checks: adj must be a read-only,
+    contiguous int64 adjacency already known valid over Z_p, such as a
+    principal submatrix or a relabeling of a checked one."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "p", p)
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
 def empty_graph(p: int, n: int) -> Graph:
     return Graph(p, np.zeros((n, n), dtype=np.int64))
 
@@ -169,7 +179,9 @@ def truncate(g: Graph, cut) -> Graph:
     if len(cut) >= g.n and g.n > 0:
         raise ValueError("cannot truncate every vertex")
     keep = [u for u in range(g.n) if u not in cut]
-    return Graph(g.p, g.adj[np.ix_(keep, keep)])
+    a = g.adj[np.ix_(keep, keep)]
+    a.setflags(write=False)
+    return _unchecked_graph(g.p, a)
 
 
 def op_mult(g: Graph, v: int, b: int) -> Graph:
@@ -218,7 +230,9 @@ def permute(g: Graph, perm) -> Graph:
     perm = list(perm)
     if sorted(perm) != list(range(g.n)):
         raise ValueError("not a permutation of the vertices")
-    return Graph(g.p, g.adj[np.ix_(perm, perm)])
+    a = g.adj[np.ix_(perm, perm)]
+    a.setflags(write=False)
+    return _unchecked_graph(g.p, a)
 
 
 @lru_cache(maxsize=None)
@@ -257,13 +271,7 @@ def graphs_from_words(p: int, n: int, words) -> list[Graph]:
     stack[:, i, j] = stack[:, j, i] = words
     stack = _checked_adjacency(p, stack, 3)
     stack.setflags(write=False)
-    graphs = []
-    for a in stack:
-        g = object.__new__(Graph)
-        object.__setattr__(g, "p", p)
-        object.__setattr__(g, "adj", a)
-        graphs.append(g)
-    return graphs
+    return [_unchecked_graph(p, a) for a in stack]
 
 
 def graph_from_word(p: int, n: int, word) -> Graph:

@@ -16,6 +16,7 @@ dealer l's secret coordinate (register 0 first).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -132,7 +133,7 @@ def encode(scheme, secret, outcomes) -> StateVector:
         raise ValueError("one Bell outcome per dealer required")
     s = _secret_array(scheme, secret)
     _check_cap(p, n + L, DEFAULT_CAP)
-    amps = np.kron(s, graph_state_amplitudes(g))  # ancillas are qudits n..n+L-1
+    amps = np.multiply.outer(s, graph_state_amplitudes(g)).reshape(-1)  # ancillas are qudits n..n+L-1
     state = StateVector(p, n + L, amps)
     labels = list(range(n)) + [("anc", l) for l in range(L)]
     for l, (bg, bh) in enumerate(outcomes):
@@ -190,12 +191,18 @@ def recovery_map(scheme, authorized) -> np.ndarray:
 
     Requires |authorized| >= m; the defining rows are the dealer and
     traced-player adjacency rows restricted to the authorized columns,
-    completed to a basis when the set is larger than minimal.
+    completed to a basis when the set is larger than minimal. The map is
+    cached per (scheme, authorized set), the last one only, and returned
+    read-only: an audit recovers many secrets on one set in a row.
     """
+    return _recovery_map(scheme, tuple(sorted(vertex_list(scheme.graph.n, authorized))))
+
+
+@lru_cache(maxsize=1)
+def _recovery_map(scheme, B: tuple) -> np.ndarray:
     g = scheme.graph
     p = g.p
     dealers = list(scheme.dealers)
-    B = sorted(vertex_list(g.n, authorized))
     if not set(B) <= set(scheme.players):
         raise ValueError("authorized set must consist of players")
     if len(B) < scheme.m:
@@ -232,6 +239,7 @@ def recovery_map(scheme, authorized) -> np.ndarray:
     fix = np.conj(omega_powers(p)[quad[tuple(coords[:, : len(src)].T[::-1])]])
     v = np.zeros((dim, dim), dtype=np.complex128)
     v[cidx, :] = fix[:, None] * np.conj(phases * base[None, :])
+    v.setflags(write=False)
     return v
 
 

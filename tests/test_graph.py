@@ -326,6 +326,22 @@ def test_graphs_from_words_errors_match_graph(p, word):
     assert type(got.value) is want.type and str(got.value) == str(want.value)
 
 
+def test_truncate_and_permute_skip_revalidation(monkeypatch):
+    # a principal submatrix or a relabeling of a checked adjacency is valid
+    rng = np.random.default_rng(5)
+    gs = [_graph_of_word(7, 6, rng.integers(0, 7, size=15)) for _ in range(5)]
+    monkeypatch.setattr(gr, "_checked_adjacency", lambda *a: pytest.fail("re-validated"))
+    for g in gs:
+        perm = rng.permutation(6).tolist()
+        cut = sorted(rng.choice(6, size=int(rng.integers(0, 6)), replace=False).tolist())
+        keep = [v for v in range(6) if v not in cut]
+        for out, idx in ((truncate(g, cut), keep), (permute(g, perm), perm)):
+            assert np.array_equal(out.adj, g.adj[np.ix_(idx, idx)]) and out.p == 7
+            assert out.adj.dtype == np.int64 and out.adj.flags.c_contiguous
+            assert not out.adj.flags.writeable
+            assert hash(out) == hash((7, len(idx), g.adj[np.ix_(idx, idx)].tobytes()))
+
+
 def test_format_roundtrip():
     g = quad()
     text = format_graph(g)

@@ -103,6 +103,56 @@ def test_recovery_map_rejects_dealer(quad_scheme):
         qss.recovery_map(quad_scheme, (1, 1, 2))
 
 
+def _encode_by_kron(scheme, secret, outcomes):
+    """Reference encoding: secret (x) graph amplitudes by np.kron, then one
+    Bell measurement per (ancilla, dealer) pair, ancilla l being -1 - l."""
+    g = scheme.graph
+    state = sim.StateVector(g.p, g.n + len(outcomes), np.kron(secret, sim.graph_state_amplitudes(g)))
+    labels = list(range(g.n)) + [-1 - l for l in range(len(outcomes))]
+    for l, (dealer, (bg, bh)) in enumerate(zip(scheme.dealers, outcomes)):
+        _, state = sim.bell_measure(state, (labels.index(-1 - l), labels.index(dealer)), bg, bh)
+        labels = [v for v in labels if v not in (dealer, -1 - l)]
+    return state
+
+
+@pytest.mark.parametrize("scheme,outcomes", [
+    (qss.ThresholdScheme(quad_weighted(7), 0), [(3, 5)]),
+    (qss.RampScheme(ame62(), (1, 4)), [(1, 0), (1, 1)]),
+], ids=["threshold", "ramp"])
+def test_encode_matches_kron_reference(scheme, outcomes):
+    s = qss.random_secret(scheme.graph.p, len(outcomes), np.random.default_rng(8))
+    assert np.array_equal(qss.encode(scheme, s, outcomes).amps, _encode_by_kron(scheme, s, outcomes).amps)
+
+
+def test_recovery_map_cached_per_set_and_read_only(quad_scheme):
+    a = qss.recovery_map(quad_scheme, (2, 1))
+    b = qss.recovery_map(quad_scheme, [1, 2])
+    assert np.array_equal(a, b)
+    for v in (a, b):
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0, 0] = 0
+
+
+@pytest.mark.parametrize("authorized,error", [
+    ((2,), qss.NotAuthorizedError), ((0, 1), ValueError), ((1, 1, 2), ValueError),
+    ((1, 4), ValueError), ((-1, 2), ValueError),
+], ids=["too-small", "dealer", "repeated", "past-n", "negative"])
+def test_recovery_map_raises_on_every_bad_call(quad_scheme, authorized, error):
+    # a failed call caches nothing, and a cached good set excuses no bad one
+    for _ in range(2):
+        with pytest.raises(error):
+            qss.recovery_map(quad_scheme, authorized)
+        qss.recovery_map(quad_scheme, (1, 2))
+
+
+def test_run_threshold_unchanged_by_cache_clear(quad_scheme):
+    s = qss.random_secret(3, 1, np.random.default_rng(21))
+    first = qss.run_threshold(quad_scheme, s, (1, 3), (2, 1))
+    qss._recovery_map.cache_clear()
+    assert qss.run_threshold(quad_scheme, s, (1, 3), (2, 1)) == first
+
+
 def test_threshold_fidelity_all_sets_outcomes(quad_scheme):
     rng = np.random.default_rng(3)
     for b in itertools.combinations(quad_scheme.players, 2):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amegraph import simulator as sim
-from amegraph.graph import Graph, LabeledGraph, graph_from_edges, z_measure_symbolic
+from amegraph.entanglement import cut_edits
+from amegraph.graph import Graph, LabeledGraph, graph_from_edges, graph_from_word, z_measure_symbolic
 from amegraph.stabilizer import apply_local_clifford, from_graph
 from test_stabilizer import random_invertible, random_y
 
@@ -318,6 +319,63 @@ def test_gram_entropies_match_svd():
                     lam = lam[lam > 1e-12]
                     want = -(lam * np.log(lam)).sum() / np.log(p)
                     assert abs(sim.cut_entropy_edits(s, cut) - want) <= 1e-9
+
+
+def _complex_spectrum_edits(s, cut):
+    """The reference entropy: eigvalsh of the complex reduced density matrix."""
+    return float(sim._spectrum_edits(np.linalg.eigvalsh(sim.reduced_density(s, cut)), s.p))
+
+
+def _every_cut(n):
+    return [c for size in range(1, n) for c in itertools.combinations(range(n), size)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 8), st.data())
+def test_real_spectra_of_qubit_graph_states_match_complex(n, data):
+    # a p = 2 graph state's amplitudes are +-2^(-n/2): real up to float noise
+    word = data.draw(st.lists(st.integers(0, 1), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    g = graph_from_word(2, n, word)
+    s = sim.build_graph_state(g)
+    for cut in _every_cut(n):
+        assert sim._real_if_close(sim._split_axes(s.amps.reshape([2] * n), n, cut)).dtype == np.float64
+        ent = sim.cut_entropy_edits(s, cut)
+        assert abs(ent - _complex_spectrum_edits(s, cut)) <= 1e-12
+        assert abs(ent - cut_edits(g, cut)) <= 1e-9
+
+
+def test_qubit_stabilizer_state_with_imaginary_amplitudes_stays_complex():
+    # stabilized by Y_v Z_N(v): S on every qubit of |G>, amplitudes in {+-1, +-i} 2^(-n/2)
+    g = graph_from_edges(2, 5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (0, 4, 1), (0, 2, 1)])
+    s = sim.stabilizer_state(2, np.eye(5, dtype=np.int64), g.adj + np.eye(5, dtype=np.int64))
+    assert np.abs(s.amps.imag).max() > 0.1
+    for cut in _every_cut(5):
+        m = sim._split_axes(s.amps.reshape([2] * 5), 5, cut)
+        assert sim._real_if_close(m) is m
+        ent = sim.cut_entropy_edits(s, cut)
+        assert abs(ent - _complex_spectrum_edits(s, cut)) <= 1e-12
+        assert abs(ent - cut_edits(g, cut)) <= 1e-9
+
+
+@pytest.mark.parametrize("p,side", [(5, 125), (2, 128)], ids=["complex", "real"])
+def test_gram_entropies_allocate_no_stack_sized_temporary(p, side):
+    # the realness test allocates nothing of the stack's size (a bool mask over
+    # this stack would be 1 MiB) beyond the real copy it returns; the whole call
+    # holds one stack-sized array (the conjugate) and the Gram stack, or the
+    # real halves of both
+    stack = sim.omega_powers(p)[np.random.default_rng(3).integers(0, p, (64, side, side))] / side
+    real = p == 2
+    peaks = []
+    for run in (sim._real_if_close, lambda m: sim._gram_entropies(m, p)):
+        tracemalloc.start()
+        try:
+            run(stack)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    half, gram, slack = stack.nbytes // 2, 64 * side * side * 16, 256 << 10
+    assert peaks[0] <= (half if real else 0) + slack
+    assert peaks[1] <= (half + gram // 2 if real else stack.nbytes + gram) + slack
 
 
 @settings(max_examples=60, deadline=None)
