@@ -32,10 +32,12 @@ class SingularMatrixError(ValueError):
 
 
 def factorize(d: int) -> list[int]:
-    """Prime factors of d with multiplicity, ascending, by trial division;
-    fields here are desk-scale."""
+    """Prime factors of d with multiplicity, ascending, by trial division,
+    which takes at most 2^20 steps for the d it accepts: 2 <= d < 2^40."""
     if d < 2:
         raise ValueError("need d >= 2")
+    if d >= 1 << 40:
+        raise ValueError(f"d = {d} is not below 2^40, the bound of trial division")
     out = []
     q = 2
     while q * q <= d:

@@ -208,20 +208,27 @@ def op_star(g: Graph, v: int, a_coef: int) -> Graph:
     return Graph(g.p, upd)
 
 
-def z_measure_symbolic(s: LabeledGraph, cut, outcomes) -> LabeledGraph:
-    """Post-measurement labeled graph after Z-measuring the vertices in `cut`.
-
-    The graph is truncated; the surviving label is the old label restricted
-    to the survivors plus sum_i outcomes[i] * (row of measured vertex i with
-    the cut columns deleted). Global phase is dropped.
-    """
-    g = s.graph
-    cut = vertex_list(g.n, cut)
-    out = gfp.as_residues(outcomes, g.p)
+def z_measure_words(p: int, n: int, words, labels, cut, outcomes) -> tuple[np.ndarray, np.ndarray]:
+    """Z-measure the vertices in `cut` of each labeled graph of the stack of
+    edge words (..., C(n, 2)) and labels (..., n): the survivors' words and
+    labels, each label the old one plus sum_i outcomes[i] * (row of cut[i]),
+    mod p. Survivors keep their order; global phase is dropped."""
+    cut = vertex_list(n, cut)
+    out = gfp.as_residues(outcomes, p)
     if out.shape != (len(cut),):
         raise ValueError("one outcome per measured vertex required")
-    keep = [u for u in range(g.n) if u not in set(cut)]
-    label = (s.label[keep] + out @ g.adj[np.ix_(cut, keep)]) % g.p
+    keep = [u for u in range(n) if u not in set(cut)]
+    words = np.asarray(words, dtype=np.int64)
+    slot = slot_matrix(n)
+    label = (np.asarray(labels)[..., keep] + out @ words[..., slot[cut][:, keep]]) % p
+    return words[..., slot[keep][:, keep][_upper(len(keep))]], label
+
+
+def z_measure_symbolic(s: LabeledGraph, cut, outcomes) -> LabeledGraph:
+    """Post-measurement labeled graph after Z-measuring the vertices in `cut`:
+    z_measure_words' one-row case, its graph truncate(s.graph, cut)."""
+    g = s.graph
+    label = z_measure_words(g.p, g.n, edge_word(g), s.label, cut, outcomes)[1]
     return LabeledGraph(truncate(g, cut), label)
 
 

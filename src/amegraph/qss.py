@@ -23,13 +23,11 @@ import numpy as np
 
 from . import gfp
 from .entanglement import is_ame
-from .graph import Graph, LabeledGraph, truncate, vertex_list
+from .graph import Graph, LabeledGraph, truncate, vertex_list, z_measure_symbolic
 from .simulator import (
-    DEFAULT_CAP,
     StateVector,
-    _check_cap,
-    _phase_exponents,
     bell_measure,
+    check_cap,
     graph_state_amplitudes,
     omega_powers,
     reduced_density,
@@ -132,7 +130,7 @@ def encode(scheme, secret, outcomes) -> StateVector:
     if len(outcomes) != L:
         raise ValueError("one Bell outcome per dealer required")
     s = _secret_array(scheme, secret)
-    _check_cap(p, n + L, DEFAULT_CAP)
+    check_cap(p, n + L)
     amps = np.multiply.outer(s, graph_state_amplitudes(g)).reshape(-1)  # ancillas are qudits n..n+L-1
     state = StateVector(p, n + L, amps)
     labels = list(range(n)) + [("anc", l) for l in range(L)]
@@ -163,23 +161,19 @@ def encode_symbolic(scheme, secret, outcomes):
     outcomes = [tuple(o) for o in outcomes]
     s = _secret_array(scheme, secret)
     w = omega_powers(p)
-    rows = g.adj[np.ix_(dealers, scheme.players)]
-    trunc = truncate(g, dealers)
+    start = LabeledGraph(g, np.zeros(g.n, dtype=np.int64))
     terms = []
     for flat, digits in enumerate(gfp.digits(np.arange(p**L), p, L).tolist()):
         coeff = s[flat]
-        label = np.zeros(trunc.n, dtype=np.int64)
-        shifted = []
-        for l, (bg, bh) in enumerate(outcomes):
-            i = (digits[l] + bh) % p  # U_gh^dagger relabeling per dealer
-            coeff = coeff * w[(-(digits[l]) * bg) % p]
-            shifted.append(i)
-            label = (label + i * rows[l]) % p
+        shifted = [(d + bh) % p for d, (_, bh) in zip(digits, outcomes)]  # U_gh^dagger per dealer
+        for d, (bg, _) in zip(digits, outcomes):
+            coeff = coeff * w[(-d * bg) % p]
         # edges between dealers phase the branch by omega^(A_dd' i i')
         for a in range(L):
             for b in range(a + 1, L):
                 coeff = coeff * w[(g.adj[dealers[a], dealers[b]] * shifted[a] * shifted[b]) % p]
-        terms.append((coeff, LabeledGraph(trunc, label)))
+        # the branch is the graph state after Z-measuring the dealers with outcomes `shifted`
+        terms.append((coeff, z_measure_symbolic(start, dealers, shifted)))
     # the dealer rows are independent (AME), so all p^L labels are distinct
     # and the coefficients carry unit total weight
     return terms
@@ -235,8 +229,8 @@ def _recovery_map(scheme, B: tuple) -> np.ndarray:
     # omega^(sum_{t<t'} A[v_t, v_t'] c_t c_t') from edges inside the
     # dealer-plus-traced set; V must absorb it to reach |c> exactly
     src = dealers + traced
-    quad = _phase_exponents(p, len(src), [g.adj[a, b] for a, b in combinations(src, 2)])
-    fix = np.conj(omega_powers(p)[quad[tuple(coords[:, : len(src)].T[::-1])]])
+    c = coords[:, : len(src)]
+    fix = np.conj(omega_powers(p)[(c @ np.triu(g.adj[np.ix_(src, src)]) * c).sum(axis=1) % p])
     v = np.zeros((dim, dim), dtype=np.complex128)
     v[cidx, :] = fix[:, None] * np.conj(phases * base[None, :])
     v.setflags(write=False)

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codes, composite, entanglement, gfp, qss, search, simulator, witnesses
-from .graph import Graph, graph_from_edges, graph_from_word, op_mult, op_star
-from .simulator import omega_powers
+from .graph import Graph, graph_from_edges, op_mult, op_star, z_measure_words
 
 
 @dataclass
@@ -40,23 +39,22 @@ def _entropy_rank_delta(p: int, n: int, weights: np.ndarray) -> float:
     """Max |dense cut entropy - cut rank| over all graphs and bipartitions.
 
     `weights` holds one base-p weight word per graph over the lexicographic
-    edge slots. Vectorized: states are built in bulk and each bipartition
-    is handled with one batched Gram-spectrum entropy and one batched rank
-    computation.
+    edge slots. Vectorized: graph_amplitudes stacks as many states as its
+    default cap holds, and each bipartition is handled with one stacked
+    entropy and one batched rank computation.
     """
     singles = tuple((v,) for v in range(n))
     plans = [entanglement.cut_plan(n, singles, m) for m in range(1, n // 2 + 1)]
-    amp = omega_powers(p) * p ** (-n / 2)
     worst = 0.0
-    chunk = 2048
+    chunk = simulator.DEFAULT_CAP // p**n
     for lo in range(0, weights.shape[0], chunk):
         batch = weights[lo : lo + chunk].astype(np.int64)
-        amps = amp[simulator._phase_exponents(p, n, batch)]
+        amps = simulator.graph_amplitudes(p, n, batch)
         for plan in plans:  # every cut of the plan at once: ranks[b, c] is graph b's at cut c
             blocks = batch[:, plan.cols].reshape(-1, plan.rows, plan.width)
             ranks = gfp.rank_stack(blocks, p).reshape(len(batch), len(plan.cuts))
             for cut, cut_ranks in zip(plan.cuts, ranks.T):
-                ent = simulator._gram_entropies(simulator._split_axes(amps, n, cut), p)
+                ent = simulator.cut_entropies(amps, p, n, cut)
                 worst = max(worst, float(np.abs(ent - cut_ranks).max()))
     return worst
 
@@ -146,22 +144,18 @@ def _codeword_state(c: codes.LinearCode) -> simulator.StateVector:
 
 
 def _stabilized_by_displacements(c: codes.LinearCode) -> bool:
+    """X^(codeword) and Z^(dual codeword) each leave the codeword state as it is."""
     state = _codeword_state(c)
-    h = codes.parity_check(c)
-    for y in codes.message_words(c.p, c.k):
-        shifted = state
-        for q, power in enumerate((c.gen @ y) % c.p):
-            if power:
-                shifted = simulator.apply_x(shifted, q, int(power))
-        if abs(simulator.overlap(shifted, state) - 1) > 1e-9:
-            return False
-    for z in codes.message_words(c.p, c.n - c.k):
-        phased = state
-        for q, power in enumerate((z @ h) % c.p):
-            if power:
-                phased = simulator.apply_z(phased, q, int(power))
-        if abs(simulator.overlap(phased, state) - 1) > 1e-9:
-            return False
+    shifts = (codes.message_words(c.p, c.k) @ c.gen.T) % c.p
+    phases = (codes.message_words(c.p, c.n - c.k) @ codes.parity_check(c)) % c.p
+    for apply, rows in ((simulator.apply_x, shifts), (simulator.apply_z, phases)):
+        for powers in rows.tolist():
+            moved = state
+            for q, power in enumerate(powers):
+                if power:
+                    moved = apply(moved, q, power)
+            if abs(simulator.overlap(moved, state) - 1) > 1e-9:
+                return False
     return True
 
 
@@ -211,32 +205,27 @@ def check_rewrite_invariance(quick: bool = False) -> CheckResult:
 
 
 def check_measurement_consistency(quick: bool = False) -> CheckResult:
-    from .graph import LabeledGraph, z_measure_symbolic
-
-    worst_prob = 0.0
-    worst_overlap = 1.0
+    """One pass per (p, n, cut, outcomes) over the stack of all p^C(n, 2)
+    edge words: Z-measure the dense stack and the symbolic one, compare."""
+    worst_prob, worst_overlap = 0.0, 1.0
     for p in (2, 3):
         for n in (2, 3, 4):
             e = n * (n - 1) // 2
-            for word in gfp.digits(np.arange(p**e), p, e):
-                g = graph_from_word(p, n, word)
-                dense = simulator.build_graph_state(g)
-                for size in (1, 2):
-                    if size >= n:
-                        continue
-                    for cut in itertools.combinations(range(n), size):
-                        for outs in itertools.product(range(p), repeat=size):
-                            state = dense
-                            for pos, (q, a) in enumerate(zip(cut, outs)):
-                                shift = sum(1 for q2 in cut[:pos] if q2 < q)
-                                prob, state = simulator.z_measure_dense(state, q - shift, a)
-                                worst_prob = max(worst_prob, abs(prob - 1.0 / p))
-                            sym = z_measure_symbolic(
-                                LabeledGraph(g, np.zeros(n, dtype=np.int64)), cut, outs
-                            )
-                            ref = simulator.build_labeled(sym)
-                            ov = abs(simulator.overlap(state, ref))
-                            worst_overlap = min(worst_overlap, ov)
+            words = gfp.digits(np.arange(p**e), p, e)
+            labels = np.zeros((len(words), n), dtype=np.int64)
+            dense = simulator.graph_amplitudes(p, n, words)
+            for size in range(1, min(n, 3)):  # one or two measured qudits, one survivor at least
+                outcomes = itertools.product(range(p), repeat=size)
+                for cut, outs in itertools.product(itertools.combinations(range(n), size), outcomes):
+                    state = dense
+                    for pos, (q, a) in enumerate(zip(cut, outs)):
+                        # the cut ascends, so the pos qudits measured before q sat below it
+                        probs, state = simulator.z_measure_stack(state, p, n - pos, q - pos, a)
+                        worst_prob = max(worst_prob, float(np.abs(probs - 1.0 / p).max()))
+                    measured = z_measure_words(p, n, words, labels, cut, outs)
+                    sym = simulator.graph_amplitudes(p, n - size, *measured)
+                    overlaps = np.abs(np.einsum("...k,...k->...", state.conj(), sym))
+                    worst_overlap = min(worst_overlap, float(overlaps.min()))
     ok = worst_prob <= 1e-9 and worst_overlap >= 1 - 1e-9
     return CheckResult(
         8, "measurement-consistency", "PASS" if ok else "FAIL",

@@ -6,16 +6,15 @@ Conventions, fixed once for the whole package:
   basis state |k_{n-1} ... k_1 k_0> sits at index sum_i k_i p^i.
 - Operations return new states; nothing mutates in place.
 - Global phase is never stripped; compare states with |overlap| ~ 1.
-- Dense objects are capped at DEFAULT_CAP amplitudes unless a larger
-  cap is passed explicitly.
-- Graph-state phases come from one kernel, _phase_exponents, that
-  broadcasts on the [p] * n amplitude tensor. No per-(p, n) table is
-  kept: a state holds its amplitudes and transient buffers of that size.
-- Entropies are Gram-matrix spectra. A stack of amplitude matrices whose
-  imaginary parts all lie within numpy.real_if_close's tolerance
-  (|Im| < 100 eps, decided by one max and one min reduction) runs in real
-  arithmetic: qubit graph states, amplitudes +-2^(-n/2). Every other
-  stack (p >= 3, or qubit states with +-i amplitudes) stays complex.
+- Stacks first: graph_amplitudes builds labeled graph states (..., p^n)
+  from edge words (..., C(n, 2)) and labels (..., n); cut_entropies and
+  z_measure_stack act on such stacks. Each one-state function is their
+  one-row case; graph-state phases broadcast on the [p] * n tensor.
+- One cap, DEFAULT_CAP amplitudes unless a larger one is passed, bounds
+  every state and stack; check_cap refuses before anything is allocated.
+- Entropies are Gram-matrix spectra, in real arithmetic when a stack's
+  imaginary parts all lie within numpy.real_if_close's tolerance (qubit
+  graph states, amplitudes +-2^(-n/2)); every other stack stays complex.
 """
 
 from __future__ import annotations
@@ -68,9 +67,14 @@ def omega_powers(p: int) -> np.ndarray:
     return table
 
 
-def _check_cap(p: int, n: int, cap: int) -> None:
-    if p**n > cap:
-        raise TooLargeError(f"{p}^{n} amplitudes exceed the cap of {cap}")
+def check_cap(p: int, n: int, cap: int = DEFAULT_CAP, stack: tuple = ()) -> None:
+    """Refuse a stack of shape `stack` of p^n-amplitude states holding more than `cap` amplitudes."""
+    count = p**n
+    for rows in stack:
+        count *= rows
+    if count > cap:
+        lead = "".join(f"{rows} x " for rows in stack)
+        raise TooLargeError(f"{lead}{p}^{n} amplitudes exceed the cap of {cap}")
 
 
 def _axis(n: int, i: int) -> int:
@@ -84,7 +88,7 @@ def basis_state(p: int, n: int, digits) -> StateVector:
     digits = list(digits)
     if len(digits) != n:
         raise ValueError(f"expected {n} digits, got {len(digits)}")
-    _check_cap(p, n, DEFAULT_CAP)
+    check_cap(p, n)
     idx = sum(int(d) % p * p**i for i, d in enumerate(digits))
     amps = np.zeros(p**n, dtype=np.complex128)
     amps[idx] = 1.0
@@ -92,10 +96,8 @@ def basis_state(p: int, n: int, digits) -> StateVector:
 
 
 def uniform_state(p: int, n: int, cap: int = DEFAULT_CAP) -> StateVector:
-    """|0bar>^n: every qudit in the Fourier-conjugate zero state."""
-    _check_cap(p, n, cap)
-    amps = np.full(p**n, p ** (-n / 2), dtype=np.complex128)
-    return StateVector(p, n, amps)
+    """|0bar>^n, the empty graph's state: every qudit in the Fourier-conjugate zero state."""
+    return StateVector(p, n, graph_amplitudes(p, n, np.zeros(n * (n - 1) // 2, dtype=np.int64), cap=cap))
 
 
 def _site_pauli(s: StateVector, i: int, a: int, b: int) -> StateVector:
@@ -149,45 +151,44 @@ def _nonzero_slots(a: np.ndarray, keys, ones: tuple) -> list:
     return [(key, w.reshape(w.shape + ones)) for key, w in zip(keys, np.moveaxis(a, -1, 0)) if w.any()]
 
 
-def graph_state_amplitudes(g: Graph, label=None) -> np.ndarray:
-    """Raw amplitude array of a (labeled) graph state, without cap checks."""
-    amp = omega_powers(g.p) * g.p ** (-g.n / 2)
-    return amp[_phase_exponents(g.p, g.n, edge_word(g), label)].reshape(-1)
+def graph_amplitudes(p: int, n: int, words, labels=None, cap: int = DEFAULT_CAP) -> np.ndarray:
+    """Amplitude stack (..., p^n) of the labeled graph states with edge words
+    (..., C(n, 2)) and labels (..., n), or label 0 when labels is None."""
+    words = np.asarray(words, dtype=np.int64)
+    stack = words.shape[:-1]
+    check_cap(p, n, cap, stack)
+    amp = omega_powers(p) * p ** (-n / 2)
+    return amp[_phase_exponents(p, n, words, labels)].reshape(stack + (p**n,))
+
+
+def graph_state_amplitudes(g: Graph, label=None, cap: int = DEFAULT_CAP) -> np.ndarray:
+    """Amplitudes of one (labeled) graph state: graph_amplitudes' one-row case."""
+    return graph_amplitudes(g.p, g.n, edge_word(g), label, cap)
 
 
 def build_graph_state(g: Graph, cap: int = DEFAULT_CAP) -> StateVector:
     """|G>: all qudits in |0bar>, then CZ^w per weighted edge."""
-    _check_cap(g.p, g.n, cap)
-    return StateVector(g.p, g.n, graph_state_amplitudes(g))
+    return StateVector(g.p, g.n, graph_state_amplitudes(g, cap=cap))
 
 
 def build_labeled(s: LabeledGraph, cap: int = DEFAULT_CAP) -> StateVector:
-    g = s.graph
-    _check_cap(g.p, g.n, cap)
-    return StateVector(g.p, g.n, graph_state_amplitudes(g, s.label))
+    return StateVector(s.graph.p, s.graph.n, graph_state_amplitudes(s.graph, s.label, cap))
 
 
-def _split_axes(t: np.ndarray, n: int, keep) -> np.ndarray:
-    """Reshape an amplitude tensor (..., p, ..., p), its last n axes the
-    qudits, to matrices (..., p^m, p^(n-m)): the m kept qudits
-    little-endian in rows, the rest in columns, stack axes in front."""
+def _cut_matrices(amps, p: int, n: int, keep) -> np.ndarray:
+    """The amplitude stack (..., p^n) as matrices (..., p^m, p^(n-m)), the m kept qudits
+    little-endian in rows: a view when they are the most significant, else a copy."""
     keep = sorted(keep)
     rest = [q for q in range(n) if q not in keep]
-    lead = t.ndim - n
-    axes = [*range(lead)] + [t.ndim - 1 - q for q in keep[::-1] + rest[::-1]]
-    return t.transpose(axes).reshape(t.shape[:lead] + (t.shape[-1] ** len(keep), -1))
+    stack = amps.shape[:-1]
+    axes = [*range(len(stack))] + [len(stack) + n - 1 - q for q in keep[::-1] + rest[::-1]]
+    return amps.reshape(stack + (p,) * n).transpose(axes).reshape(stack + (p ** len(keep), p ** len(rest)))
 
 
 def reduced_density(s: StateVector, keep) -> np.ndarray:
     """Reduced density matrix of the qudits in `keep` (sorted ascending)."""
-    m = _split_axes(s.amps.reshape([s.p] * s.n), s.n, keep)
+    m = _cut_matrices(s.amps, s.p, s.n, keep)
     return m @ m.conj().T
-
-
-def _spectrum_edits(lam: np.ndarray, p: int) -> np.ndarray:
-    """-sum lam log lam / log p over the last axis, eigenvalues <= 1e-12 dropped."""
-    lam = np.where(lam > 1e-12, lam, 1.0)  # 1 log 1 = 0
-    return -(lam * np.log(lam)).sum(axis=-1) / np.log(p)
 
 
 def _real_if_close(mats: np.ndarray) -> np.ndarray:
@@ -200,34 +201,41 @@ def _real_if_close(mats: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _gram_entropies(mats: np.ndarray, p: int) -> np.ndarray:
-    """Entanglement entropies, in units of log p, of a stack of amplitude
-    matrices (..., r, c): the eigenvalues of the smaller side's Gram
-    matrix M M^dagger are the squared singular values. A stack that is real
-    up to float noise (_real_if_close) runs in real arithmetic."""
+def cut_entropies(amps, p: int, n: int, cut) -> np.ndarray:
+    """Entanglement entropy across (cut, rest), in edits, of each state of the
+    amplitude stack (..., p^n): the spectrum of the smaller side's Gram
+    matrix, eigenvalues <= 1e-12 dropped."""
+    mats = _cut_matrices(amps, p, n, cut)
     if mats.shape[-2] > mats.shape[-1]:
         mats = mats.swapaxes(-1, -2)
     mats = _real_if_close(mats)  # a real array's conj() is itself, not a copy
-    return _spectrum_edits(np.linalg.eigvalsh(mats @ mats.conj().swapaxes(-1, -2)), p)
+    lam = np.linalg.eigvalsh(mats @ mats.conj().swapaxes(-1, -2))
+    lam = np.where(lam > 1e-12, lam, 1.0)  # 1 log 1 = 0
+    return -(lam * np.log(lam)).sum(axis=-1) / np.log(p)
 
 
 def cut_entropy_edits(s: StateVector, cut) -> float:
     """Entanglement entropy across (cut, rest) in edits."""
-    return float(_gram_entropies(_split_axes(s.amps.reshape([s.p] * s.n), s.n, cut), s.p))
+    return float(cut_entropies(s.amps, s.p, s.n, cut))
+
+
+def z_measure_stack(amps, p: int, n: int, i: int, outcome: int) -> tuple[np.ndarray, np.ndarray]:
+    """Project qudit i of each state of the amplitude stack (..., p^n) onto Z-value `outcome`
+    and drop it: probabilities (...) and renormalized post states (..., p^(n-1)), survivors in
+    order. ZeroProbabilityError, before any division, when a state is annihilated."""
+    stack = amps.shape[:-1]
+    sl = amps.reshape(stack + (p,) * n).take(int(outcome) % p, axis=_axis(n, i) - n)
+    sl = sl.reshape(stack + (p ** (n - 1),))
+    prob = np.einsum("...k,...k->...", sl.conj(), sl).real
+    if (prob < 1e-12).any():
+        raise ZeroProbabilityError("projection annihilates the state")
+    return prob, sl / np.sqrt(prob)[..., None]
 
 
 def z_measure_dense(s: StateVector, i: int, outcome: int) -> tuple[float, StateVector]:
-    """Project qudit i onto Z-value `outcome`; drop the measured qudit.
-
-    Returns (probability, renormalized post state on the n-1 survivors,
-    which keep their relative order).
-    """
-    t = s.amps.reshape([s.p] * s.n)
-    sl = t.take(int(outcome) % s.p, axis=_axis(s.n, i)).reshape(-1)
-    prob = float(np.vdot(sl, sl).real)
-    if prob < 1e-12:
-        raise ZeroProbabilityError("projection annihilates the state")
-    return prob, StateVector(s.p, s.n - 1, sl / np.sqrt(prob))
+    """(probability, post state) of z_measure_stack's one-row case."""
+    prob, post = z_measure_stack(s.amps, s.p, s.n, i, outcome)
+    return float(prob), StateVector(s.p, s.n - 1, post)
 
 
 def bell_measure(s: StateVector, pair, g: int, h: int) -> tuple[float, StateVector]:
@@ -337,7 +345,7 @@ def stabilizer_state(p: int, x: np.ndarray, z: np.ndarray, cap: int = DEFAULT_CA
     x = gfp.as_residues(x, p)
     z = gfp.as_residues(z, p)
     n = x.shape[1]
-    _check_cap(p, n, cap)
+    check_cap(p, n, cap)
     t = np.zeros([p] * n, dtype=np.complex128)
     t[tuple(_support_seed(p, x, z)[::-1])] = 1.0  # axis n-1-i holds qudit i
     for a, b in zip(x, z):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,18 @@ def test_factorize(d, factors):
 def test_factorize_rejects_small():
     with pytest.raises(ValueError):
         comp.factorize(1)
+
+
+def test_factorize_refuses_past_its_bound_before_dividing():
+    # below 2^40 trial division takes at most 2^20 steps; past it, d is refused at once
+    assert comp.factorize(2**40 - 1) == [3, 5, 5, 11, 17, 31, 41, 61681]
+    for d in (2**40, 2147483647 * 2147483659):
+        with pytest.raises(ValueError, match=r"is not below 2\^40"):
+            comp.factorize(d)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"is not below 2\^40"):
+        comp.build_composite(5, 2147483647 * 2147483659)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_build_ame_5_6():

@@ -171,6 +171,26 @@ def test_z_measure_keeps_existing_label():
     assert out.label.tolist() == [1, 0, 1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(2, 6), st.sampled_from([(1,), (3,), (2, 2)]), st.data())
+def test_z_measure_words_matches_symbolic(p, n, stack, data):
+    # row by row: the survivors' words are truncate's, and each label is the
+    # old label on the survivors plus sum_i outcome_i * (row of cut vertex i)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    words = rng.integers(0, p, stack + (n * (n - 1) // 2,))
+    labels = rng.integers(0, p, stack + (n,))
+    cut = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
+    outs = rng.integers(-p, 2 * p, len(cut))
+    got_words, got_labels = gr.z_measure_words(p, n, words, labels, cut, outs)
+    keep = [u for u in range(n) if u not in cut]
+    for pos in np.ndindex(*stack):
+        g = graph_from_word(p, n, words[pos])
+        want = z_measure_symbolic(LabeledGraph(g, labels[pos]), cut, outs)
+        label = [(labels[pos][u] + sum(int(o) * int(g.adj[v, u]) for v, o in zip(cut, outs))) % p for u in keep]
+        assert got_words[pos].tolist() == edge_word(truncate(g, cut)).tolist() == edge_word(want.graph).tolist()
+        assert got_labels[pos].tolist() == label == want.label.tolist()
+
+
 def test_permute_and_canonical():
     g = c4()
     assert permute(g, [0, 1, 2, 3]) == g

@@ -167,6 +167,59 @@ def test_z_measure_dense_uniform_and_crosscheck():
             assert abs(abs(sim.overlap(post, sim.build_labeled(sym))) - 1) < 1e-9
 
 
+def test_z_measure_stack_refuses_before_dividing():
+    # one row of the stack annihilated by the projection: no nan row comes back
+    stack = np.stack([sim.basis_state(2, 1, [1]).amps, sim.basis_state(2, 1, [0]).amps])
+    with pytest.raises(sim.ZeroProbabilityError):
+        sim.z_measure_stack(stack, 2, 1, 0, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.sampled_from([(1,), (3,), (2, 2)]), st.data())
+def test_stacked_dense_path_matches_one_row_cases(p, n, stack, data):
+    # row by row: the stack's amplitudes, cut entropies and Z-measurement are
+    # build_labeled's, cut_entropy_edits' and z_measure_dense's
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    words = rng.integers(0, p, stack + (n * (n - 1) // 2,))
+    labels = rng.integers(0, p, stack + (n,))
+    cut = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=max(n - 1, 1))))
+    i, outcome = data.draw(st.integers(0, n - 1)), data.draw(st.integers(-p, 2 * p))
+    amps = sim.graph_amplitudes(p, n, words, labels)
+    assert amps.shape == stack + (p**n,)
+    ents = sim.cut_entropies(amps, p, n, cut)
+    probs, posts = sim.z_measure_stack(amps, p, n, i, outcome)
+    assert ents.shape == probs.shape == stack and posts.shape == stack + (p ** (n - 1),)
+    for pos in np.ndindex(*stack):
+        s = sim.build_labeled(LabeledGraph(graph_from_word(p, n, words[pos]), labels[pos]))
+        assert np.array_equal(amps[pos], s.amps)
+        assert abs(ents[pos] - sim.cut_entropy_edits(s, cut)) <= 1e-12
+        prob, post = sim.z_measure_dense(s, i, outcome)
+        assert abs(probs[pos] - prob) <= 1e-15
+        assert np.allclose(posts[pos], post.amps, rtol=0, atol=1e-15)
+
+
+def test_graph_amplitudes_at_the_cap_edge():
+    # exactly DEFAULT_CAP amplitudes build within 2x their bytes (int64 phase
+    # exponents, then the complex amplitudes); one graph more is refused
+    # before anything of the stack's size is allocated
+    n = 10
+    rows = sim.DEFAULT_CAP // 2**n
+    words = np.random.default_rng(13).integers(0, 2, (rows + 1, n * (n - 1) // 2))
+    tracemalloc.start()
+    try:
+        amps = sim.graph_amplitudes(2, n, words[:rows])
+        peak = tracemalloc.get_traced_memory()[1]
+        del amps
+        tracemalloc.reset_peak()
+        with pytest.raises(sim.TooLargeError, match=f"^{rows + 1} x 2\\^10 amplitudes exceed the cap of {sim.DEFAULT_CAP}$"):
+            sim.graph_amplitudes(2, n, words)
+        refused = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 16 * sim.DEFAULT_CAP
+    assert refused <= 64 << 10
+
+
 def test_z_measure_zero_probability():
     s = sim.basis_state(2, 1, [0])
     with pytest.raises(sim.ZeroProbabilityError):
@@ -315,7 +368,7 @@ def test_gram_entropies_match_svd():
             s = random_state(p, n, rng)
             for size in range(1, n):
                 for cut in itertools.combinations(range(n), size):
-                    lam = np.linalg.svd(sim._split_axes(s.amps.reshape([p] * n), n, cut), compute_uv=False) ** 2
+                    lam = np.linalg.svd(sim._cut_matrices(s.amps, p, n, cut), compute_uv=False) ** 2
                     lam = lam[lam > 1e-12]
                     want = -(lam * np.log(lam)).sum() / np.log(p)
                     assert abs(sim.cut_entropy_edits(s, cut) - want) <= 1e-9
@@ -323,7 +376,9 @@ def test_gram_entropies_match_svd():
 
 def _complex_spectrum_edits(s, cut):
     """The reference entropy: eigvalsh of the complex reduced density matrix."""
-    return float(sim._spectrum_edits(np.linalg.eigvalsh(sim.reduced_density(s, cut)), s.p))
+    lam = np.linalg.eigvalsh(sim.reduced_density(s, cut))
+    lam = lam[lam > 1e-12]
+    return float(-(lam * np.log(lam)).sum() / np.log(s.p))
 
 
 def _every_cut(n):
@@ -338,7 +393,7 @@ def test_real_spectra_of_qubit_graph_states_match_complex(n, data):
     g = graph_from_word(2, n, word)
     s = sim.build_graph_state(g)
     for cut in _every_cut(n):
-        assert sim._real_if_close(sim._split_axes(s.amps.reshape([2] * n), n, cut)).dtype == np.float64
+        assert sim._real_if_close(sim._cut_matrices(s.amps, 2, n, cut)).dtype == np.float64
         ent = sim.cut_entropy_edits(s, cut)
         assert abs(ent - _complex_spectrum_edits(s, cut)) <= 1e-12
         assert abs(ent - cut_edits(g, cut)) <= 1e-9
@@ -350,23 +405,27 @@ def test_qubit_stabilizer_state_with_imaginary_amplitudes_stays_complex():
     s = sim.stabilizer_state(2, np.eye(5, dtype=np.int64), g.adj + np.eye(5, dtype=np.int64))
     assert np.abs(s.amps.imag).max() > 0.1
     for cut in _every_cut(5):
-        m = sim._split_axes(s.amps.reshape([2] * 5), 5, cut)
+        m = sim._cut_matrices(s.amps, 2, 5, cut)
         assert sim._real_if_close(m) is m
         ent = sim.cut_entropy_edits(s, cut)
         assert abs(ent - _complex_spectrum_edits(s, cut)) <= 1e-12
         assert abs(ent - cut_edits(g, cut)) <= 1e-9
 
 
-@pytest.mark.parametrize("p,side", [(5, 125), (2, 128)], ids=["complex", "real"])
-def test_gram_entropies_allocate_no_stack_sized_temporary(p, side):
+@pytest.mark.parametrize("p,n", [(5, 6), (2, 14)], ids=["complex", "real"])
+def test_gram_entropies_allocate_no_stack_sized_temporary(p, n):
     # the realness test allocates nothing of the stack's size (a bool mask over
     # this stack would be 1 MiB) beyond the real copy it returns; the whole call
     # holds one stack-sized array (the conjugate) and the Gram stack, or the
-    # real halves of both
+    # real halves of both. The cut is the n/2 most significant qudits, whose
+    # matrices are a view of the amplitude stack.
+    side = p ** (n // 2)
     stack = sim.omega_powers(p)[np.random.default_rng(3).integers(0, p, (64, side, side))] / side
+    cut = tuple(range(n // 2, n))
+    assert np.shares_memory(sim._cut_matrices(stack.reshape(64, -1), p, n, cut), stack)
     real = p == 2
     peaks = []
-    for run in (sim._real_if_close, lambda m: sim._gram_entropies(m, p)):
+    for run in (sim._real_if_close, lambda m: sim.cut_entropies(m.reshape(64, -1), p, n, cut)):
         tracemalloc.start()
         try:
             run(stack)
