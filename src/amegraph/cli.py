@@ -53,10 +53,11 @@ def cmd_verify(args) -> int:
     report = entanglement.is_ame(g, full=args.full)
     sys.stdout.write(entanglement.format_report(report))
     if args.oracle:
-        if g.p**g.n > simulator.DEFAULT_CAP:
+        try:
+            state = simulator.build_graph_state(g)
+        except simulator.TooLargeError:
             print("ORACLE skipped (state too large)")
         else:
-            state = simulator.build_graph_state(g)
             worst = 0.0
             for cut in report.cut_ranks:
                 ent = simulator.cut_entropy_edits(state, cut)

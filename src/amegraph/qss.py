@@ -216,6 +216,7 @@ def _recovery_map(scheme, B: tuple) -> np.ndarray:
         if gfp.mat_rank(cand, p) == cand.shape[0]:
             full = cand
     rinv = gfp.mat_inverse(full, p)
+    check_cap(p, 2 * len(B))  # the p^|B| x p^|B| map
 
     sub = truncate(g, dealers + traced)
     base = graph_state_amplitudes(sub)

@@ -5,19 +5,21 @@ slots in lexicographic order. An exhaustive run scans all base^E words
 (base = p, or 2 under the weight-one restriction) as the little-endian
 integers of gfp.digits.
 
-The rank predicate asks that each cut's cross block, at the edge slots
-of its entanglement.cut_plan, have full row rank. Where gfp affords the
-block's rank_table for every graph the search may examine (base^E of
-them, or the samples), the block, read row-major, packs into the index
-sum_k w_k p^k of that table: one lookup per cut. Otherwise each row of
-the block packs into its own index and gfp.rank_rows ranks the rows; where
-a row's index would not fit int64, gfp.rank_stack ranks the block itself.
+The rank predicate asks that each cut's cross block, at its edge slots
+(its row of the groups' entanglement.cut_plan `cols`, read when needed),
+have full row rank. Where gfp affords the blocks' rank_table for every
+graph the search may examine (base^E of them, or the samples), a block,
+read row-major, packs into the index sum_k w_k p^k of that table: one
+lookup per cut. Otherwise each row of the block packs into its own index
+and gfp.rank_rows ranks the rows; where a row's index would not fit
+int64, gfp.rank_stack ranks the block itself. Both choices hold for the
+whole plan (_search_plan).
 
 Both modes index a cut through chunk tables. Chunk c holds the L edge
 slots from c * L on, base^L being at most _LOW_IDS, and a word's id over
 a chunk reads those slots as a little-endian base-`base` number. Each
 slot owns its own positions in a cut's index, so the index of a part of
-the cut (its whole cross block when the cut has a table, else each row)
+the cut (its whole cross block when the plan has a table, else each row)
 is the sum, with no carries, of the part's _chunk_tables at the word's
 chunk ids.
 
@@ -29,14 +31,15 @@ its other chunk tables summed at the block's chunk ids. Per cut, a block
 takes A at its surviving low ids and looks them up in the table shifted
 by B, or hands each row's A + B to gfp.rank_rows; survivors are compacted
 after every cut, so each cut sees only the graphs that passed the cuts
-before it. The first cut is the one with a table and the fewest high
-slots, and a block's survivors of it depend only on its B and its row
+before it. The first cut is the one with the fewest high slots, and
+with a table a block's survivors of it depend only on its B and its row
 key (below), so they are kept and reused by later blocks.
 
 Random search packs each batch of sampled words once into its chunk
 ids, with one float64 product, exact since each id is below base^L.
 Survivors are compacted together with their chunk ids after every cut,
-and a batch is copied only when a prune layer dropped some of it.
+and a batch is copied only when a prune layer dropped some of it. A
+cut's chunk tables are built once per call, when a batch first reaches it.
 
 Samples come from one seeded numpy Generator, and the stream is pinned:
 a seed gives the same graphs as plain rng.integers calls. Two-valued
@@ -87,7 +90,7 @@ from itertools import combinations
 import numpy as np
 
 from . import gfp
-from .entanglement import cut_edits, cut_plan
+from .entanglement import CutPlan, cut_edits, cut_plan
 from .graph import (
     Graph,
     _swap_keys,
@@ -185,49 +188,39 @@ class SearchResult:
 def _chunk_tables(coef: np.ndarray, low: int, base: int, dtype=None) -> list[tuple[int, np.ndarray]]:
     """(c, the partial index over every id of chunk c) for each chunk c of
     `low` edge slots that holds some of the part's slots, `coef` the part's
-    row of _Cut.coef (or a swap's form). A part's index is the sum of these
-    tables at the word's chunk ids. `dtype` defaults to the smallest that
-    holds the part's largest index."""
+    dense row over the edge slots (from _cut_chunks, or a swap's form). A
+    part's index is the sum of these tables at the word's chunk ids.
+    `dtype` defaults to the smallest that holds the part's largest index."""
     if dtype is None:
         dtype = np.min_scalar_type(int(coef.sum()) * (base - 1))
     return [(c, gfp.digit_sums(np.multiply.outer(coef[s : s + low], np.arange(base)), dtype))
             for c, s in enumerate(range(0, coef.size, low)) if coef[s : s + low].any()]
 
 
-class _Cut:
-    """One cut's plan: `cols`, the edge slots of its rows x width cross
-    block, row-major; `table`, the gfp.rank_table of the block's packed
-    index, when the search affords it; `coef`, one row per part of the
-    block, the p^k that pack each edge slot of the part into the part's
-    index (0 off the part). The one part is the whole block when there is
-    a table, else each row is a part and gfp.rank_rows ranks the rows;
-    `coef` is None when a row's index would not fit int64. `chunks` holds
-    the parts' _chunk_tables once random search needs them."""
-
-    def __init__(self, cols: np.ndarray, rows: int, width: int, table: np.ndarray | None,
-                 coef: np.ndarray | None):
-        self.cols, self.rows, self.width, self.table, self.coef = cols, rows, width, table, coef
-        self.chunks = None
-
-
-def _cut_plans(spec: SearchSpec) -> list[_Cut]:
-    """One plan per cut of the groups, in party_cuts order. The cuts have
-    tables when gfp affords one for every graph the search may examine."""
+def _search_plan(spec: SearchSpec) -> tuple[CutPlan, np.ndarray | None, bool]:
+    """The cut_plan of the groups, and two values fixed for all its cuts:
+    the gfp.rank_table of a cut's block, when gfp affords one for every
+    graph the search may examine, else None; and whether a part's index
+    fits int64. A part is the whole block when there is a table, else a row."""
     p = spec.p
     plan = cut_plan(spec.n, tuple(tuple(grp) for grp in spec.groups), spec.n // spec.group_size // 2)
     rows, width = plan.rows, plan.width
     graphs = spec.base**spec.edge_slots if spec.mode == "exhaustive" else spec.samples
     table = gfp.rank_table(p, rows, width) if gfp._affords(p ** (rows * width), graphs) else None
-    plans = []
-    for cols in plan.cols:
-        parts = [cols] if table is not None else cols.reshape(rows, width)
-        coef = None
-        if p ** len(parts[0]) <= 1 << 62:  # each part's index fits int64
-            coef = np.zeros((len(parts), spec.edge_slots), dtype=np.int64)
-            for k, part in enumerate(parts):
-                coef[k, part] = p ** np.arange(len(part))
-        plans.append(_Cut(cols, rows, width, table, coef))
-    return plans
+    return plan, table, p ** (rows * width if table is not None else width) <= 1 << 62
+
+
+def _cut_chunks(spec: SearchSpec, plan: CutPlan, table: np.ndarray | None, c: int,
+                low: int) -> list[list[tuple[int, np.ndarray]]]:
+    """The _chunk_tables of each part of cut c, in order, built one part at
+    a time from its edge slots in plan.cols[c]: slot k of a part packs into
+    its index as p^k."""
+    chunks = []
+    for part in plan.cols[c].reshape(1 if table is not None else plan.rows, -1):
+        coef = np.zeros(spec.edge_slots, dtype=np.int64)
+        coef[part] = spec.p ** np.arange(part.size)
+        chunks.append(_chunk_tables(coef, low, spec.base))
+    return chunks
 
 
 def _chunk_ids(weights: np.ndarray, spec: SearchSpec, low: int) -> np.ndarray:
@@ -255,29 +248,33 @@ def _part_index(chunks: list[tuple[int, np.ndarray]], ids: np.ndarray) -> np.nda
     return index
 
 
-def _predicate_mask(weights: np.ndarray, spec: SearchSpec, plans: list[_Cut]) -> np.ndarray:
-    """Boolean mask of rows of `weights` whose graphs pass every cut.
+def _predicate_mask(weights: np.ndarray, spec: SearchSpec, chunks: dict, cuts=None) -> np.ndarray:
+    """Boolean mask of rows of `weights` whose graphs pass each of `cuts`
+    (cut indices of _search_plan's plan, by default all in order).
 
     Each word is packed once into its chunk ids of _low_slots edge slots
     each. A cut's part indices are sums of its chunk tables at those ids,
-    looked up in its table or ranked by gfp.rank_rows; the survivors of
-    each cut are compacted together with their chunk ids."""
+    looked up in the table or ranked by gfp.rank_rows; the survivors of
+    each cut are compacted together with their chunk ids. A cut's chunk
+    tables are built when a batch first reaches it and kept in `chunks`,
+    keyed by cut index, for the caller's later batches."""
+    plan, table, fits = _search_plan(spec)
     low = _low_slots(spec)
     # the chunk ids, then a last row with each word's position in `weights`
     ids = np.vstack([_chunk_ids(weights, spec, low), np.arange(weights.shape[0])])
-    for cut in plans:
-        if cut.coef is None:
-            blocks = weights[ids[-1]][:, cut.cols].reshape(-1, cut.rows, cut.width)
+    for c in range(len(plan.cuts)) if cuts is None else cuts:
+        if not fits:
+            blocks = weights[ids[-1]][:, plan.cols[c]].reshape(-1, plan.rows, plan.width)
             ranks = gfp.rank_stack(blocks, spec.p)
         else:
-            if cut.chunks is None:  # built when a batch first reaches the cut
-                cut.chunks = [_chunk_tables(coef, low, spec.base) for coef in cut.coef]
-            parts = [_part_index(chunks, ids) for chunks in cut.chunks]
-            if cut.table is not None:
-                ranks = cut.table.take(parts[0])
+            if c not in chunks:
+                chunks[c] = _cut_chunks(spec, plan, table, c, low)
+            parts = [_part_index(part, ids) for part in chunks[c]]
+            if table is not None:
+                ranks = table.take(parts[0])
             else:
-                ranks = gfp.rank_rows(parts, spec.p, cut.width)
-        ids = ids.compress(ranks == cut.rows, axis=1)
+                ranks = gfp.rank_rows(parts, spec.p, plan.width)
+        ids = ids.compress(ranks == plan.rows, axis=1)
         if ids.shape[1] == 0:
             break
     mask = np.zeros(weights.shape[0], dtype=bool)
@@ -304,39 +301,34 @@ def _first_nonzero_not_one(part: np.ndarray) -> np.ndarray:
 
 class _BlockScan:
     """What the exhaustive scan looks up per block of `size` ids: the cut
-    plans, the first cut first; per cut, None where a row index would not
-    fit int64, else a column per part; per column, A (`low_index`, intp)
-    and the part's other chunk tables (`part_chunks`), which sum to B;
-    per vertex, its row's high slots (`row_high`) and, when a row layer
-    is on, whether the row's low part is zero (`row_zero`); whether some
-    row's low part leads with a weight other than 1 (`static`, under
-    rescale); and, under prune_canonical, per adjacent swap k of
-    graph._swap_keys, the chunk tables of the int64 linear form
-    (key_0 - key_k) . word: its chunk-0 table as row k - 1 of `swaps`, and
-    its other chunk tables as one of the last n - 1 `part_chunks`."""
+    plan, its `table`, whether a part's index `fits` int64 and the cut
+    indices in scan `order`, the first cut first; when a part fits, a
+    column per part of each cut in that order, cut c's m parts being
+    columns c * m to c * m + m - 1; per column, A (`low_index`, intp) and
+    the part's other chunk tables (`part_chunks`), which sum to B; per
+    vertex, its row's high slots (`row_high`) and, when a row layer is on,
+    whether the row's low part is zero (`row_zero`); whether some row's low
+    part leads with a weight other than 1 (`static`, under rescale); and,
+    under prune_canonical, per adjacent swap k of graph._swap_keys, the
+    chunk tables of the int64 linear form (key_0 - key_k) . word: its
+    chunk-0 table as row k - 1 of `swaps`, and its other chunk tables as
+    one of the last n - 1 `part_chunks`."""
 
     def __init__(self, spec: SearchSpec):
         n = spec.n
         self.low = low = _low_slots(spec)
         self.size = spec.base**low
-        # first the cut with a table and the fewest high slots: its offset
-        # then takes the fewest values, so its survivors repeat the most
-        plans = _cut_plans(spec)
-        high_slots = [np.count_nonzero(cut.cols >= low) for cut in plans]
-        first = min(range(len(plans)), key=lambda c: (plans[c].table is None, high_slots[c]))
-        plans.insert(0, plans.pop(first))
-        self.plans, self.parts, self.part_chunks, low_tables = plans, [], [], []
-        for cut in plans:
-            parts = None
-            if cut.coef is not None:
-                parts = []
-                for coef in cut.coef:
-                    chunks = _chunk_tables(coef, low, spec.base)
-                    c, a = chunks[0]
-                    parts.append(len(self.part_chunks))
-                    self.part_chunks.append(chunks[1:] if c == 0 else chunks)
-                    low_tables.append(a if c == 0 else np.zeros(self.size, np.uint8))
-            self.parts.append(parts)
+        self.plan, self.table, self.fits = _search_plan(spec)
+        # first the cut with the fewest high slots: its offset then takes
+        # the fewest values, so its survivors repeat the most
+        first = int(np.argmin(np.count_nonzero(self.plan.cols >= low, axis=1)))
+        self.order = [first, *(c for c in range(len(self.plan.cuts)) if c != first)]
+        self.part_chunks, low_tables = [], []
+        for c in self.order if self.fits else ():
+            for chunks in _cut_chunks(spec, self.plan, self.table, c, low):
+                k, a = chunks[0]
+                self.part_chunks.append(chunks[1:] if k == 0 else chunks)
+                low_tables.append(a if k == 0 else np.zeros(self.size, np.uint8))
         # A per column as intp, which take() indexes with no cast; one cast
         # of them all takes about an eighth of the time of a cast per table,
         # and the chunk-0 tables are not kept
@@ -406,7 +398,8 @@ def _scan_blocks(spec: SearchSpec) -> tuple[np.ndarray, int, int]:
     examined = 0
     pruned_total = 0
     every = np.arange(scan.size)
-    reuse = scan.swaps is None and scan.plans[0].table is not None
+    plan, table = scan.plan, scan.table
+    reuse = scan.swaps is None and table is not None
     # (row key, first offset) -> (ids the prune layers keep, survivors of the first cut)
     starts: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
     blocks = spec.base**spec.edge_slots // scan.size
@@ -435,18 +428,19 @@ def _scan_blocks(spec: SearchSpec) -> tuple[np.ndarray, int, int]:
                 kept = alive.size
             examined += kept
             pruned_total += scan.size - kept
-            for c in range(cached is not None, len(scan.plans)):
-                cut, parts = scan.plans[c], scan.parts[c]
-                if parts is None:
+            for c in range(cached is not None, len(scan.order)):
+                if not scan.fits:
                     words = _weights_from_ids(hi * scan.size + alive, spec)
-                    ranks = gfp.rank_stack(words[:, cut.cols].reshape(-1, cut.rows, cut.width), spec.p)
-                elif cut.table is not None:  # table[A[lo] + B] as a lookup in the table shifted by B
-                    a = scan.low_index[parts[0]]
-                    ranks = cut.table[b[parts[0]]:].take(a if alive is every else a.take(alive))
+                    blocks = words[:, plan.cols[scan.order[c]]].reshape(-1, plan.rows, plan.width)
+                    ranks = gfp.rank_stack(blocks, spec.p)
+                elif table is not None:  # table[A[lo] + B] as a lookup in the table shifted by B
+                    a = scan.low_index[c]
+                    ranks = table[b[c]:].take(a if alive is every else a.take(alive))
                 else:
+                    parts = range(c * plan.rows, (c + 1) * plan.rows)
                     rows = [scan.low_index[k].take(alive) + b[k] for k in parts]
-                    ranks = gfp.rank_rows(rows, spec.p, cut.width)
-                alive = alive.compress(ranks == cut.rows)
+                    ranks = gfp.rank_rows(rows, spec.p, plan.width)
+                alive = alive.compress(ranks == plan.rows)
                 if c == 0 and reuse and len(starts) < _REUSE_CAP:
                     starts[key, b[0]] = kept, alive
                 if alive.size == 0:
@@ -575,7 +569,7 @@ def random_search(spec: SearchSpec) -> SearchResult:
     Stops at the first witness; reproducible for a fixed seed.
     """
     t0 = time.perf_counter()
-    plans = _cut_plans(spec)
+    chunks = {}  # the chunk tables of each cut a batch has reached
     rng = np.random.default_rng(spec.seed)
     examined = 0
     pruned_total = 0
@@ -589,9 +583,9 @@ def random_search(spec: SearchSpec) -> SearchResult:
         keep = ~pruned
         if pruned.any():
             mask = np.zeros(count, dtype=bool)
-            mask[keep] = _predicate_mask(weights[keep], spec, plans)
+            mask[keep] = _predicate_mask(weights[keep], spec, chunks)
         else:  # no copy of the batch
-            mask = _predicate_mask(weights, spec, plans)
+            mask = _predicate_mask(weights, spec, chunks)
         if mask.any():
             first = int(mask.argmax())
             examined += int(keep[: first + 1].sum())

@@ -11,7 +11,8 @@ Conventions, fixed once for the whole package:
   z_measure_stack act on such stacks. Each one-state function is their
   one-row case; graph-state phases broadcast on the [p] * n tensor.
 - One cap, DEFAULT_CAP amplitudes unless a larger one is passed, bounds
-  every state and stack; check_cap refuses before anything is allocated.
+  every state and stack, and reduced_density's p^k x p^k entries too;
+  check_cap refuses before anything is allocated.
 - Entropies are Gram-matrix spectra, in real arithmetic when a stack's
   imaginary parts all lie within numpy.real_if_close's tolerance (qubit
   graph states, amplitudes +-2^(-n/2)); every other stack stays complex.
@@ -186,7 +187,8 @@ def _cut_matrices(amps, p: int, n: int, keep) -> np.ndarray:
 
 
 def reduced_density(s: StateVector, keep) -> np.ndarray:
-    """Reduced density matrix of the qudits in `keep` (sorted ascending)."""
+    """Reduced density matrix of the qudits in `keep` (sorted ascending), refused past the cap."""
+    check_cap(s.p, 2 * len(keep))
     m = _cut_matrices(s.amps, s.p, s.n, keep)
     return m @ m.conj().T
 

@@ -44,6 +44,18 @@ def test_verify_oracle(quad_file, capsys):
     assert "ORACLE agree" in capsys.readouterr().out
 
 
+
+@pytest.mark.parametrize("p, line", [(1031, "ORACLE skipped (state too large)"),
+                                     (1021, "ORACLE agree max|delta|=")])
+def test_verify_oracle_skips_states_past_the_cap(tmp_path, capsys, p, line):
+    # 1031^2 amplitudes exceed simulator.DEFAULT_CAP = 2^20 and 1021^2 do not
+    from amegraph.graph import graph_from_edges
+
+    path = tmp_path / "edge.graph"
+    save_graph(graph_from_edges(p, 2, [(0, 1, 1)]), path)
+    assert main(["verify", str(path), "--oracle"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(line)
+
 def test_verify_full_records_small_cuts(quad_file, capsys):
     assert main(["verify", quad_file, "--full"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,22 @@ def test_recovery_map_all_triples(scheme62):
         v = qss.recovery_map(scheme62, b)
         assert np.allclose(v @ v.conj().T, np.eye(8), atol=1e-9)
 
+
+
+def test_recovery_map_bounds_its_square_by_the_cap():
+    # at p=11 the map on three players holds 11^6 entries (27 MB): refused
+    # before any is allocated; at p=7 its 7^6 entries are within the cap
+    big = qss.ThresholdScheme(quad_weighted(11))
+    tracemalloc.start()
+    try:
+        with pytest.raises(sim.TooLargeError, match="11\\^6 amplitudes exceed the cap"):
+            qss.recovery_map(big, (1, 2, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    v = qss.recovery_map(qss.ThresholdScheme(quad_weighted(7)), (1, 2, 3))
+    assert np.allclose(v @ v.conj().T, np.eye(343), atol=1e-9)
 
 def test_recovery_map_too_small(quad_scheme):
     with pytest.raises(qss.NotAuthorizedError):

@@ -2,6 +2,7 @@ import concurrent.futures
 import multiprocessing
 import threading
 import time
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -106,7 +107,7 @@ def test_many_blocks_match_reference(p, shape, weights_one, zero_row, rescale, c
     ids = np.arange(spec.base**spec.edge_slots)
     weights = search._weights_from_ids(ids, spec)
     keep = ~_prune_mask(weights, spec)
-    passed = search._predicate_mask(weights[keep], spec, search._cut_plans(spec))
+    passed = search._predicate_mask(weights[keep], spec, {})
     assert raw[0].tolist() == ids[keep][passed].tolist()
 
 
@@ -217,7 +218,7 @@ def test_rank_fallback_matches_tables(monkeypatch, flags):
     with_tables = enumerate_graphs(spec)
     monkeypatch.setattr(gfp, "_TABLE_CAP", cap)
     monkeypatch.setattr(gfp, "_REPAY", 1 << 62)
-    assert all(cut.table is None for cut in search._cut_plans(spec))
+    assert search._search_plan(spec)[1] is None
     fallback_ids, fallback_examined, fallback_pruned = search._scan_blocks(spec)
     assert fallback_ids.tolist() == ids.tolist()
     assert (fallback_examined, fallback_pruned) == (examined, pruned)
@@ -268,7 +269,7 @@ def test_scan_ranks_rows_past_int64():
     # scan ranks every cut by gfp.rank_stack on expanded digits
     for n, classes in ((3, 2), (4, 0)):
         spec = SearchSpec(n=n, p=2147483659, weights_one=True)
-        assert all(cut.coef is None for cut in search._cut_plans(spec))
+        assert not search._search_plan(spec)[2]  # no part's index fits int64
         fast, ref = enumerate_graphs(spec), _reference_search(spec)
         assert len(fast.witnesses) == classes and fast.witnesses == ref.witnesses
         assert fast.examined == ref.examined
@@ -711,14 +712,51 @@ def test_predicate_matches_scalar_cut_ranks(monkeypatch, n, p, cap):
     words = search._random_weights(rng, 48, spec)
     words[::3] = words[::3] * (rng.random(words[::3].shape) < 0.5)  # sparser: more rank-deficient cuts
     graphs = [graph_from_word(p, n, w) for w in words]
-    plans = search._cut_plans(spec)
     cuts = party_cuts(spec.groups)
+    chunks = {}
     every = np.ones(len(words), dtype=bool)
-    for cut, plan in zip(cuts, plans):
+    for c, cut in enumerate(cuts):
         want = np.array([cut_edits(g, cut) == len(cut) for g in graphs])
-        assert search._predicate_mask(words, spec, [plan]).tolist() == want.tolist()
+        assert search._predicate_mask(words, spec, chunks, [c]).tolist() == want.tolist()
         every &= want
-    assert search._predicate_mask(words, spec, plans).tolist() == every.tolist()
+    assert search._predicate_mask(words, spec, chunks).tolist() == every.tolist()
+
+
+def test_random_search_builds_tables_only_for_reached_cuts(monkeypatch):
+    # n=16 p=2 seed 1: every sample fails the first of the 6,435 cuts, so
+    # the search builds the chunk tables of that cut's 8 rows and no others
+    spec = SearchSpec(n=16, p=2, mode="random", seed=1, samples=10)
+    plan, table, fits = search._search_plan(spec)
+    assert table is None and fits
+    words = search._random_weights(np.random.default_rng(1), 10, spec)
+    first = plan.cuts[0]
+    assert all(cut_edits(graph_from_word(2, 16, w), first) < len(first) for w in words)
+    built = []
+
+    def counted(coef, *args):
+        built.append(coef.nonzero()[0].tolist())
+        return chunk_tables(coef, *args)
+
+    chunk_tables = search._chunk_tables
+    monkeypatch.setattr(search, "_chunk_tables", counted)
+    res = random_search(spec)
+    assert (res.examined, res.pruned, res.witnesses) == (10, 0, [])
+    assert built == [sorted(row) for row in plan.cols[0].reshape(plan.rows, -1).tolist()]
+
+
+def test_random_search_memory_does_not_grow_with_the_cuts():
+    # with the plan cached, 10 samples at n=16 p=2 cost the tables of the
+    # one cut they reach, not a dense row per part of all 6,435 cuts (50 MB)
+    spec = SearchSpec(n=16, p=2, mode="random", seed=1, samples=10)
+    search._search_plan(spec)
+    tracemalloc.start()
+    try:
+        res = random_search(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.examined, res.witnesses) == (10, [])
+    assert peak < 8 << 20
 
 
 def test_spec_refuses_invalid_sizes():

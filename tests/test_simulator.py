@@ -131,6 +131,21 @@ def test_reduced_density_single_edge():
     assert np.isclose(sim.cut_entropy_edits(s, [0]), 1.0)
 
 
+
+def test_reduced_density_bounds_its_square_by_the_cap():
+    # keeping 15 of 16 qubits asks for 2^15 x 2^15 entries (16 GiB): refused
+    # before any is allocated; 10 of them, 2^20 entries, are the cap's edge
+    s = sim.uniform_state(2, 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(sim.TooLargeError, match="2\\^30 amplitudes exceed the cap"):
+            sim.reduced_density(s, range(15))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert np.allclose(sim.reduced_density(s, range(10)), np.full((1024, 1024), 1 / 1024))
+
 def test_c5_ame_entropies():
     g = graph_from_edges(
         2, 5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (0, 4, 1)]
