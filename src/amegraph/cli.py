@@ -2,7 +2,8 @@
 
 Subcommands: verify, entropy, search, code2graph, qss, composite,
 export, repro. Exit codes: 0 success / all checks pass, 1 a checked
-property fails (e.g. the graph is not AME), 2 usage or input errors.
+property fails (e.g. the graph is not AME), 2 usage or input errors
+(an unreadable input, an unwritable --out).
 All randomized subcommands require an explicit --seed.
 """
 
@@ -34,6 +35,14 @@ def _load(path: str):
         return load_graph(path)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read graph {path!r}: {exc}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _vertices(text: str, n: int) -> tuple[int, ...]:
@@ -107,11 +116,9 @@ def cmd_search(args) -> int:
     )
     result = search.run(spec)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(f"# search n={args.n} p={args.p} mode={args.mode} "
-                     f"group_size={args.group_size} seed={args.seed}\n")
-            for g in result.witnesses:
-                fh.write(format_graph_line(g) + "\n")
+        header = (f"# search n={args.n} p={args.p} mode={args.mode} "
+                  f"group_size={args.group_size} seed={args.seed}\n")
+        _write(args.out, header + "".join(format_graph_line(g) + "\n" for g in result.witnesses))
     else:
         for g in result.witnesses:
             print(format_graph_line(g))
@@ -140,8 +147,7 @@ def cmd_code2graph(args) -> int:
         sys.stdout.write(format_generator_matrix(m))
     text = format_graph(g)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

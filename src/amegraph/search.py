@@ -21,7 +21,8 @@ a chunk reads those slots as a little-endian base-`base` number. Each
 slot owns its own positions in a cut's index, so the index of a part of
 the cut (its whole cross block when the plan has a table, else each row)
 is the sum, with no carries, of the part's _chunk_tables at the word's
-chunk ids.
+chunk ids. _chunk_tables builds the tables of a stack of parts at once,
+one broadcast per slot.
 
 The exhaustive scan never expands an id into digits to form a cut's
 index. A scan id is hi * base^L + lo: lo is its id over chunk 0, and hi,
@@ -33,13 +34,19 @@ by B, or hands each row's A + B to gfp.rank_rows; survivors are compacted
 after every cut, so each cut sees only the graphs that passed the cuts
 before it. The first cut is the one with the fewest high slots, and
 with a table a block's survivors of it depend only on its B and its row
-key (below), so they are kept and reused by later blocks.
+key (below), so they are kept and reused by later blocks. The scan's
+set-up (_BlockScan) builds the tables of every cut part in one stacked
+call and those of every swap form (below) in another. It is cached per
+spec (_block_scan), its read-only arrays counted against gfp._TABLE_CAP
+bytes for all cached scans together, so a second scan of a spec builds
+nothing; a larger set-up is built for its own call and not kept.
 
 Random search packs each batch of sampled words once into its chunk
 ids, with one float64 product, exact since each id is below base^L.
 Survivors are compacted together with their chunk ids after every cut,
 and a batch is copied only when a prune layer dropped some of it. A
-cut's chunk tables are built once per call, when a batch first reaches it.
+cut's chunk tables, all its parts in one stacked build, are built once
+per call, when a batch first reaches it.
 
 Samples come from one seeded numpy Generator, and the stream is pinned:
 a seed gives the same graphs as plain rng.integers calls. Two-valued
@@ -73,7 +80,8 @@ the groups) as graph's canonical form. graph owns the minimality test
 and the relabeling bound, which an exhaustive run checks before it
 scans. The predicate and the zero-row and canonical layers are invariant
 under those relabelings, so the classes are the raw witnesses that
-graph.is_minimal_word keeps, made Graphs by one graphs_from_words call.
+graph.is_minimal_word keeps, sorted as words into the byte order of
+their adjacency and made Graphs by one graphs_from_words call.
 Scale-normal witnesses (prune_rescale) are not closed under relabeling:
 those are canonicalised and deduped by integer id. Random search prunes
 each batch of sampled words with _prune_mask, whose canonical layer is
@@ -185,16 +193,30 @@ class SearchResult:
         )
 
 
-def _chunk_tables(coef: np.ndarray, low: int, base: int, dtype=None) -> list[tuple[int, np.ndarray]]:
-    """(c, the partial index over every id of chunk c) for each chunk c of
-    `low` edge slots that holds some of the part's slots, `coef` the part's
-    dense row over the edge slots (from _cut_chunks, or a swap's form). A
-    part's index is the sum of these tables at the word's chunk ids.
-    `dtype` defaults to the smallest that holds the part's largest index."""
+def _chunk_tables(coefs: np.ndarray, low: int, base: int,
+                  dtype=None) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(c, rows, tables) for each chunk c of `low` edge slots that holds a
+    slot of some part, `coefs` being the parts' dense rows over the edge
+    slots, a (parts, E) stack (from _cut_coefs, or swap forms): `rows` are
+    the parts with a slot in chunk c, and tables[i, x] is part rows[i]'s
+    partial index over id x of chunk c. A part's index is the sum of its
+    tables at the word's chunk ids. Like gfp.digit_sums, each slot is one
+    broadcast, here for all those parts at once. `dtype` defaults to the
+    smallest that holds the largest part's index."""
     if dtype is None:
-        dtype = np.min_scalar_type(int(coef.sum()) * (base - 1))
-    return [(c, gfp.digit_sums(np.multiply.outer(coef[s : s + low], np.arange(base)), dtype))
-            for c, s in enumerate(range(0, coef.size, low)) if coef[s : s + low].any()]
+        dtype = np.min_scalar_type(int(coefs.sum(axis=1).max()) * (base - 1))
+    digit = np.arange(base, dtype=dtype)
+    out = []
+    for c, s in enumerate(range(0, coefs.shape[1], low)):
+        rows = np.flatnonzero(coefs[:, s : s + low].any(axis=1))
+        if rows.size == 0:
+            continue
+        tables = np.zeros((rows.size, 1), dtype=dtype)
+        for coef in coefs[rows, s : s + low].T:  # the chunk's slots, lowest digit first
+            steps = coef.astype(dtype)[:, None] * digit
+            tables = (steps[:, :, None] + tables[:, None, :]).reshape(rows.size, -1)
+        out.append((c, rows, tables))
+    return out
 
 
 def _search_plan(spec: SearchSpec) -> tuple[CutPlan, np.ndarray | None, bool]:
@@ -210,17 +232,14 @@ def _search_plan(spec: SearchSpec) -> tuple[CutPlan, np.ndarray | None, bool]:
     return plan, table, p ** (rows * width if table is not None else width) <= 1 << 62
 
 
-def _cut_chunks(spec: SearchSpec, plan: CutPlan, table: np.ndarray | None, c: int,
-                low: int) -> list[list[tuple[int, np.ndarray]]]:
-    """The _chunk_tables of each part of cut c, in order, built one part at
-    a time from its edge slots in plan.cols[c]: slot k of a part packs into
-    its index as p^k."""
-    chunks = []
-    for part in plan.cols[c].reshape(1 if table is not None else plan.rows, -1):
-        coef = np.zeros(spec.edge_slots, dtype=np.int64)
-        coef[part] = spec.p ** np.arange(part.size)
-        chunks.append(_chunk_tables(coef, low, spec.base))
-    return chunks
+def _cut_coefs(spec: SearchSpec, plan: CutPlan, table: np.ndarray | None, cuts) -> np.ndarray:
+    """The (parts, E) int64 dense rows of the parts of `cuts`, cut by cut
+    and in order, from their edge slots in plan.cols: slot k of a part
+    packs into its index as p^k."""
+    cols = plan.cols[cuts].reshape(-1, plan.cols.shape[1] if table is not None else plan.width)
+    coefs = np.zeros((len(cols), spec.edge_slots), dtype=np.int64)
+    coefs[np.arange(len(cols))[:, None], cols] = spec.p ** np.arange(cols.shape[1])
+    return coefs
 
 
 def _chunk_ids(weights: np.ndarray, spec: SearchSpec, low: int) -> np.ndarray:
@@ -239,12 +258,17 @@ def _chunk_ids(weights: np.ndarray, spec: SearchSpec, low: int) -> np.ndarray:
     return ids
 
 
-def _part_index(chunks: list[tuple[int, np.ndarray]], ids: np.ndarray) -> np.ndarray:
-    """A part's index for each word: its chunk tables summed at the word's chunk ids."""
-    (c, table), *rest = chunks
-    index = table.take(ids[c])
-    for c, table in rest:
-        index += table.take(ids[c])
+def _part_index(chunks: list[tuple[int, np.ndarray, np.ndarray]], ids: np.ndarray,
+                parts: int) -> np.ndarray:
+    """(parts, words): each part's index for each word, its chunk tables
+    summed at the word's chunk ids, in the tables' dtype (int64 when there
+    are none)."""
+    index = np.zeros((parts, ids.shape[1]), dtype=chunks[0][2].dtype if chunks else np.int64)
+    for c, rows, tables in chunks:
+        if rows.size == parts:
+            index += tables.take(ids[c], axis=1)
+        else:
+            index[rows] += tables.take(ids[c], axis=1)
     return index
 
 
@@ -256,8 +280,9 @@ def _predicate_mask(weights: np.ndarray, spec: SearchSpec, chunks: dict, cuts=No
     each. A cut's part indices are sums of its chunk tables at those ids,
     looked up in the table or ranked by gfp.rank_rows; the survivors of
     each cut are compacted together with their chunk ids. A cut's chunk
-    tables are built when a batch first reaches it and kept in `chunks`,
-    keyed by cut index, for the caller's later batches."""
+    tables, all its parts in one _chunk_tables call, are built when a batch
+    first reaches it and kept in `chunks`, keyed by cut index, for the
+    caller's later batches."""
     plan, table, fits = _search_plan(spec)
     low = _low_slots(spec)
     # the chunk ids, then a last row with each word's position in `weights`
@@ -268,12 +293,11 @@ def _predicate_mask(weights: np.ndarray, spec: SearchSpec, chunks: dict, cuts=No
             ranks = gfp.rank_stack(blocks, spec.p)
         else:
             if c not in chunks:
-                chunks[c] = _cut_chunks(spec, plan, table, c, low)
-            parts = [_part_index(part, ids) for part in chunks[c]]
+                chunks[c] = _chunk_tables(_cut_coefs(spec, plan, table, [c]), low, spec.base)
             if table is not None:
-                ranks = table.take(parts[0])
+                ranks = table.take(_part_index(chunks[c], ids, 1)[0])
             else:
-                ranks = gfp.rank_rows(parts, spec.p, plan.width)
+                ranks = gfp.rank_rows(_part_index(chunks[c], ids, plan.rows), spec.p, plan.width)
         ids = ids.compress(ranks == plan.rows, axis=1)
         if ids.shape[1] == 0:
             break
@@ -302,17 +326,21 @@ def _first_nonzero_not_one(part: np.ndarray) -> np.ndarray:
 class _BlockScan:
     """What the exhaustive scan looks up per block of `size` ids: the cut
     plan, its `table`, whether a part's index `fits` int64 and the cut
-    indices in scan `order`, the first cut first; when a part fits, a
-    column per part of each cut in that order, cut c's m parts being
-    columns c * m to c * m + m - 1; per column, A (`low_index`, intp) and
-    the part's other chunk tables (`part_chunks`), which sum to B; per
-    vertex, its row's high slots (`row_high`) and, when a row layer is on,
-    whether the row's low part is zero (`row_zero`); whether some row's low
-    part leads with a weight other than 1 (`static`, under rescale); and,
-    under prune_canonical, per adjacent swap k of graph._swap_keys, the
-    chunk tables of the int64 linear form (key_0 - key_k) . word: its
-    chunk-0 table as row k - 1 of `swaps`, and its other chunk tables as
-    one of the last n - 1 `part_chunks`."""
+    indices in scan `order`, the first cut first; when a part fits, the
+    parts of each cut in that order, cut c's m parts being parts c * m to
+    c * m + m - 1, with a row each of A (`low_index`, intp) and their other
+    chunk tables (`cut_chunks`, as _chunk_tables gives them), which sum to
+    B; per vertex, its row's high slots (`row_high`) and, when a row layer
+    is on, whether the row's low part is zero (`row_zero`); whether some
+    row's low part leads with a weight other than 1 (`static`, under
+    rescale); and, under prune_canonical, per adjacent swap k of
+    graph._swap_keys, the chunk tables of the int64 linear form (key_0 -
+    key_k) . word: its chunk-0 table as row k - 1 of `swaps`, and its other
+    chunk tables as part k - 1 of `swap_chunks`.
+
+    Every cut part is built in one _chunk_tables call, in scan order, and
+    every swap form in a second. The scan owns `arrays`, all read-only, of
+    `nbytes` in all; _block_scan caches it per spec."""
 
     def __init__(self, spec: SearchSpec):
         n = spec.n
@@ -323,16 +351,13 @@ class _BlockScan:
         # the fewest values, so its survivors repeat the most
         first = int(np.argmin(np.count_nonzero(self.plan.cols >= low, axis=1)))
         self.order = [first, *(c for c in range(len(self.plan.cuts)) if c != first)]
-        self.part_chunks, low_tables = [], []
-        for c in self.order if self.fits else ():
-            for chunks in _cut_chunks(spec, self.plan, self.table, c, low):
-                k, a = chunks[0]
-                self.part_chunks.append(chunks[1:] if k == 0 else chunks)
-                low_tables.append(a if k == 0 else np.zeros(self.size, np.uint8))
-        # A per column as intp, which take() indexes with no cast; one cast
-        # of them all takes about an eighth of the time of a cast per table,
-        # and the chunk-0 tables are not kept
-        self.low_index = list(np.array(low_tables, dtype=np.intp))
+        self.low_index, self.cut_chunks = None, []
+        if self.fits:
+            coefs = _cut_coefs(spec, self.plan, self.table, self.order)
+            chunks = _chunk_tables(coefs, low, spec.base)
+            # A as intp, which take() indexes with no cast: one cast of the
+            # whole stack, and the chunk-0 tables are not kept
+            self.low_index, self.cut_chunks = _split_low(chunks, len(coefs), self.size, np.intp)
 
         rescale = spec.prune_rescale and spec.p > 2
         slot = slot_matrix(n)
@@ -345,18 +370,55 @@ class _BlockScan:
             self.row_zero = np.stack([~part.any(axis=1) for part in low_parts])
             if rescale:
                 self.static = np.logical_or.reduce([_first_nonzero_not_one(part) for part in low_parts])
-        self.swaps = None
+        self.swaps, self.swap_chunks = None, []
         if spec.prune_canonical:
             # swap k makes a word smaller iff (key_0 - key_k) . word > 0; at
             # any part of a word that form lies in (-base^E, base^E), and the
             # scan's int64 ids bound base^E by 2^63
             keys = _swap_keys(n // spec.group_size, spec.group_size, spec.base, np.int64).T
-            lows = []
-            for diff in keys[0] - keys[1:]:
-                tables = dict(_chunk_tables(diff, low, spec.base, np.int64))
-                lows.append(tables.pop(0) if 0 in tables else np.zeros(self.size, np.int64))
-                self.part_chunks.append(list(tables.items()))
-            self.swaps = np.array(lows)
+            chunks = _chunk_tables(keys[0] - keys[1:], low, spec.base, np.int64)
+            self.swaps, self.swap_chunks = _split_low(chunks, n - 1, self.size, np.int64)
+
+        owned = [self.low_index, self.row_zero, self.static, self.swaps, *self.row_high,
+                 *(tables for _, _, tables in self.cut_chunks + self.swap_chunks)]
+        self.arrays = [a for a in owned if a is not None]
+        for a in self.arrays:
+            a.setflags(write=False)
+        self.nbytes = sum(a.nbytes for a in self.arrays)
+
+
+def _split_low(chunks: list[tuple[int, np.ndarray, np.ndarray]], parts: int, size: int,
+               dtype) -> tuple[np.ndarray, list[tuple[int, np.ndarray, np.ndarray]]]:
+    """Chunk 0's tables of _chunk_tables as one (parts, size) array of
+    `dtype`, zero for the parts with no slot there, and the other chunks."""
+    low = np.zeros((parts, size), dtype=dtype)
+    if chunks and chunks[0][0] == 0:
+        (_, rows, tables), *chunks = chunks
+        low[rows] = tables
+    return low, chunks
+
+
+# per-spec _BlockScans, least recently used first; their nbytes sum to at
+# most gfp._TABLE_CAP
+_SCANS: dict[tuple, _BlockScan] = {}
+
+
+def _block_scan(spec: SearchSpec) -> _BlockScan:
+    """The spec's _BlockScan, taken from _SCANS, keyed by every value the
+    build reads, or built and kept there when it fits the byte bound, the
+    least recently used scans making room. A scan larger than the bound
+    serves its own call and evicts nothing."""
+    _, table, fits = _search_plan(spec)
+    key = (spec.n, spec.p, spec.group_size, spec.base, spec.prune_zero_row, spec.prune_rescale,
+           spec.prune_canonical, _low_slots(spec), table is not None, fits)
+    scan = _SCANS.pop(key, None)
+    if scan is None:
+        scan = _BlockScan(spec)
+    if scan.nbytes <= gfp._TABLE_CAP:
+        while sum(kept.nbytes for kept in _SCANS.values()) + scan.nbytes > gfp._TABLE_CAP:
+            del _SCANS[next(iter(_SCANS))]
+        _SCANS[key] = scan
+    return scan
 
 
 def _row_keys(his: np.ndarray, spec: SearchSpec, scan: _BlockScan) -> list[int]:
@@ -393,7 +455,7 @@ def _scan_blocks(spec: SearchSpec) -> tuple[np.ndarray, int, int]:
     With it, a block drops the ids that an adjacent swap makes smaller,
     those where the swap's low table exceeds minus the swap's offset, and
     expands digits only for the rest, which graph.is_minimal_word decides."""
-    scan = _BlockScan(spec)
+    scan = _block_scan(spec)
     wit = [np.empty(0, dtype=np.int64)]
     examined = 0
     pruned_total = 0
@@ -407,13 +469,12 @@ def _scan_blocks(spec: SearchSpec) -> tuple[np.ndarray, int, int]:
         his = np.arange(first, min(first + _BLOCK_BATCH, blocks))
         # the chunk ids of each block's first id
         ids = gfp.digits(his * scan.size, scan.size, -(-spec.edge_slots // scan.low)).T
-        offsets = np.zeros((len(his), len(scan.part_chunks)), dtype=np.int64)
-        for k, chunks in enumerate(scan.part_chunks):
-            if chunks:
-                offsets[:, k] = _part_index(chunks, ids)
+        nparts = 0 if scan.low_index is None else len(scan.low_index)
+        offsets = _part_index(scan.cut_chunks, ids, nparts).T.tolist()
         keys = [0] * len(his) if scan.row_zero is None else _row_keys(his, spec, scan)
-        swaps = [None] * len(his) if scan.swaps is None else -offsets[:, -len(scan.swaps):]
-        for hi, key, b, swap in zip(his.tolist(), keys, offsets.tolist(), swaps):
+        swaps = ([None] * len(his) if scan.swaps is None
+                 else -_part_index(scan.swap_chunks, ids, len(scan.swaps)).T)
+        for hi, key, b, swap in zip(his.tolist(), keys, offsets, swaps):
             cached = starts.get((key, b[0])) if reuse else None
             if cached is not None:
                 kept, alive = cached
@@ -493,7 +554,7 @@ def _canonical_classes(ids: np.ndarray, spec: SearchSpec) -> list[Graph]:
     """One canonical Graph per relabeling class of the raw witnesses with
     these ids, in the order of _dedupe_canonical: the minimal ones, or under
     rescale their deduped canonical forms. Ids become words _CHUNK at a
-    time."""
+    time, and the words are sorted before they become Graphs."""
     if len(ids) == 0:
         return []
     gcount, gsize = spec.n // spec.group_size, spec.group_size
@@ -509,8 +570,10 @@ def _canonical_classes(ids: np.ndarray, spec: SearchSpec) -> list[Graph]:
             canon = canon * spec.base + digit
         kept.append(canon)
     words = _weights_from_ids(np.unique(np.concatenate(kept)), spec) if rescale else np.concatenate(kept)
-    classes = graphs_from_words(spec.p, spec.n, words)
-    return sorted(classes, key=lambda g: g.adj.tobytes())
+    # Graph.adj.tobytes() order: slot by slot, each weight as the bytes of a
+    # little-endian int64, which is the order of the byte-swapped values
+    order = np.lexsort(words.astype("<u8").byteswap().T[::-1])
+    return graphs_from_words(spec.p, spec.n, words[order])
 
 
 def enumerate_graphs(spec: SearchSpec) -> SearchResult:

@@ -370,3 +370,30 @@ def test_code2graph_out_file(tmp_path, capsys):
     from amegraph.graph import load_graph
 
     assert is_ame(load_graph(target)).is_ame
+
+
+@pytest.mark.parametrize("argv", [["search", "--n", "3", "--p", "2"], ["code2graph", "grs:5,4,2"]])
+def test_unwritable_out_exits_2_without_traceback(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x"
+    assert main([*argv, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {str(target)!r}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert not target.parent.exists()
+
+
+def test_refused_search_creates_no_out_file(tmp_path, capsys):
+    target = tmp_path / "x"
+    assert main(["search", "--n", "7", "--p", "3", "--out", str(target)]) == 2
+    assert "exceed the budget" in capsys.readouterr().err
+    assert not target.exists()
+
+
+def test_search_prints_weight_256_first(capsys):
+    # witnesses are ordered by the bytes of their little-endian int64
+    # adjacency, so at p = 257 weight 256 (bytes 00 01) precedes 1
+    assert main(["search", "--n", "2", "--p", "257"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 256
+    assert out[:3] == ["257 2 1 2 256", "257 2 1 2 1", "257 2 1 2 2"]

@@ -122,7 +122,10 @@ def test_many_blocks_match_reference(p, shape, weights_one, zero_row, rescale, c
 def test_many_blocks_match_reference_on_pruned_specs(monkeypatch, flags):
     spec = SearchSpec(**flags)
     monkeypatch.setattr(search, "_LOW_IDS", spec.base)  # one edge slot per low part
+    scans, block_scan = [], search._block_scan
+    monkeypatch.setattr(search, "_block_scan", lambda spec: scans.append(block_scan(spec)) or scans[-1])
     fast, ref = enumerate_graphs(spec), _reference_search(spec)
+    assert [scan.size for scan in scans] == [spec.base]
     assert fast.witnesses == ref.witnesses
     assert (fast.examined, fast.pruned) == (ref.examined, ref.pruned) and fast.pruned > 0
 
@@ -133,8 +136,8 @@ def _table_smaller(spec, ids):
     scan = search._BlockScan(spec)
     his, los = np.divmod(np.asarray(ids, dtype=np.int64), scan.size)
     chunk_ids = gfp.digits(his * scan.size, scan.size, -(-spec.edge_slots // scan.low)).T
-    highs = [search._part_index(chunks, chunk_ids) for chunks in scan.part_chunks[-len(scan.swaps):]]
-    return (scan.swaps[:, los] > -np.array(highs)).any(axis=0)
+    highs = search._part_index(scan.swap_chunks, chunk_ids, len(scan.swaps))
+    return (scan.swaps[:, los] > -highs).any(axis=0)
 
 
 def _swap_smaller_by_ints(word, n, base):
@@ -251,6 +254,133 @@ def test_class_candidates_keep_every_class(flags):
     classes = search._canonical_classes(ids, spec)
     assert classes == search._dedupe_canonical(raw, spec.group_size)
     assert 0 < len(classes) < len(ids)
+
+
+def _chunk_tables_by_part(coef, low, base):
+    """The chunk tables of one part, one gfp.digit_sums call per chunk,
+    every chunk included."""
+    return [gfp.digit_sums(np.multiply.outer(coef[s : s + low], np.arange(base)), np.int64)
+            for s in range(0, coef.size, low)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 4), st.integers(1, 10), st.integers(1, 5), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_stacked_chunk_tables_match_digit_sums(base, low, slots, parts, signed, seed):
+    # cut parts (nonnegative, default dtype) and int64 swap forms (either
+    # sign), with zero rows, zero chunks and chunks past the last slot
+    rng = np.random.default_rng(seed)
+    coefs = rng.integers(-(1 << 40) if signed else 0, 1 << (40 if signed else 12), size=(parts, slots))
+    coefs[rng.random(coefs.shape) < 0.4] = 0
+    coefs[rng.random(parts) < 0.3] = 0
+    built = search._chunk_tables(coefs, low, base, np.int64 if signed else None)
+    got = {c: dict(zip(rows.tolist(), tables)) for c, rows, tables in built}
+    for k, coef in enumerate(coefs):
+        for c, want in enumerate(_chunk_tables_by_part(coef, low, base)):
+            # a part has a table exactly in the chunks that hold its slots
+            has = bool(coef[c * low : c * low + low].any())
+            assert (k in got.get(c, {})) == has
+            if has:
+                assert got[c][k].tolist() == want.tolist()
+            else:
+                assert not want.any()
+    if not signed and built:  # the smallest dtype that holds the largest part's index
+        largest = int(coefs.sum(axis=1).max()) * (base - 1)
+        assert {t.dtype for _, _, t in built} == {np.min_scalar_type(largest)}
+
+
+@pytest.mark.parametrize("flags", [dict(n=6, p=2, prune_canonical=True),
+                                   dict(n=5, p=3, prune_zero_row=True, prune_rescale=True),
+                                   dict(n=4, p=5, group_size=2), dict(n=4, p=5)])
+def test_second_scan_builds_nothing(monkeypatch, flags):
+    monkeypatch.setattr(search, "_SCANS", {})
+    first = enumerate_graphs(SearchSpec(**flags))
+
+    def refuse(spec):
+        raise AssertionError("built a second _BlockScan")
+
+    monkeypatch.setattr(search, "_BlockScan", refuse)
+    again = enumerate_graphs(SearchSpec(**flags))
+    assert [g.adj.tobytes() for g in again.witnesses] == [g.adj.tobytes() for g in first.witnesses]
+    assert (again.examined, again.pruned) == (first.examined, first.pruned)
+
+
+def test_scan_cache_keys_every_value_the_build_reads(monkeypatch):
+    monkeypatch.setattr(search, "_SCANS", {})
+    fields = dict(n=4, p=3, prune_zero_row=True)
+    scan = search._block_scan(SearchSpec(**fields))
+    for other in (dict(seed=5), dict(budget=1 << 20), dict(samples=7), dict(workers=3)):
+        assert search._block_scan(SearchSpec(**fields, **other)) is scan
+    differ = [dict(n=5), dict(p=5), dict(group_size=2), dict(weights_one=True), dict(prune_zero_row=False),
+              dict(prune_rescale=True), dict(prune_canonical=True)]
+    scans = [search._block_scan(SearchSpec(**{**fields, **other})) for other in differ]
+    assert len({id(s) for s in [scan, *scans]}) == len(search._SCANS) == 1 + len(differ)
+    # a patched block size or table cap is a fresh build, not a stale one
+    monkeypatch.setattr(search, "_LOW_IDS", 9)
+    small = search._block_scan(SearchSpec(**fields))
+    assert small is not scan and small.size == 9
+    monkeypatch.setattr(gfp, "_TABLE_CAP", 1 << 16)
+    monkeypatch.setattr(gfp, "_REPAY", 0)
+    fallback = search._block_scan(SearchSpec(**fields))
+    assert fallback.table is None and fallback is not small
+
+
+def test_cached_scans_are_read_only(monkeypatch):
+    monkeypatch.setattr(search, "_SCANS", {})
+    scan = search._block_scan(SearchSpec(n=5, p=3, prune_zero_row=True, prune_rescale=True,
+                                         prune_canonical=True, budget=1 << 20))
+    owned = [scan.low_index, scan.row_zero, scan.static, scan.swaps, *scan.row_high,
+             *(t for _, _, t in scan.cut_chunks + scan.swap_chunks)]
+    assert len(owned) == len(scan.arrays) and all(any(a is b for b in scan.arrays) for a in owned)
+    assert scan.nbytes == sum(a.nbytes for a in owned)
+    assert not any(a.flags.writeable for a in owned)
+    with pytest.raises(ValueError):
+        scan.low_index[0, 0] = 1
+
+
+def test_scan_cache_stays_within_the_byte_bound(monkeypatch):
+    # 40 KB holds scans a and b (17.5 and 20.4 KB) but not c (5.8 KB) as
+    # well; the n=5 p=3 scan (525 KB) is never kept and evicts nothing
+    cap = 40_000
+    monkeypatch.setattr(search, "_SCANS", {})
+    monkeypatch.setattr(gfp, "_TABLE_CAP", cap)
+    specs = [SearchSpec(n=4, p=3), SearchSpec(n=4, p=3, prune_zero_row=True),
+             SearchSpec(n=4, p=3, group_size=2)]
+    big = SearchSpec(n=5, p=3)
+    na, nb, nc = (search._BlockScan(s).nbytes for s in specs)
+    assert na + nb <= cap < na + nb + nc and search._BlockScan(big).nbytes > cap
+
+    def cached():
+        assert sum(s.nbytes for s in search._SCANS.values()) <= cap
+        return list(search._SCANS.values())
+
+    a, b = (search._block_scan(s) for s in specs[:2])
+    assert cached() == [a, b]
+    assert search._block_scan(specs[0]) is a and cached() == [b, a]  # a is now the most recent
+    assert search._block_scan(big) not in cached() and cached() == [b, a]
+    enumerate_graphs(big)
+    assert cached() == [b, a]
+    c = search._block_scan(specs[2])
+    assert cached() == [a, c]  # the least recently used made room
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_classes_in_adjacency_byte_order_past_255(n):
+    # weights past 255 take two bytes, so at p = 257 weight 256 (bytes 00
+    # 01) sorts before 1 (bytes 01 00); the classes, sorted as words, come
+    # out in the order of sorting their Graphs by adj.tobytes()
+    spec = SearchSpec(n=n, p=257)
+    rng = np.random.default_rng(n)
+    words = rng.choice([0, 1, 2, 255, 256, 17, 128], size=(300, spec.edge_slots)).astype(spec.word_dtype)
+    words = np.unique(gr.canonical_words(words, spec.base, n), axis=0)
+    words = words[words.any(axis=1)]
+    ids = np.sort(words.astype(np.int64) @ spec.base ** np.arange(spec.edge_slots))
+    classes = search._canonical_classes(ids, spec)
+    graphs = graphs_from_words(spec.p, n, search._weights_from_ids(ids, spec))
+    want = sorted(graphs, key=lambda g: g.adj.tobytes())
+    assert classes == want and len(classes) == len(ids)
+    if n == 2:  # ids 1, 2, 17, 128, 255 and 256
+        assert [int(g.adj[0, 1]) for g in classes] == [256, 1, 2, 17, 128, 255]
 
 
 def test_exhaustive_refuses_n_over_8_before_scanning(monkeypatch):
@@ -724,7 +854,8 @@ def test_predicate_matches_scalar_cut_ranks(monkeypatch, n, p, cap):
 
 def test_random_search_builds_tables_only_for_reached_cuts(monkeypatch):
     # n=16 p=2 seed 1: every sample fails the first of the 6,435 cuts, so
-    # the search builds the chunk tables of that cut's 8 rows and no others
+    # the search builds the chunk tables of that cut's 8 rows, in one
+    # stacked call, and no others
     spec = SearchSpec(n=16, p=2, mode="random", seed=1, samples=10)
     plan, table, fits = search._search_plan(spec)
     assert table is None and fits
@@ -733,15 +864,15 @@ def test_random_search_builds_tables_only_for_reached_cuts(monkeypatch):
     assert all(cut_edits(graph_from_word(2, 16, w), first) < len(first) for w in words)
     built = []
 
-    def counted(coef, *args):
-        built.append(coef.nonzero()[0].tolist())
-        return chunk_tables(coef, *args)
+    def counted(coefs, *args):
+        built.append([row.nonzero()[0].tolist() for row in coefs])
+        return chunk_tables(coefs, *args)
 
     chunk_tables = search._chunk_tables
     monkeypatch.setattr(search, "_chunk_tables", counted)
     res = random_search(spec)
     assert (res.examined, res.pruned, res.witnesses) == (10, 0, [])
-    assert built == [sorted(row) for row in plan.cols[0].reshape(plan.rows, -1).tolist()]
+    assert built == [[sorted(row) for row in plan.cols[0].reshape(plan.rows, -1).tolist()]]
 
 
 def test_random_search_memory_does_not_grow_with_the_cuts():
