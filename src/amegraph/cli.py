@@ -141,14 +141,14 @@ def cmd_code2graph(args) -> int:
     except codes.NotAmeCodeError as exc:
         print(f"FAIL {exc}")
         return 1
+    text = format_graph(g)
+    if args.out:  # written before anything is printed, so a refused path prints nothing
+        _write(args.out, text)
     if args.matrix:
         from .stabilizer import format_generator_matrix
 
         sys.stdout.write(format_generator_matrix(m))
-    text = format_graph(g)
-    if args.out:
-        _write(args.out, text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

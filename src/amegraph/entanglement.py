@@ -47,11 +47,11 @@ class AmeReport:
 
 
 def cut_matrix(g: Graph, cut) -> np.ndarray:
-    """|K| x (n - |K|) matrix of K's adjacency rows restricted to the rest."""
+    """|K| x (n - |K|) matrix of K's adjacency rows restricted to the rest:
+    K's rows are taken first, then the rest's columns of them."""
     cut = sorted(cut)
     drop = set(cut)
-    keep = [u for u in range(g.n) if u not in drop]
-    return g.adj[np.ix_(cut, keep)]
+    return g.adj.take(cut, axis=0).take([u for u in range(g.n) if u not in drop], axis=1)
 
 
 def cut_edits(g: Graph, cut) -> int:

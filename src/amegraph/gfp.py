@@ -101,42 +101,43 @@ def _check_exact(p: int) -> None:
 
 
 def row_reduce(mat, p: int) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan reduction mod p with first-nonzero pivoting.
+    """Gauss-Jordan reduction mod p with first-nonzero pivoting, in place on
+    one int64 copy of `mat`: per pivot, two row assignments and one
+    broadcast outer product. The batched kernel's scalar oracle.
 
     Returns the reduced matrix and the list of pivot columns; pivoting is
     deterministic so ranks and kernels are reproducible.
     """
     _check_exact(p)
-    a = as_residues(mat, p).copy()
+    a = np.array(mat, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
+    a %= p
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         k = r + int(nz[0])
+        inv = field_inv(int(a[k, c]), p)
+        row = a[k].copy() if inv == 1 else a[k] * inv % p  # every pivot is 1 at p = 2
         if k != r:
-            a[[r, k]] = a[[k, r]]
-        a[r] = (a[r] * field_inv(int(a[r, c]), p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a -= col[:, None] * a[r]  # every other row at once
+            a[k] = a[r]
+        a -= a[:, c, None] * row  # row r too; it is rewritten below
         a %= p
+        a[r] = row
         pivots.append(c)
         r += 1
     return a, pivots
 
 
 def mat_rank(mat, p: int) -> int:
-    a = as_residues(mat, p)
-    if a.size == 0:
-        return 0
-    return len(row_reduce(a, p)[1])
+    a = np.asarray(mat)
+    return len(row_reduce(a, p)[1]) if a.size else 0
 
 
 def mat_inverse(mat, p: int) -> np.ndarray:

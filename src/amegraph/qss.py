@@ -131,7 +131,7 @@ def encode(scheme, secret, outcomes) -> StateVector:
         raise ValueError("one Bell outcome per dealer required")
     s = _secret_array(scheme, secret)
     check_cap(p, n + L)
-    amps = np.multiply.outer(s, graph_state_amplitudes(g)).reshape(-1)  # ancillas are qudits n..n+L-1
+    amps = np.multiply.outer(s, _scheme_amplitudes(g)).reshape(-1)  # ancillas are qudits n..n+L-1
     state = StateVector(p, n + L, amps)
     labels = list(range(n)) + [("anc", l) for l in range(L)]
     for l, (bg, bh) in enumerate(outcomes):
@@ -144,6 +144,14 @@ def encode(scheme, secret, outcomes) -> StateVector:
             labels.pop(r)
     assert labels == list(scheme.players)
     return state
+
+
+@lru_cache(maxsize=1)
+def _scheme_amplitudes(g: Graph) -> np.ndarray:
+    """encode's graph state, read-only, cached for the last scheme graph."""
+    amps = graph_state_amplitudes(g)
+    amps.setflags(write=False)
+    return amps
 
 
 def encode_symbolic(scheme, secret, outcomes):

@@ -16,12 +16,14 @@ Conventions, fixed once for the whole package:
 - Entropies are Gram-matrix spectra, in real arithmetic when a stack's
   imaginary parts all lie within numpy.real_if_close's tolerance (qubit
   graph states, amplitudes +-2^(-n/2)); every other stack stays complex.
+  That is decided once per state (StateVector.field_amps), or once per
+  stack before its cut matrices are transposed out of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -57,6 +59,11 @@ class StateVector:
             raise ValueError("state is not normalized")
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
+
+    @cached_property
+    def field_amps(self) -> np.ndarray:
+        """amps in their field, computed once: a read-only real view if _real_if_close allows."""
+        return _real_if_close(self.amps)
 
 
 @lru_cache(maxsize=None)
@@ -194,12 +201,12 @@ def reduced_density(s: StateVector, keep) -> np.ndarray:
 
 
 def _real_if_close(mats: np.ndarray) -> np.ndarray:
-    """A complex stack's real part, contiguous, when every imaginary part is
+    """A complex stack's real part, a view, when every imaginary part is
     within numpy.real_if_close's tolerance (|Im| < 100 eps); else the stack
     itself. Decided by two reductions, with no temporary the stack's size."""
     im = mats.imag  # a view
     if im.max(initial=0.0) < _REAL_TOL and im.min(initial=0.0) > -_REAL_TOL:
-        return np.ascontiguousarray(mats.real)
+        return mats.real
     return mats
 
 
@@ -207,10 +214,16 @@ def cut_entropies(amps, p: int, n: int, cut) -> np.ndarray:
     """Entanglement entropy across (cut, rest), in edits, of each state of the
     amplitude stack (..., p^n): the spectrum of the smaller side's Gram
     matrix, eigenvalues <= 1e-12 dropped."""
+    return _field_entropies(_real_if_close(amps), p, n, cut)
+
+
+def _field_entropies(amps, p: int, n: int, cut) -> np.ndarray:
+    """cut_entropies of a stack already in its field (_real_if_close's result)."""
     mats = _cut_matrices(amps, p, n, cut)
     if mats.shape[-2] > mats.shape[-1]:
         mats = mats.swapaxes(-1, -2)
-    mats = _real_if_close(mats)  # a real array's conj() is itself, not a copy
+    if mats.dtype == np.float64:  # one C-contiguous operand layout, view or copy;
+        mats = np.ascontiguousarray(mats)  # a real array's conj() is itself, not a copy
     lam = np.linalg.eigvalsh(mats @ mats.conj().swapaxes(-1, -2))
     lam = np.where(lam > 1e-12, lam, 1.0)  # 1 log 1 = 0
     return -(lam * np.log(lam)).sum(axis=-1) / np.log(p)
@@ -218,7 +231,7 @@ def cut_entropies(amps, p: int, n: int, cut) -> np.ndarray:
 
 def cut_entropy_edits(s: StateVector, cut) -> float:
     """Entanglement entropy across (cut, rest) in edits."""
-    return float(cut_entropies(s.amps, s.p, s.n, cut))
+    return float(_field_entropies(s.field_amps, s.p, s.n, cut))
 
 
 def z_measure_stack(amps, p: int, n: int, i: int, outcome: int) -> tuple[np.ndarray, np.ndarray]:

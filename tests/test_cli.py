@@ -372,7 +372,17 @@ def test_code2graph_out_file(tmp_path, capsys):
     assert is_ame(load_graph(target)).is_ame
 
 
-@pytest.mark.parametrize("argv", [["search", "--n", "3", "--p", "2"], ["code2graph", "grs:5,4,2"]])
+def test_code2graph_matrix_with_out_prints_the_matrix_alone(tmp_path, capsys):
+    target = tmp_path / "g.graph"
+    assert main(["code2graph", "grs:5,4,2", "--matrix"]) == 0
+    both = capsys.readouterr().out
+    assert main(["code2graph", "grs:5,4,2", "--matrix", "--out", str(target)]) == 0
+    matrix = capsys.readouterr().out
+    assert matrix and both == matrix + target.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", [["search", "--n", "3", "--p", "2"], ["code2graph", "grs:5,4,2"],
+                                  ["code2graph", "grs:5,4,2", "--matrix"]])
 def test_unwritable_out_exits_2_without_traceback(tmp_path, capsys, argv):
     target = tmp_path / "missing" / "x"
     assert main([*argv, "--out", str(target)]) == 2

@@ -10,6 +10,7 @@ from amegraph.entanglement import (
     AmeReport,
     UnequalGroupsError,
     cut_edits,
+    cut_matrix,
     format_report,
     is_ame,
     is_ame_grouped,
@@ -384,3 +385,15 @@ def test_is_ame_ranks_each_complementary_pair_once(monkeypatch, full):
     rep = is_ame(ame62(), full=full)
     assert rep.is_ame and len(rep.cut_ranks) == (6 + 15 + 20 if full else 20)
     assert sum(seen["rank_stack"]) == (6 + 15 + 10 if full else 10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5, 257]), st.integers(1, 9), st.data())
+def test_cut_matrix_is_the_ix_block(p, n, data):
+    g = graph_from_word(p, n, data.draw(st.lists(st.integers(0, p - 1), min_size=n * (n - 1) // 2,
+                                                 max_size=n * (n - 1) // 2)))
+    cut = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    rest = [u for u in range(n) if u not in cut]
+    want = g.adj[np.ix_(sorted(cut), rest)]
+    got = cut_matrix(g, cut)
+    assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)

@@ -304,3 +304,45 @@ def test_row_reduce_is_rref_of_the_row_space(pm):
     both = gfp.rank_batch(np.vstack([a, red])[None], p)[0]
     assert ranks[0] == ranks[1] == both == rank
     assert gfp.mat_rank(a, p) == rank
+
+
+def _reference_row_reduce(mat, p):
+    """Gauss-Jordan mod p as row_reduce once ran it: residues copied twice,
+    a fancy-index row swap, and a zeroed copy of the pivot column."""
+    a = gfp.as_residues(mat, p).copy()
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        k = r + int(nz[0])
+        if k != r:
+            a[[r, k]] = a[[k, r]]
+        a[r] = (a[r] * gfp.field_inv(int(a[r, c]), p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a -= col[:, None] * a[r]  # every other row at once
+        a %= p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 13, 2**31 - 1]), st.integers(0, 8), st.integers(0, 10), st.data())
+def test_row_reduce_matches_reference_gauss_jordan(p, rows, cols, data):
+    entry = st.one_of(st.just(0), st.just(1), st.just(p - 1), st.integers(-2 * p, 2 * p))
+    a = data.draw(hnp.arrays(np.int64, (rows, cols), elements=entry))
+    a[data.draw(st.lists(st.integers(0, max(rows - 1, 0)), max_size=rows)) if rows else []] = 0
+    a[:, data.draw(st.lists(st.integers(0, max(cols - 1, 0)), max_size=cols)) if cols else []] = 0
+    given_a = a.copy()
+    red, pivots = gfp.row_reduce(a, p)
+    want, want_pivots = _reference_row_reduce(a, p)
+    assert pivots == want_pivots
+    assert red.dtype == want.dtype and red.shape == want.shape and np.array_equal(red, want)
+    assert np.array_equal(a, given_a)  # the caller's matrix is not reduced in place
+    assert gfp.mat_rank(a, p) == len(want_pivots)

@@ -299,3 +299,23 @@ def test_audit_refuses_fewer_than_one_secret(quad_scheme, secrets):
     # no secret tested would pass every set vacuously
     with pytest.raises(ValueError, match="at least one secret"):
         next(qss.audit(quad_scheme, secrets, np.random.default_rng(0)))
+
+
+def test_encode_reuses_the_scheme_state_across_alternating_schemes():
+    schemes = [qss.ThresholdScheme(quad_weighted(3)), qss.RampScheme(ame62(), (0, 1)),
+               qss.ThresholdScheme(ame62(), dealer=2)]
+    rng = np.random.default_rng(4)
+    calls = [(sc, qss.random_secret(sc.graph.p, len(sc.dealers), rng), [(1, 2)] * len(sc.dealers))
+             for sc in schemes for _ in range(2)]
+    fresh = []
+    for sc, s, o in calls:
+        qss._scheme_amplitudes.cache_clear()
+        fresh.append(qss.encode(sc, s, o).amps)
+    for order in (range(6), [0, 2, 4, 1, 3, 5]):  # in blocks per scheme, then alternating
+        for i in order:
+            sc, s, o = calls[i]
+            assert np.array_equal(qss.encode(sc, s, o).amps, fresh[i])
+    for sc in schemes:
+        amps = qss._scheme_amplitudes(sc.graph)
+        assert not amps.flags.writeable
+        assert np.array_equal(amps, sim.graph_state_amplitudes(sc.graph))

@@ -549,3 +549,62 @@ def test_basis_state_checks_cap_and_digit_count():
             sim.basis_state(2, 2, digits)
     assert sim.basis_state(3, 2, [1, 2]).amps[m_idx(3, [1, 2])] == 1
 
+
+
+def _per_cut_entropies(amps, p, n, cut):
+    """cut_entropies as it ran when realness was decided per cut: the rule
+    applied to the transposed cut matrices, then a contiguous real copy."""
+    mats = sim._cut_matrices(amps, p, n, cut)
+    if mats.shape[-2] > mats.shape[-1]:
+        mats = mats.swapaxes(-1, -2)
+    im = mats.imag
+    if im.max(initial=0.0) < sim._REAL_TOL and im.min(initial=0.0) > -sim._REAL_TOL:
+        mats = np.ascontiguousarray(mats.real)
+    lam = np.linalg.eigvalsh(mats @ mats.conj().swapaxes(-1, -2))
+    lam = np.where(lam > 1e-12, lam, 1.0)
+    return -(lam * np.log(lam)).sum(axis=-1) / np.log(p)
+
+
+def _imaginary_qubit_state():
+    g = graph_from_edges(2, 5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (0, 4, 1), (0, 2, 1)])
+    return sim.stabilizer_state(2, np.eye(5, dtype=np.int64), g.adj + np.eye(5, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (2, 6), (2, 8), (3, 4), (3, 6), (5, 4), ("i", 5)])
+def test_entropies_equal_the_per_cut_realness_formula(p, n):
+    rng = np.random.default_rng(11)
+    if p == "i":
+        states = [_imaginary_qubit_state()]
+    else:
+        words = rng.integers(0, p, (4, n * (n - 1) // 2))
+        states = [sim.build_graph_state(graph_from_word(p, n, w)) for w in words]
+    p = states[0].p
+    real = p == 2 and len(states) == 4  # qubit graph states, not the +-i state
+    assert all((s.field_amps.dtype == np.float64) == real for s in states)
+    for cut in _every_cut(n):
+        for s in states:  # exact: the same operands reach BLAS
+            assert sim.cut_entropy_edits(s, cut) == float(_per_cut_entropies(s.amps, p, n, cut))
+        stack = np.stack([s.amps for s in states])
+        assert np.array_equal(sim.cut_entropies(stack, p, n, cut), _per_cut_entropies(stack, p, n, cut))
+
+
+@pytest.mark.parametrize("noise,real", [(0.0, True), (50.0, True), (-99.0, True), (101.0, False), (-101.0, False)])
+def test_field_view_is_read_only_computed_once_and_real_by_the_old_rule(monkeypatch, noise, real):
+    amps = np.full(16, 0.25, dtype=np.complex128)
+    amps[5] += 1j * noise * np.finfo(np.float64).eps
+    s = sim.StateVector(2, 4, amps)
+    calls = []
+    decide = sim._real_if_close
+    monkeypatch.setattr(sim, "_real_if_close", lambda a: calls.append(a) or decide(a))
+    view = s.field_amps
+    for cut in _every_cut(4):
+        sim.cut_entropy_edits(s, cut)
+    assert len(calls) == 1 and s.field_amps is view
+    assert not view.flags.writeable
+    for cut in _every_cut(4):  # the rule once applied to each cut's matrices
+        assert (np.real_if_close(sim._cut_matrices(s.amps, 2, 4, cut)).dtype == np.float64) == real
+    if real:
+        assert view.dtype == np.float64 and np.shares_memory(view, s.amps)
+        assert np.array_equal(view, s.amps.real)
+    else:
+        assert view is s.amps
