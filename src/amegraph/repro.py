@@ -40,8 +40,9 @@ def _entropy_rank_delta(p: int, n: int, weights: np.ndarray) -> float:
 
     `weights` holds one base-p weight word per graph over the lexicographic
     edge slots. Vectorized: graph_amplitudes stacks as many states as its
-    default cap holds, and each bipartition is handled with one stacked
-    entropy and one batched rank computation.
+    default cap holds, in their field (real_if_close, once per stack), and
+    each bipartition is handled with one stacked entropy and one batched
+    rank computation.
     """
     singles = tuple((v,) for v in range(n))
     plans = [entanglement.cut_plan(n, singles, m) for m in range(1, n // 2 + 1)]
@@ -49,12 +50,12 @@ def _entropy_rank_delta(p: int, n: int, weights: np.ndarray) -> float:
     chunk = simulator.DEFAULT_CAP // p**n
     for lo in range(0, weights.shape[0], chunk):
         batch = weights[lo : lo + chunk].astype(np.int64)
-        amps = simulator.graph_amplitudes(p, n, batch)
+        amps = simulator.real_if_close(simulator.graph_amplitudes(p, n, batch))
         for plan in plans:  # every cut of the plan at once: ranks[b, c] is graph b's at cut c
             blocks = batch[:, plan.cols].reshape(-1, plan.rows, plan.width)
             ranks = gfp.rank_stack(blocks, p).reshape(len(batch), len(plan.cuts))
             for cut, cut_ranks in zip(plan.cuts, ranks.T):
-                ent = simulator.cut_entropies(amps, p, n, cut)
+                ent = simulator.field_entropies(amps, p, n, cut)
                 worst = max(worst, float(np.abs(ent - cut_ranks).max()))
     return worst
 

@@ -42,18 +42,20 @@ bytes for all cached scans together, so a second scan of a spec builds
 nothing; a larger set-up is built for its own call and not kept.
 
 Random search packs each batch of sampled words once into its chunk
-ids, with one float64 product, exact since each id is below base^L.
-Survivors are compacted together with their chunk ids after every cut,
-and a batch is copied only when a prune layer dropped some of it. A
-cut's chunk tables, all its parts in one stacked build, are built once
-per call, when a batch first reaches it.
+ids: at base 2 read off the words packed into bits, else by one float64
+product, exact since each id is below base^L. Each cut compacts its
+survivors once, their chunk ids and their rows in the batch by one index
+array, and a batch is copied only when a prune layer dropped some of
+it. A cut's chunk tables, all its parts in one stacked build, are built
+once per call, when a batch first reaches it.
 
 Samples come from one seeded numpy Generator, and the stream is pinned:
 a seed gives the same graphs as plain rng.integers calls. Two-valued
 weights (p = 2, weights_one, dense_bias at p = 3) are the top bits of
-the bytes of raw 32-bit draws, at about a third of the cost; that is
-how numpy makes them, so the weights and the generator's state after
-the draw are unchanged (_integers).
+the bytes of PCG64's raw 64-bit outputs, each read as the two 32-bit
+words numpy would draw from it; that is how numpy makes them, so the
+weights and the generator's state after the draw are unchanged
+(_integers).
 
 The zero-row and rescale pruning layers are row plans split the same
 way. A vertex's slots ascend with its neighbours, so its low slots are a
@@ -245,14 +247,27 @@ def _cut_coefs(spec: SearchSpec, plan: CutPlan, table: np.ndarray | None, cuts) 
 def _chunk_ids(weights: np.ndarray, spec: SearchSpec, low: int) -> np.ndarray:
     """ids[c, b]: word b's id over chunk c, its edge slots c * low onwards
     (the last chunk may be shorter) read as a little-endian base-`base`
-    number. One float64 product packs every chunk, exact since each id is
-    below max(base, _LOW_IDS). It runs on blocks of about _CHUNK weights,
-    which bounds its float64 copy of them."""
-    slots = np.arange(spec.edge_slots)
-    powers = np.zeros((spec.edge_slots, -(-spec.edge_slots // low)))
+    number. At base 2 the words are packed once into little-endian bits,
+    word b from bit b * E on, so words b = 8q + r start q * E bytes apart:
+    per r and chunk, a strided little-endian uint32 view, shifted and
+    masked. At a larger base one float64 product packs every chunk, exact
+    since each id is below max(base, _LOW_IDS), on blocks of about _CHUNK
+    weights, which bounds its float64 copy of them."""
+    count, edges = weights.shape
+    ids = np.empty((-(-edges // low), count), dtype=np.intp)
+    if spec.base == 2:
+        bits = np.zeros(-(-count * edges // 8) + 4, dtype=np.uint8)  # 4 bytes past the last bit
+        bits[: len(bits) - 4] = np.packbits(weights.ravel(), bitorder="little")
+        for r in range(min(8, count)):
+            for c in range(len(ids)):
+                start = r * edges + c * low  # word r's first bit of chunk c
+                view = np.ndarray(len(range(r, count, 8)), "<u4", bits, start // 8, (edges,))
+                ids[c, r::8] = (view >> start % 8) & (1 << min(low, edges - c * low)) - 1
+        return ids
+    slots = np.arange(edges)
+    powers = np.zeros((edges, len(ids)))
     powers[slots, slots // low] = float(spec.base) ** (slots % low)
-    ids = np.empty((powers.shape[1], len(weights)), dtype=np.intp)
-    rows = _CHUNK // spec.edge_slots
+    rows = _CHUNK // edges
     for start in range(0, len(weights), rows):
         ids[:, start : start + rows] = (weights[start : start + rows] @ powers).T
     return ids
@@ -278,31 +293,37 @@ def _predicate_mask(weights: np.ndarray, spec: SearchSpec, chunks: dict, cuts=No
 
     Each word is packed once into its chunk ids of _low_slots edge slots
     each. A cut's part indices are sums of its chunk tables at those ids,
-    looked up in the table or ranked by gfp.rank_rows; the survivors of
-    each cut are compacted together with their chunk ids. A cut's chunk
+    looked up in the table (the sum of the cut's chunk lookups) or ranked
+    by gfp.rank_rows. Each cut compacts its survivors once: one index
+    array, taken from the chunk ids and from the words' rows. A cut's chunk
     tables, all its parts in one _chunk_tables call, are built when a batch
     first reaches it and kept in `chunks`, keyed by cut index, for the
     caller's later batches."""
     plan, table, fits = _search_plan(spec)
     low = _low_slots(spec)
-    # the chunk ids, then a last row with each word's position in `weights`
-    ids = np.vstack([_chunk_ids(weights, spec, low), np.arange(weights.shape[0])])
+    ids = _chunk_ids(weights, spec, low)
+    pos = np.arange(weights.shape[0])  # each survivor's row of `weights`
     for c in range(len(plan.cuts)) if cuts is None else cuts:
         if not fits:
-            blocks = weights[ids[-1]][:, plan.cols[c]].reshape(-1, plan.rows, plan.width)
+            blocks = weights[pos][:, plan.cols[c]].reshape(-1, plan.rows, plan.width)
             ranks = gfp.rank_stack(blocks, spec.p)
         else:
             if c not in chunks:
                 chunks[c] = _chunk_tables(_cut_coefs(spec, plan, table, [c]), low, spec.base)
-            if table is not None:
-                ranks = table.take(_part_index(chunks[c], ids, 1)[0])
+            if table is not None:  # one part: its chunk lookups summed in place
+                (k, _, tables), *rest = chunks[c]
+                index = tables[0].take(ids[k])
+                for k, _, tables in rest:
+                    index += tables[0].take(ids[k])
+                ranks = table.take(index)
             else:
                 ranks = gfp.rank_rows(_part_index(chunks[c], ids, plan.rows), spec.p, plan.width)
-        ids = ids.compress(ranks == plan.rows, axis=1)
-        if ids.shape[1] == 0:
+        kept = (ranks == plan.rows).nonzero()[0]
+        ids, pos = ids.take(kept, axis=1), pos.take(kept)
+        if pos.size == 0:
             break
     mask = np.zeros(weights.shape[0], dtype=bool)
-    mask[ids[-1]] = True
+    mask[pos] = True
     return mask
 
 
@@ -328,7 +349,8 @@ class _BlockScan:
     plan, its `table`, whether a part's index `fits` int64 and the cut
     indices in scan `order`, the first cut first; when a part fits, the
     parts of each cut in that order, cut c's m parts being parts c * m to
-    c * m + m - 1, with a row each of A (`low_index`, intp) and their other
+    c * m + m - 1, with a row each of A (`low_index`, in the dtype of
+    _chunk_tables, which holds a part's whole index) and their other
     chunk tables (`cut_chunks`, as _chunk_tables gives them), which sum to
     B; per vertex, its row's high slots (`row_high`) and, when a row layer
     is on, whether the row's low part is zero (`row_zero`); whether some
@@ -355,9 +377,10 @@ class _BlockScan:
         if self.fits:
             coefs = _cut_coefs(spec, self.plan, self.table, self.order)
             chunks = _chunk_tables(coefs, low, spec.base)
-            # A as intp, which take() indexes with no cast: one cast of the
-            # whole stack, and the chunk-0 tables are not kept
-            self.low_index, self.cut_chunks = _split_low(chunks, len(coefs), self.size, np.intp)
+            # A in the tables' dtype, which holds a part's whole index, so
+            # A + B cannot wrap; uint16 at n=7 p=2 keeps that scan cached
+            self.low_index, self.cut_chunks = _split_low(chunks, len(coefs), self.size,
+                                                         chunks[0][2].dtype)
 
         rescale = spec.prune_rescale and spec.p > 2
         slot = slot_matrix(n)
@@ -598,17 +621,35 @@ def enumerate_graphs(spec: SearchSpec) -> SearchResult:
 def _integers(rng: np.random.Generator, low: int, high: int, shape: tuple[int, int],
               dtype: np.dtype) -> np.ndarray:
     """rng.integers(low, high, size=shape, dtype=dtype), bit for bit, bit
-    generator state included. A two-valued draw (dtype is uint8 for every
-    such range here) is read off raw 32-bit words, which a full-range
-    uint32 draw returns unchanged: numpy takes a uint8 draw's bytes lowest
+    generator state included, for the PCG64 generator of
+    np.random.default_rng, the only one the search passes (no other is
+    supported). A two-valued draw (dtype is uint8 for every such range
+    here) is read off 32-bit words: numpy takes a uint8 draw's bytes lowest
     first from fresh words and maps each by Lemire's method, which for a
     range of 2 is the byte's top bit and never rejects; the bytes left in
-    the last word are dropped."""
+    the last word are dropped. PCG64 makes 32-bit words from the halves
+    of a 64-bit output, low first, buffering the high half in its state
+    (has_uint32, uinteger): so the words are a buffered half, if any, then
+    random_raw outputs as little-endian halves, and the state is set as
+    the 32-bit draws would leave it."""
     if high - low != 2:
         return rng.integers(low, high, size=shape, dtype=dtype)
     size = shape[0] * shape[1]
-    words = rng.integers(0, 1 << 32, size=-(-size // 4), dtype=np.uint32)
-    out = words.astype("<u4", copy=False).view(np.uint8)
+    gen = rng.bit_generator
+    state = gen.state
+    held = bool(state["has_uint32"]) and size > 0
+    fresh = -(-size // 4) - held  # words past the buffered half
+    raw = gen.random_raw(-(-fresh // 2))
+    words = raw.astype("<u8", copy=False).view("<u4")
+    if held:
+        words = np.insert(words, 0, state["uinteger"])
+    if size:
+        state = gen.state
+        state["has_uint32"] = fresh % 2
+        if raw.size:
+            state["uinteger"] = int(raw[-1]) >> 32
+        gen.state = state
+    out = words.view(np.uint8)
     out >>= 7  # in place: no second buffer
     if low:
         out += np.uint8(low)

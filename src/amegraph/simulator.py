@@ -17,7 +17,8 @@ Conventions, fixed once for the whole package:
   imaginary parts all lie within numpy.real_if_close's tolerance (qubit
   graph states, amplitudes +-2^(-n/2)); every other stack stays complex.
   That is decided once per state (StateVector.field_amps), or once per
-  stack before its cut matrices are transposed out of it.
+  stack (real_if_close) before its cut matrices are transposed out of it;
+  field_entropies reads any number of cuts of a stack so decided.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class StateVector:
 
     @cached_property
     def field_amps(self) -> np.ndarray:
-        """amps in their field, computed once: a read-only real view if _real_if_close allows."""
-        return _real_if_close(self.amps)
+        """amps in their field, computed once: a read-only real view if real_if_close allows."""
+        return real_if_close(self.amps)
 
 
 @lru_cache(maxsize=None)
@@ -200,10 +201,13 @@ def reduced_density(s: StateVector, keep) -> np.ndarray:
     return m @ m.conj().T
 
 
-def _real_if_close(mats: np.ndarray) -> np.ndarray:
+def real_if_close(mats: np.ndarray) -> np.ndarray:
     """A complex stack's real part, a view, when every imaginary part is
     within numpy.real_if_close's tolerance (|Im| < 100 eps); else the stack
-    itself. Decided by two reductions, with no temporary the stack's size."""
+    itself. Decided by two reductions, with no temporary the stack's size.
+    A real stack is returned at once: its .imag would be a zero copy."""
+    if not np.iscomplexobj(mats):
+        return mats
     im = mats.imag  # a view
     if im.max(initial=0.0) < _REAL_TOL and im.min(initial=0.0) > -_REAL_TOL:
         return mats.real
@@ -214,11 +218,12 @@ def cut_entropies(amps, p: int, n: int, cut) -> np.ndarray:
     """Entanglement entropy across (cut, rest), in edits, of each state of the
     amplitude stack (..., p^n): the spectrum of the smaller side's Gram
     matrix, eigenvalues <= 1e-12 dropped."""
-    return _field_entropies(_real_if_close(amps), p, n, cut)
+    return field_entropies(real_if_close(amps), p, n, cut)
 
 
-def _field_entropies(amps, p: int, n: int, cut) -> np.ndarray:
-    """cut_entropies of a stack already in its field (_real_if_close's result)."""
+def field_entropies(amps, p: int, n: int, cut) -> np.ndarray:
+    """cut_entropies of a stack already in its field (real_if_close's
+    result), so that the cuts of one stack decide its realness once."""
     mats = _cut_matrices(amps, p, n, cut)
     if mats.shape[-2] > mats.shape[-1]:
         mats = mats.swapaxes(-1, -2)
@@ -231,7 +236,7 @@ def _field_entropies(amps, p: int, n: int, cut) -> np.ndarray:
 
 def cut_entropy_edits(s: StateVector, cut) -> float:
     """Entanglement entropy across (cut, rest) in edits."""
-    return float(_field_entropies(s.field_amps, s.p, s.n, cut))
+    return float(field_entropies(s.field_amps, s.p, s.n, cut))
 
 
 def z_measure_stack(amps, p: int, n: int, i: int, outcome: int) -> tuple[np.ndarray, np.ndarray]:

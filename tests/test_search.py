@@ -339,9 +339,9 @@ def test_cached_scans_are_read_only(monkeypatch):
 
 
 def test_scan_cache_stays_within_the_byte_bound(monkeypatch):
-    # 40 KB holds scans a and b (17.5 and 20.4 KB) but not c (5.8 KB) as
-    # well; the n=5 p=3 scan (525 KB) is never kept and evicts nothing
-    cap = 40_000
+    # 7.5 KB holds scans a and b (2.2 and 5.1 KB) but not c (0.7 KB) as
+    # well; the n=5 p=3 scan (131 KB) is never kept and evicts nothing
+    cap = 7_500
     monkeypatch.setattr(search, "_SCANS", {})
     monkeypatch.setattr(gfp, "_TABLE_CAP", cap)
     specs = [SearchSpec(n=4, p=3), SearchSpec(n=4, p=3, prune_zero_row=True),
@@ -403,6 +403,30 @@ def test_scan_ranks_rows_past_int64():
         fast, ref = enumerate_graphs(spec), _reference_search(spec)
         assert len(fast.witnesses) == classes and fast.witnesses == ref.witnesses
         assert fast.examined == ref.examined
+
+
+@pytest.mark.parametrize("low_ids", [search._LOW_IDS, 4])
+@pytest.mark.parametrize("group_size", [1, 2])
+def test_rows_path_with_uint16_row_index_matches_reference(monkeypatch, low_ids, group_size):
+    # at p = 257 a two-slot row packs to at most 1 + 257: a uint16 index,
+    # and no table (257^4 entries) is afforded. With two-slot chunks A
+    # alone would fit uint8, so only the index's own dtype keeps A + B exact
+    monkeypatch.setattr(search, "_LOW_IDS", low_ids)
+    monkeypatch.setattr(search, "_SCANS", {})
+    spec = SearchSpec(n=4, p=257, weights_one=True, group_size=group_size)
+    scan = search._block_scan(spec)
+    assert scan.table is None and scan.fits and scan.low_index.dtype == np.uint16
+    got, want = enumerate_graphs(spec), _reference_search(spec)
+    assert [g.adj.tobytes() for g in got.witnesses] == [g.adj.tobytes() for g in want.witnesses]
+    assert (got.examined, got.pruned) == (want.examined, want.pruned)
+
+
+def test_n7_qubit_scan_is_cached_with_narrow_tables(monkeypatch):
+    # uint16 chunk-0 tables (1,146,880 bytes) bring the scan within the cap
+    monkeypatch.setattr(search, "_SCANS", {})
+    scan = search._block_scan(SearchSpec(n=7, p=2))
+    assert scan.low_index.dtype == np.uint16 and scan.low_index.nbytes == 1_146_880
+    assert scan.nbytes <= gfp._TABLE_CAP and list(search._SCANS.values()) == [scan]
 
 
 def test_edge_words_wider_than_a_byte():
@@ -837,19 +861,49 @@ def test_predicate_matches_scalar_cut_ranks(monkeypatch, n, p, cap):
     # not pack into int64
     monkeypatch.setattr(gfp, "_TABLE_CAP", cap)
     monkeypatch.setattr(gfp, "_REPAY", 1 << 62)
-    spec = SearchSpec(n=n, p=p, mode="random", seed=0)
-    rng = np.random.default_rng(n * p)
-    words = search._random_weights(rng, 48, spec)
+    _check_predicate_cut_by_cut(SearchSpec(n=n, p=p, mode="random", seed=0), 48, n * p)
+
+
+def _check_predicate_cut_by_cut(spec, count, seed):
+    """_predicate_mask on `count` sampled words, one cut at a time and all
+    cuts at once, against scalar cut_edits."""
+    rng = np.random.default_rng(seed)
+    words = search._random_weights(rng, count, spec)
     words[::3] = words[::3] * (rng.random(words[::3].shape) < 0.5)  # sparser: more rank-deficient cuts
-    graphs = [graph_from_word(p, n, w) for w in words]
-    cuts = party_cuts(spec.groups)
+    graphs = [graph_from_word(spec.p, spec.n, w) for w in words]
     chunks = {}
     every = np.ones(len(words), dtype=bool)
-    for c, cut in enumerate(cuts):
+    for c, cut in enumerate(party_cuts(spec.groups)):
         want = np.array([cut_edits(g, cut) == len(cut) for g in graphs])
         assert search._predicate_mask(words, spec, chunks, [c]).tolist() == want.tolist()
         every &= want
     assert search._predicate_mask(words, spec, chunks).tolist() == every.tolist()
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_predicate_on_two_chunk_tables_matches_scalar_cut_ranks(n):
+    # the table path with two chunks of base-2 ids; 50 words leave a ragged
+    # last group of eight for the packed-bit views
+    spec = SearchSpec(n=n, p=2, mode="random", seed=0)
+    _, table, fits = search._search_plan(spec)
+    assert table is not None and fits and -(-spec.edge_slots // search._low_slots(spec)) == 2
+    _check_predicate_cut_by_cut(spec, 50, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 9) | st.sampled_from([(1 << 14) - 1, 1 << 14]),
+       st.integers(1, 14), st.booleans(), st.integers(0, 2**32 - 1))
+def test_base2_chunk_ids_match_int64_sums(n, count, low, weights_one, seed):
+    # odd E (n = 2, 3, 6, 7, 10, 11, 14, 15) and E > 57 (n >= 12); any
+    # chunk width, the last chunk possibly shorter
+    spec = SearchSpec(n=n, p=5 if weights_one else 2, weights_one=weights_one, mode="random", seed=seed)
+    words = search._random_weights(np.random.default_rng(seed), count, spec)
+    ids = search._chunk_ids(words, spec, low)
+    want = np.zeros((-(-spec.edge_slots // low), count), dtype=np.int64)
+    for c in range(len(want)):  # sum of w_k 2^(k - c low) over the chunk's slots k
+        for k in range(c * low, min((c + 1) * low, spec.edge_slots)):
+            want[c] += words[:, k].astype(np.int64) << (k - c * low)
+    assert ids.dtype == np.intp and np.array_equal(ids, want)
 
 
 def test_random_search_builds_tables_only_for_reached_cuts(monkeypatch):

@@ -408,7 +408,7 @@ def test_real_spectra_of_qubit_graph_states_match_complex(n, data):
     g = graph_from_word(2, n, word)
     s = sim.build_graph_state(g)
     for cut in _every_cut(n):
-        assert sim._real_if_close(sim._cut_matrices(s.amps, 2, n, cut)).dtype == np.float64
+        assert sim.real_if_close(sim._cut_matrices(s.amps, 2, n, cut)).dtype == np.float64
         ent = sim.cut_entropy_edits(s, cut)
         assert abs(ent - _complex_spectrum_edits(s, cut)) <= 1e-12
         assert abs(ent - cut_edits(g, cut)) <= 1e-9
@@ -421,7 +421,7 @@ def test_qubit_stabilizer_state_with_imaginary_amplitudes_stays_complex():
     assert np.abs(s.amps.imag).max() > 0.1
     for cut in _every_cut(5):
         m = sim._cut_matrices(s.amps, 2, 5, cut)
-        assert sim._real_if_close(m) is m
+        assert sim.real_if_close(m) is m
         ent = sim.cut_entropy_edits(s, cut)
         assert abs(ent - _complex_spectrum_edits(s, cut)) <= 1e-12
         assert abs(ent - cut_edits(g, cut)) <= 1e-9
@@ -440,7 +440,7 @@ def test_gram_entropies_allocate_no_stack_sized_temporary(p, n):
     assert np.shares_memory(sim._cut_matrices(stack.reshape(64, -1), p, n, cut), stack)
     real = p == 2
     peaks = []
-    for run in (sim._real_if_close, lambda m: sim.cut_entropies(m.reshape(64, -1), p, n, cut)):
+    for run in (sim.real_if_close, lambda m: sim.cut_entropies(m.reshape(64, -1), p, n, cut)):
         tracemalloc.start()
         try:
             run(stack)
@@ -594,8 +594,8 @@ def test_field_view_is_read_only_computed_once_and_real_by_the_old_rule(monkeypa
     amps[5] += 1j * noise * np.finfo(np.float64).eps
     s = sim.StateVector(2, 4, amps)
     calls = []
-    decide = sim._real_if_close
-    monkeypatch.setattr(sim, "_real_if_close", lambda a: calls.append(a) or decide(a))
+    decide = sim.real_if_close
+    monkeypatch.setattr(sim, "real_if_close", lambda a: calls.append(a) or decide(a))
     view = s.field_amps
     for cut in _every_cut(4):
         sim.cut_entropy_edits(s, cut)
@@ -608,3 +608,44 @@ def test_field_view_is_read_only_computed_once_and_real_by_the_old_rule(monkeypa
         assert np.array_equal(view, s.amps.real)
     else:
         assert view is s.amps
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 4)])
+def test_check1_decides_realness_once_per_stack(monkeypatch, p, n):
+    # check 1 reads every cut of each amplitude stack (a cap of 100 states
+    # here): realness is decided once per stack, and the worst delta equals
+    # that of cut_entropies deciding per cut
+    from amegraph import entanglement, repro
+
+    words = np.random.default_rng(p).integers(0, p, (250, n * (n - 1) // 2))
+    monkeypatch.setattr(sim, "DEFAULT_CAP", 100 * p**n)
+    calls = []
+    decide = sim.real_if_close
+    monkeypatch.setattr(sim, "real_if_close", lambda a: calls.append(len(a)) or decide(a))
+    got = repro._entropy_rank_delta(p, n, words)
+    assert calls == [100, 100, 50]
+    monkeypatch.setattr(sim, "real_if_close", decide)
+    want = 0.0
+    for lo in range(0, len(words), 100):
+        amps = sim.graph_amplitudes(p, n, words[lo : lo + 100])
+        assert (decide(amps).dtype == np.float64) == (p == 2)
+        graphs = [graph_from_word(p, n, w) for w in words[lo : lo + 100]]
+        for m in range(1, n // 2 + 1):
+            for cut in entanglement.cut_plan(n, tuple((v,) for v in range(n)), m).cuts:
+                ranks = [cut_edits(g, cut) for g in graphs]
+                want = max(want, float(np.abs(sim.cut_entropies(amps, p, n, cut) - ranks).max()))
+    assert got == want
+
+
+def test_real_stacks_are_returned_at_once():
+    # a float stack's .imag would be a zero copy of it; none is made
+    amps = sim.graph_amplitudes(2, 6, np.random.default_rng(2).integers(0, 2, (16, 15)))
+    real = np.ascontiguousarray(amps.real)
+    tracemalloc.start()
+    try:
+        assert sim.real_if_close(real) is real
+        assert tracemalloc.get_traced_memory()[1] < real.nbytes
+    finally:
+        tracemalloc.stop()
+    for cut in [(0,), (1, 4), (0, 2, 5)]:
+        assert np.array_equal(sim.cut_entropies(real, 2, 6, cut), sim.cut_entropies(amps, 2, 6, cut))
