@@ -68,8 +68,11 @@ _BATCH = 1 << 12  # cut matrices ranked per gfp.rank_stack call at most
 def _certify(report: AmeReport, g: Graph, plan: CutPlan, stop: bool) -> list[int] | None:
     """Rank the plan's cuts in batches of cut blocks gathered from g's edge
     word and record them in order; the witness is the first cut ranked
-    below its size. With stop=True the batches grow 1, 8, 64, ... and
-    recording ends at the witness, and None is returned; else the ranks."""
+    below its size. With stop=True the batches are 1, 64, 4096, 4096, ...
+    (gfp._ELIM_CALL-fold, up to _BATCH): a graph failing its first cut pays
+    one small call, and a later call's fixed cost stays small against its
+    matrices. Recording ends at the witness, and None is returned; else
+    the ranks."""
     word = edge_word(g)
     ranks = []
     start, chunk = 0, 1 if stop else _BATCH
@@ -85,7 +88,7 @@ def _certify(report: AmeReport, g: Graph, plan: CutPlan, stop: bool) -> list[int
                 if stop:
                     return None
         start += chunk
-        chunk = min(8 * chunk, _BATCH)
+        chunk = min(gfp._ELIM_CALL * chunk, _BATCH)
     return ranks
 
 

@@ -148,8 +148,8 @@ def mat_inverse(mat, p: int) -> np.ndarray:
         raise ValueError("matrix must be square")
     aug = np.hstack([a, np.eye(n, dtype=np.int64)])
     red, pivots = row_reduce(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError(f"rank {mat_rank(a, p)} < {n}")
+    if pivots[:n] != list(range(n)):  # pivots below n are a's own
+        raise SingularMatrixError(f"rank {sum(c < n for c in pivots)} < {n}")
     return red[:, n:]
 
 

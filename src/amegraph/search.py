@@ -291,17 +291,19 @@ def _predicate_mask(weights: np.ndarray, spec: SearchSpec, chunks: dict, cuts=No
     """Boolean mask of rows of `weights` whose graphs pass each of `cuts`
     (cut indices of _search_plan's plan, by default all in order).
 
-    Each word is packed once into its chunk ids of _low_slots edge slots
-    each. A cut's part indices are sums of its chunk tables at those ids,
-    looked up in the table (the sum of the cut's chunk lookups) or ranked
-    by gfp.rank_rows. Each cut compacts its survivors once: one index
-    array, taken from the chunk ids and from the words' rows. A cut's chunk
+    Where a part's index fits int64, each word is packed once into its
+    chunk ids of _low_slots edge slots each, and a cut's part indices are
+    sums of its chunk tables at those ids, looked up in the table (the sum
+    of the cut's chunk lookups) or ranked by gfp.rank_rows; else
+    gfp.rank_stack ranks the cut's blocks of the surviving words, and no
+    ids are built. Each cut compacts its survivors once: one index array,
+    taken from the chunk ids and from the words' rows. A cut's chunk
     tables, all its parts in one _chunk_tables call, are built when a batch
     first reaches it and kept in `chunks`, keyed by cut index, for the
     caller's later batches."""
     plan, table, fits = _search_plan(spec)
     low = _low_slots(spec)
-    ids = _chunk_ids(weights, spec, low)
+    ids = _chunk_ids(weights, spec, low) if fits else None
     pos = np.arange(weights.shape[0])  # each survivor's row of `weights`
     for c in range(len(plan.cuts)) if cuts is None else cuts:
         if not fits:
@@ -319,7 +321,9 @@ def _predicate_mask(weights: np.ndarray, spec: SearchSpec, chunks: dict, cuts=No
             else:
                 ranks = gfp.rank_rows(_part_index(chunks[c], ids, plan.rows), spec.p, plan.width)
         kept = (ranks == plan.rows).nonzero()[0]
-        ids, pos = ids.take(kept, axis=1), pos.take(kept)
+        pos = pos.take(kept)
+        if fits:
+            ids = ids.take(kept, axis=1)
         if pos.size == 0:
             break
     mask = np.zeros(weights.shape[0], dtype=bool)

@@ -4,7 +4,7 @@ A generator matrix is the k x 2n block matrix (X | Z) of Pauli exponent
 vectors. Local Clifford transformations act as M -> U M Y with U an
 invertible row mix and Y a per-qudit block-diagonal matrix of 2x2
 determinant-1 blocks; every full stabilizer matrix reduces to graph
-form (I | A) by such steps.
+form (I | A) by such steps, which to_graph finds in two row reductions.
 """
 
 from __future__ import annotations
@@ -94,29 +94,20 @@ class LocalCliffordY:
 
 
 def identity_y(p: int, n: int) -> LocalCliffordY:
-    one = np.ones(n, dtype=np.int64)
-    zero = np.zeros(n, dtype=np.int64)
-    return LocalCliffordY(p, one, zero, zero, one)
+    return swap_y(p, n, [])
 
 
 def swap_y(p: int, n: int, qudits) -> LocalCliffordY:
     """Y that exchanges the X and Z columns (with a sign) on `qudits`."""
-    e = np.ones(n, dtype=np.int64)
-    f = np.zeros(n, dtype=np.int64)
-    ep = np.zeros(n, dtype=np.int64)
-    fp = np.ones(n, dtype=np.int64)
-    for q in qudits:
-        e[q], f[q], ep[q], fp[q] = 0, 1, (-1) % p, 0
-    return LocalCliffordY(p, e, f, ep, fp)
+    s = np.zeros(n, dtype=np.int64)
+    s[list(qudits)] = 1  # quadruple (0, 1, -1, 0) there, (1, 0, 0, 1) elsewhere
+    return LocalCliffordY(p, 1 - s, s, (p - 1) * s, 1 - s)
 
 
 def diag_clear_y(p: int, diag) -> LocalCliffordY:
     """Y with quadruples (1, -d_i, 0, 1): subtracts d_i from Z_ii when X = I."""
     d = gfp.as_residues(diag, p)
-    n = d.shape[0]
-    one = np.ones(n, dtype=np.int64)
-    zero = np.zeros(n, dtype=np.int64)
-    return LocalCliffordY(p, one, (-d) % p, zero, one)
+    return LocalCliffordY(p, np.ones_like(d), (-d) % p, np.zeros_like(d), np.ones_like(d))
 
 
 def from_graph(g: Graph) -> GeneratorMatrix:
@@ -129,14 +120,22 @@ def symplectic_products(m: GeneratorMatrix) -> np.ndarray:
     return (m.x @ m.z.T - m.z @ m.x.T) % m.p
 
 
+def _valid_pivots(m: GeneratorMatrix) -> list[int] | None:
+    """Pivot columns of (X | Z), from one row reduction, when its rows are
+    independent and mutually commuting; else None. Those below n are X's."""
+    pivots = gfp.row_reduce(np.hstack([m.x, m.z]), m.p)[1]
+    return pivots if 0 < len(pivots) == m.k and not symplectic_products(m).any() else None
+
+
 def is_valid(m: GeneratorMatrix) -> bool:
     """Rows independent as length-2n vectors and mutually commuting."""
-    if m.k == 0:
-        return False
-    stacked = np.hstack([m.x, m.z])
-    if gfp.mat_rank(stacked, m.p) != m.k:
-        return False
-    return not symplectic_products(m).any()
+    return _valid_pivots(m) is not None
+
+
+def _act(x: np.ndarray, z: np.ndarray, y: LocalCliffordY, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(X | Z) Y: qudit i's column pair (X_i, Z_i) becomes
+    (e_i X_i + e'_i Z_i, f_i X_i + f'_i Z_i)."""
+    return (x * y.e + z * y.ep) % p, (x * y.f + z * y.fp) % p
 
 
 def apply_local_clifford(m: GeneratorMatrix, u: np.ndarray, y: LocalCliffordY) -> GeneratorMatrix:
@@ -148,51 +147,51 @@ def apply_local_clifford(m: GeneratorMatrix, u: np.ndarray, y: LocalCliffordY) -
         raise SingularUError("U must be invertible")
     if y.p != m.p or y.n != m.n:
         raise InvalidYError("Y does not match the generator matrix")
-    new_x = (m.x * y.e[None, :] + m.z * y.ep[None, :]) % m.p
-    new_z = (m.x * y.f[None, :] + m.z * y.fp[None, :]) % m.p
+    new_x, new_z = _act(m.x, m.z, y, m.p)
     return GeneratorMatrix(m.p, (u @ new_x) % m.p, (u @ new_z) % m.p)
 
 
 def to_graph(m: GeneratorMatrix) -> tuple[Graph, list[tuple[np.ndarray, LocalCliffordY]]]:
-    """Reduce a full stabilizer matrix to graph form (I | A).
+    """Reduce a full stabilizer matrix to graph form (I | A) in two row
+    reductions. The first, of (X | Z), decides validity; its pivots below
+    n are X's.
 
-    Steps: (1) swap X/Z columns on the qudits where the X block lacks a
-    pivot, which makes it invertible; (2) left-multiply by its inverse;
-    (3) clear the Z diagonal per qudit. Returns the graph and the
-    transcript of (U, Y) steps that were actually applied, in order.
+    Steps: (1) swap X/Z columns on the qudits where X lacks a pivot, which
+    makes it invertible; (2) left-multiply by its inverse u: the second
+    reduction, of (X | Z | I), gives (I | u Z | u); (3) clear the Z
+    diagonal per qudit. Returns the graph and the transcript of (U, Y)
+    steps that were actually applied, in order.
     """
     if m.k != m.n:
         raise InvalidGeneratorError("need a full stabilizer (k = n)")
-    if not is_valid(m):
+    pivots = _valid_pivots(m)
+    if pivots is None:
         raise InvalidGeneratorError("rows must be independent and abelian")
     p, n = m.p, m.n
     transcript: list[tuple[np.ndarray, LocalCliffordY]] = []
-    cur = m
+    x, z = m.x, m.z
 
-    _, pivots = gfp.row_reduce(cur.x, p)
     missing = [c for c in range(n) if c not in pivots]
     if missing:
         y = swap_y(p, n, missing)
-        cur = apply_local_clifford(cur, np.eye(n, dtype=np.int64), y)
+        x, z = _act(x, z, y, p)
         transcript.append((np.eye(n, dtype=np.int64), y))
 
-    if (cur.x != np.eye(n, dtype=np.int64)).any():
-        try:
-            u = gfp.mat_inverse(cur.x, p)
-        except gfp.SingularMatrixError as exc:  # theory rules this out
-            raise RuntimeError("X block not invertible after swaps") from exc
-        cur = apply_local_clifford(cur, u, identity_y(p, n))
-        transcript.append((u, identity_y(p, n)))
+    if (x != np.eye(n, dtype=np.int64)).any():
+        red, inv_pivots = gfp.row_reduce(np.hstack([x, z, np.eye(n, dtype=np.int64)]), p)
+        if inv_pivots != list(range(n)):  # theory rules this out
+            raise RuntimeError("X block not invertible after swaps")
+        x, z = red[:, :n], red[:, n:2 * n]
+        transcript.append((red[:, 2 * n:], identity_y(p, n)))
 
-    diag = np.diag(cur.z).copy()
+    diag = np.diag(z)
     if diag.any():
         y = diag_clear_y(p, diag)
-        cur = apply_local_clifford(cur, np.eye(n, dtype=np.int64), y)
+        x, z = _act(x, z, y, p)
         transcript.append((np.eye(n, dtype=np.int64), y))
 
-    if (cur.x != np.eye(n, dtype=np.int64)).any():
+    if (x != np.eye(n, dtype=np.int64)).any():
         raise RuntimeError("reduction failed to reach X = I")
-    z = cur.z
     if (z != z.T).any() or np.diag(z).any():
         raise RuntimeError("reduced Z block is not a graph adjacency")
     return Graph(p, z), transcript

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -369,14 +370,14 @@ def test_check1_ranks_by_table_lookup(monkeypatch):
 
 def test_cold_is_ame_builds_no_table(monkeypatch):
     # a p=11 n=6 AME graph, disguised: its 10 3x3 blocks, ranked in fast
-    # mode's batches of 1, 8 and 1, would need the 1.77 MB _peel(11, 3),
-    # so they are eliminated
+    # mode's batches of 1 and 9, would need the 1.77 MB _peel(11, 3), so
+    # they are eliminated
     g = codes.code_to_ame_graph(codes.grs_code(11, 6, 3))
     g = permute(op_mult(op_star(g, 2, 5), 4, 7), [3, 0, 5, 1, 4, 2])
     seen = _spy(monkeypatch, "rank_table", "_peel", "rank_batch")
     assert is_ame(g).is_ame
     assert not seen["rank_table"] and not seen["_peel"]
-    assert [len(args[0]) for args in seen["rank_batch"]] == [1, 8, 1]
+    assert [len(args[0]) for args in seen["rank_batch"]] == [1, 9]
 
 
 @pytest.mark.parametrize("full", [False, True])
@@ -397,3 +398,25 @@ def test_cut_matrix_is_the_ix_block(p, n, data):
     want = g.adj[np.ix_(sorted(cut), rest)]
     got = cut_matrix(g, cut)
     assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 13]), st.integers(2, 10), st.floats(0, 1), st.integers(0, 2**32 - 1),
+       st.sampled_from([2, 3, gfp._ELIM_CALL]))
+def test_fast_report_is_the_full_reports_prefix_to_the_witness(p, n, density, seed, growth):
+    # the edge density moves the first failing cut, and fast mode's batches
+    # grow `growth`-fold (1, 64, 4096 as shipped), so that batch ends fall
+    # before, at and after it
+    rng = np.random.default_rng(seed)
+    slots = n * (n - 1) // 2
+    g = graph_from_word(p, n, rng.integers(1, p, size=slots) * (rng.random(slots) < density))
+    with mock.patch.object(gfp, "_ELIM_CALL", growth):
+        fast = is_ame(g)
+    full = is_ame(g, full=True)
+    m = n // 2
+    ranks = [(cut, r) for cut, r in full.cut_ranks.items() if len(cut) == m]
+    assert [cut for cut, _ in ranks] == list(itertools.combinations(range(n), m))
+    fails = [i for i, (_, r) in enumerate(ranks) if r < m]
+    assert list(fast.cut_ranks.items()) == (ranks[:fails[0] + 1] if fails else ranks)
+    assert fast.witness == (ranks[fails[0]][0] if fails else None)
+    assert fast.is_ame == full.is_ame == (not fails)

@@ -91,6 +91,19 @@ def test_mat_inverse_roundtrip_and_singular():
     assert hits > 50
 
 
+@pytest.mark.parametrize("mat,p,rank", [
+    ([[1, 2], [2, 4]], 5, 1),
+    ([[0, 1], [0, 1]], 3, 1),  # a's pivot is column 1; (a | I)'s next is column 2
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], 2, 2),
+    (np.zeros((3, 3), dtype=int), 7, 0),
+])
+def test_mat_inverse_names_the_rank_of_a_singular_matrix(mat, p, rank):
+    n = len(mat)
+    with pytest.raises(gfp.SingularMatrixError, match=rf"^rank {rank} < {n}$"):
+        gfp.mat_inverse(mat, p)
+    assert gfp.mat_rank(mat, p) == rank
+
+
 def test_kernel_basis_zero_matrix():
     basis = gfp.kernel_basis(np.zeros((2, 2), dtype=int), 2)
     assert basis.shape == (2, 2)

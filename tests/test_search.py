@@ -809,6 +809,23 @@ def test_random_search_pinned(fields, examined, pruned, line):
     assert [format_graph_line(g) for g in res.witnesses] == ([line] if line else [])
 
 
+def test_rank_stack_path_builds_no_chunk_ids(monkeypatch):
+    # at p = 65537 a row's index does not fit int64, so every cut is ranked
+    # by gfp.rank_stack on the words, which read no chunk ids
+    calls = []
+    build = search._chunk_ids
+    monkeypatch.setattr(search, "_chunk_ids", lambda *args: calls.append(args) or build(*args))
+    res = random_search(SearchSpec(n=8, p=65537, mode="random", seed=1, samples=16384))
+    assert not calls
+    assert [format_graph_line(g) for g in res.witnesses] == [
+        "65537 8 1 2 1806 1 3 2284 1 4 21609 1 5 26817 1 6 29667 1 7 54912 1 8 56953 2 3 49491 "
+        "2 4 56728 2 5 54245 2 6 49382 2 7 5619 2 8 16333 3 4 9447 3 5 33543 3 6 53933 3 7 62290 "
+        "3 8 31011 4 5 42194 4 6 51671 4 7 35268 4 8 27743 5 6 36018 5 7 16842 5 8 62171 "
+        "6 7 53579 6 8 17902 7 8 20436"]
+    line = res.stats_line()
+    assert line.startswith("examined=1 pruned=0 witnesses=1 rate=") and line.endswith("/s exhaustive=no")
+
+
 def _rng_integers_weights(rng, count, spec):
     """The sampling stream as plain rng.integers calls: the reference the
     raw-word draws of search._random_weights must match bit for bit."""

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from amegraph import stabilizer as st
@@ -212,11 +212,11 @@ def test_format_roundtrip():
 
 
 @hs.composite
-def _scrambled(draw):
+def _scrambled(draw, primes=(2, 3, 5, 257), max_n=6):
     """A random graph and its generator matrix under a random row change
     U and local Clifford Y (seeded from hypothesis)."""
-    p = draw(hs.sampled_from([2, 3, 5, 257]))
-    n = draw(hs.integers(1, 6))
+    p = draw(hs.sampled_from(primes))
+    n = draw(hs.integers(1, max_n))
     word = draw(hs.lists(hs.integers(0, p - 1), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
     g = graph_from_word(p, n, word)
     rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
@@ -246,3 +246,34 @@ def test_generator_matrix_format_round_trip(gm):
     text = format_generator_matrix(m)
     assert parse_generator_matrix(text) == m
     assert format_generator_matrix(parse_generator_matrix(text)) == text
+
+
+@settings(max_examples=80, deadline=None)
+@given(_scrambled((2, 3, 5, 13, 257), 8))
+def test_to_graph_transcript_replays_through_the_checked_steps(gm):
+    # the public apply_local_clifford validates U and Y at every step and
+    # multiplies by U, which to_graph reads off its reductions instead
+    _, m = gm
+    out, transcript = to_graph(m)
+    cur = m
+    for u, y in transcript:
+        cur = apply_local_clifford(cur, u, y)
+    assert cur == from_graph(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scrambled((2, 3, 5, 13, 257), 8), hs.data())
+def test_to_graph_refuses_dependent_or_noncommuting_rows(gm, data):
+    g, _ = gm
+    assume(g.n > 1)
+    i, j = data.draw(hs.permutations(range(g.n)))[:2]
+    rng = np.random.default_rng(data.draw(hs.integers(0, 2**32 - 1)))
+    x, z = np.eye(g.n, dtype=np.int64), g.adj.copy()
+    rows = [j if r == i else r for r in range(g.n)]
+    dup = GeneratorMatrix(g.p, x[rows], z[rows])  # row i a copy of row j
+    z[i, j] = (z[i, j] + 1) % g.p  # rows i and j no longer commute
+    for m in (dup, GeneratorMatrix(g.p, x, z)):
+        m = apply_local_clifford(m, random_invertible(rng, g.p, g.n), random_y(rng, g.p, g.n))
+        assert not is_valid(m)
+        with pytest.raises(st.InvalidGeneratorError, match=r"^rows must be independent and abelian$"):
+            to_graph(m)
