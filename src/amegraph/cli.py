@@ -91,7 +91,8 @@ def cmd_entropy(args) -> int:
         rank = entanglement.cut_edits(g, cut)
         line = f"CUT {{{','.join(str(v + 1) for v in cut)}}} RANK {rank}"
         if state is not None:
-            line += f" ENTROPY {simulator.cut_entropy_edits(state, cut):.6f}"
+            ent = f"{simulator.cut_entropy_edits(state, cut):.6f}"
+            line += f" ENTROPY {'0.000000' if ent == '-0.000000' else ent}"  # a rank-0 cut's -0.0 or -1e-16
         print(line)
     return 0
 

@@ -22,11 +22,10 @@ from .simulator import TooLargeError
 from .stabilizer import GeneratorMatrix, to_graph
 
 
+MAX_WORDS = 10**7  # codewords min_distance enumerates at most
+
+
 class NotAmeCodeError(ValueError):
-    pass
-
-
-class PointsNotDistinctError(ValueError):
     pass
 
 
@@ -85,10 +84,10 @@ def message_words(p: int, k: int) -> np.ndarray:
     return gfp.digits(np.arange(p**k), p, k)
 
 
-def min_distance(c: LinearCode, max_words: int = 10**7) -> int:
+def min_distance(c: LinearCode) -> int:
     """Minimum Hamming weight over nonzero codewords (equals the distance)."""
     total = c.p**c.k
-    if total > max_words:
+    if total > MAX_WORDS:
         raise TooLargeError(f"{total} codewords exceed the enumeration cap")
     best = c.n
     chunk = 1 << 16
@@ -99,31 +98,27 @@ def min_distance(c: LinearCode, max_words: int = 10**7) -> int:
     return best
 
 
-def is_mds(c: LinearCode, max_words: int = 10**7) -> bool:
+def is_mds(c: LinearCode) -> bool:
     """Singleton bound met with equality: distance = n - k + 1."""
-    return min_distance(c, max_words) == c.n - c.k + 1
+    return min_distance(c) == c.n - c.k + 1
 
 
-def grs_code(p: int, n: int, k: int, points=None) -> LinearCode:
+def grs_code(p: int, n: int, k: int) -> LinearCode:
     """Polynomial-evaluation (generalized Reed-Solomon) code, MDS for
     n <= p + 1.
 
     Row i of the generator is (x_i^0, ..., x_i^(k-1)) at evaluation point
     x_i; distinct points make every k x k minor a Vandermonde determinant.
-    Without `points` the points are 0, 1, ..., n - 1, and n = p + 1 adds
-    the point at infinity, the row (0, ..., 0, 1) of the leading
-    coefficient: the doubly extended Reed-Solomon code, still MDS.
+    The points are 0, 1, ..., n - 1, and n = p + 1 adds the point at
+    infinity, the row (0, ..., 0, 1) of the leading coefficient: the
+    doubly extended Reed-Solomon code, still MDS.
     """
     gfp.ensure_prime(p)
-    most = p + 1 if points is None else p
-    if n > most:
-        raise LengthExceedsFieldError(f"need n <= {most} for {n} distinct points")
-    pts = list(range(min(n, p))) if points is None else [int(x) % p for x in points]
-    if len(set(pts)) != len(pts) or len(pts) != min(n, p):
-        raise PointsNotDistinctError("evaluation points must be distinct")
+    if n > p + 1:
+        raise LengthExceedsFieldError(f"need n <= {p + 1} for {n} distinct points")
     gen = np.zeros((n, k), dtype=np.int64)
-    for i, x in enumerate(pts):
-        gen[i] = [pow(x, j, p) for j in range(k)]
+    for x in range(min(n, p)):
+        gen[x] = [pow(x, j, p) for j in range(k)]
     if n > p and k:
         gen[p, k - 1] = 1  # the point at infinity
     return LinearCode(p, gen)
@@ -182,15 +177,8 @@ def get_code(name: str) -> LinearCode:
     raise ValueError(f"unknown code {name!r}")
 
 
-def format_code(c: LinearCode) -> str:
-    """Text format: `p n k` header, then the k generator columns as rows."""
-    lines = [f"{c.p} {c.n} {c.k}"]
-    for col in range(c.k):
-        lines.append(" ".join(str(int(v)) for v in c.gen[:, col]))
-    return "\n".join(lines) + "\n"
-
-
 def parse_code(text: str) -> LinearCode:
+    """Text format: `p n k` header, then the k generator columns as rows."""
     rows = [ln.split() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not rows or len(rows[0]) != 3:
         raise ValueError("header must be `p n k`")

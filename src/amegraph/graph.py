@@ -132,10 +132,6 @@ def _unchecked_graph(p: int, adj: np.ndarray) -> Graph:
     return g
 
 
-def empty_graph(p: int, n: int) -> Graph:
-    return Graph(p, np.zeros((n, n), dtype=np.int64))
-
-
 def graph_from_edges(p: int, n: int, edges) -> Graph:
     """Build a graph from (i, j, w) triples; zero-weight edges are dropped.
     p is checked, and n bounded by the adjacency's bytes, before allocating."""
@@ -517,27 +513,9 @@ def format_graph_line(g: Graph) -> str:
     return " ".join(parts)
 
 
-def parse_graph_line(line: str) -> Graph:
-    toks = line.split()
-    if len(toks) < 2 or (len(toks) - 2) % 3:
-        raise GraphFormatError("expected `p n` plus (i, j, w) triples")
-    p, n = int(toks[0]), int(toks[1])
-    trip = [int(t) for t in toks[2:]]
-    edges = [(trip[t] - 1, trip[t + 1] - 1, trip[t + 2]) for t in range(0, len(trip), 3)]
-    return graph_from_edges(p, n, edges)
-
-
 def load_graph(path) -> Graph:
     with open(path, encoding="utf-8") as fh:
         return parse_graph(fh.read())
-
-
-def save_graph(g: Graph, path, comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        fh.write(format_graph(g))
 
 
 def to_dot(g: Graph) -> str:

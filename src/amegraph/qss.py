@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gfp
 from .entanglement import is_ame
-from .graph import Graph, LabeledGraph, truncate, vertex_list, z_measure_symbolic
+from .graph import Graph, truncate, vertex_list
 from .simulator import (
     StateVector,
     bell_measure,
@@ -154,39 +154,6 @@ def _scheme_amplitudes(g: Graph) -> np.ndarray:
     return amps
 
 
-def encode_symbolic(scheme, secret, outcomes):
-    """Labeled-graph superposition equal (up to global phase) to encode().
-
-    Returns [(coefficient, LabeledGraph), ...] over the dealer coordinate
-    tuples; coefficients fold in the Bell-outcome corrections. This is the
-    paper's encoding in graph-state form; the tests hold it against the
-    dense encode(), which the audits run on.
-    """
-    g = scheme.graph
-    p = g.p
-    dealers = list(scheme.dealers)
-    L = len(dealers)
-    outcomes = [tuple(o) for o in outcomes]
-    s = _secret_array(scheme, secret)
-    w = omega_powers(p)
-    start = LabeledGraph(g, np.zeros(g.n, dtype=np.int64))
-    terms = []
-    for flat, digits in enumerate(gfp.digits(np.arange(p**L), p, L).tolist()):
-        coeff = s[flat]
-        shifted = [(d + bh) % p for d, (_, bh) in zip(digits, outcomes)]  # U_gh^dagger per dealer
-        for d, (bg, _) in zip(digits, outcomes):
-            coeff = coeff * w[(-d * bg) % p]
-        # edges between dealers phase the branch by omega^(A_dd' i i')
-        for a in range(L):
-            for b in range(a + 1, L):
-                coeff = coeff * w[(g.adj[dealers[a], dealers[b]] * shifted[a] * shifted[b]) % p]
-        # the branch is the graph state after Z-measuring the dealers with outcomes `shifted`
-        terms.append((coeff, z_measure_symbolic(start, dealers, shifted)))
-    # the dealer rows are independent (AME), so all p^L labels are distinct
-    # and the coefficients carry unit total weight
-    return terms
-
-
 def recovery_map(scheme, authorized) -> np.ndarray:
     """Unitary on the authorized players' qudits mapping labeled graph
     states to computational registers (dealer coordinates first).
@@ -306,17 +273,16 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return float(0.5 * np.abs(vals).sum())
 
 
-def audit_forbidden(scheme, forbidden, trials: int, rng: np.random.Generator,
-                    outcomes=None) -> float:
+def audit_forbidden(scheme, forbidden, trials: int, rng: np.random.Generator) -> float:
     """Max trace distance between a forbidden set's reduced states over
-    `trials` random secret pairs; ~0 certifies the set learns nothing."""
+    `trials` random secret pairs, every Bell outcome (0, 0); ~0 certifies
+    the set learns nothing."""
     g = scheme.graph
     L = len(scheme.dealers)
     F = sorted(forbidden)
     if not set(F) <= set(scheme.players):
         raise ValueError("forbidden set must consist of players")
-    if outcomes is None:
-        outcomes = [(0, 0)] * L
+    outcomes = [(0, 0)] * L
     positions = [scheme.players.index(f) for f in F]
     worst = 0.0
     for _ in range(trials):

@@ -10,8 +10,8 @@ Conventions, fixed once for the whole package:
   from edge words (..., C(n, 2)) and labels (..., n); cut_entropies and
   z_measure_stack act on such stacks. Each one-state function is their
   one-row case; graph-state phases broadcast on the [p] * n tensor.
-- One cap, DEFAULT_CAP amplitudes unless a larger one is passed, bounds
-  every state and stack, and reduced_density's p^k x p^k entries too;
+- One cap, DEFAULT_CAP amplitudes, read when a check runs, bounds every
+  state and stack, and reduced_density's p^k x p^k entries too;
   check_cap refuses before anything is allocated.
 - Entropies are Gram-matrix spectra, in real arithmetic when a stack's
   imaginary parts all lie within numpy.real_if_close's tolerance (qubit
@@ -30,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from . import gfp
-from .graph import Graph, LabeledGraph, edge_word, slot_matrix
+from .graph import Graph, LabeledGraph, edge_word
 
 DEFAULT_CAP = 1 << 20
 _NORM_TOL = 1e-9
@@ -76,14 +76,14 @@ def omega_powers(p: int) -> np.ndarray:
     return table
 
 
-def check_cap(p: int, n: int, cap: int = DEFAULT_CAP, stack: tuple = ()) -> None:
-    """Refuse a stack of shape `stack` of p^n-amplitude states holding more than `cap` amplitudes."""
+def check_cap(p: int, n: int, stack: tuple = ()) -> None:
+    """Refuse a stack of shape `stack` of p^n-amplitude states holding more than DEFAULT_CAP amplitudes."""
     count = p**n
     for rows in stack:
         count *= rows
-    if count > cap:
+    if count > DEFAULT_CAP:
         lead = "".join(f"{rows} x " for rows in stack)
-        raise TooLargeError(f"{lead}{p}^{n} amplitudes exceed the cap of {cap}")
+        raise TooLargeError(f"{lead}{p}^{n} amplitudes exceed the cap of {DEFAULT_CAP}")
 
 
 def _axis(n: int, i: int) -> int:
@@ -91,22 +91,6 @@ def _axis(n: int, i: int) -> int:
     if not 0 <= i < n:
         raise ValueError(f"qudit {i} is not in [0, {n})")
     return n - 1 - i
-
-
-def basis_state(p: int, n: int, digits) -> StateVector:
-    digits = list(digits)
-    if len(digits) != n:
-        raise ValueError(f"expected {n} digits, got {len(digits)}")
-    check_cap(p, n)
-    idx = sum(int(d) % p * p**i for i, d in enumerate(digits))
-    amps = np.zeros(p**n, dtype=np.complex128)
-    amps[idx] = 1.0
-    return StateVector(p, n, amps)
-
-
-def uniform_state(p: int, n: int, cap: int = DEFAULT_CAP) -> StateVector:
-    """|0bar>^n, the empty graph's state: every qudit in the Fourier-conjugate zero state."""
-    return StateVector(p, n, graph_amplitudes(p, n, np.zeros(n * (n - 1) // 2, dtype=np.int64), cap=cap))
 
 
 def _site_pauli(s: StateVector, i: int, a: int, b: int) -> StateVector:
@@ -123,15 +107,6 @@ def apply_z(s: StateVector, i: int, power: int = 1) -> StateVector:
 
 def apply_x(s: StateVector, i: int, power: int = 1) -> StateVector:
     return _site_pauli(s, i, power, 0)
-
-
-def apply_cz(s: StateVector, i: int, j: int, power: int = 1) -> StateVector:
-    if _axis(s.n, i) == _axis(s.n, j):
-        raise ValueError("CZ needs two distinct qudits")
-    word = np.zeros(s.n * (s.n - 1) // 2, dtype=np.int64)
-    word[slot_matrix(s.n)[i, j]] = power
-    phase = omega_powers(s.p)[_phase_exponents(s.p, s.n, word)]
-    return StateVector(s.p, s.n, s.amps * phase.reshape(-1))
 
 
 def _phase_exponents(p: int, n: int, words, label=None) -> np.ndarray:
@@ -160,28 +135,28 @@ def _nonzero_slots(a: np.ndarray, keys, ones: tuple) -> list:
     return [(key, w.reshape(w.shape + ones)) for key, w in zip(keys, np.moveaxis(a, -1, 0)) if w.any()]
 
 
-def graph_amplitudes(p: int, n: int, words, labels=None, cap: int = DEFAULT_CAP) -> np.ndarray:
+def graph_amplitudes(p: int, n: int, words, labels=None) -> np.ndarray:
     """Amplitude stack (..., p^n) of the labeled graph states with edge words
     (..., C(n, 2)) and labels (..., n), or label 0 when labels is None."""
     words = np.asarray(words, dtype=np.int64)
     stack = words.shape[:-1]
-    check_cap(p, n, cap, stack)
+    check_cap(p, n, stack)
     amp = omega_powers(p) * p ** (-n / 2)
     return amp[_phase_exponents(p, n, words, labels)].reshape(stack + (p**n,))
 
 
-def graph_state_amplitudes(g: Graph, label=None, cap: int = DEFAULT_CAP) -> np.ndarray:
+def graph_state_amplitudes(g: Graph, label=None) -> np.ndarray:
     """Amplitudes of one (labeled) graph state: graph_amplitudes' one-row case."""
-    return graph_amplitudes(g.p, g.n, edge_word(g), label, cap)
+    return graph_amplitudes(g.p, g.n, edge_word(g), label)
 
 
-def build_graph_state(g: Graph, cap: int = DEFAULT_CAP) -> StateVector:
+def build_graph_state(g: Graph) -> StateVector:
     """|G>: all qudits in |0bar>, then CZ^w per weighted edge."""
-    return StateVector(g.p, g.n, graph_state_amplitudes(g, cap=cap))
+    return StateVector(g.p, g.n, graph_state_amplitudes(g))
 
 
-def build_labeled(s: LabeledGraph, cap: int = DEFAULT_CAP) -> StateVector:
-    return StateVector(s.graph.p, s.graph.n, graph_state_amplitudes(s.graph, s.label, cap))
+def build_labeled(s: LabeledGraph) -> StateVector:
+    return StateVector(s.graph.p, s.graph.n, graph_state_amplitudes(s.graph, s.label))
 
 
 def _cut_matrices(amps, p: int, n: int, keep) -> np.ndarray:
@@ -290,11 +265,6 @@ def ugh_matrix(p: int, g: int, h: int) -> np.ndarray:
     return u
 
 
-def bell_state(p: int, g: int, h: int) -> StateVector:
-    # amplitude omega^(jg) at |j>|j+h>, first qudit least significant
-    return StateVector(p, 2, ugh_matrix(p, g, h).T.reshape(-1) / np.sqrt(p))
-
-
 def overlap(a: StateVector, b: StateVector) -> complex:
     if (a.p, a.n) != (b.p, b.n):
         raise ValueError("states live on different systems")
@@ -354,7 +324,7 @@ def _support_seed(p: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return seed
 
 
-def stabilizer_state(p: int, x: np.ndarray, z: np.ndarray, cap: int = DEFAULT_CAP) -> StateVector:
+def stabilizer_state(p: int, x: np.ndarray, z: np.ndarray) -> StateVector:
     """Unique +1 joint eigenvector of the generators rows of (x | z).
 
     Built by applying the eigenvalue-1 projector (1/p) sum_j g^j of each
@@ -365,7 +335,7 @@ def stabilizer_state(p: int, x: np.ndarray, z: np.ndarray, cap: int = DEFAULT_CA
     x = gfp.as_residues(x, p)
     z = gfp.as_residues(z, p)
     n = x.shape[1]
-    check_cap(p, n, cap)
+    check_cap(p, n)
     t = np.zeros([p] * n, dtype=np.complex128)
     t[tuple(_support_seed(p, x, z)[::-1])] = 1.0  # axis n-1-i holds qudit i
     for a, b in zip(x, z):

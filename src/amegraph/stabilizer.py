@@ -204,19 +204,3 @@ def format_generator_matrix(m: GeneratorMatrix) -> str:
         lines.append(" ".join(str(int(v)) for v in np.concatenate([m.x[r], m.z[r]])))
     return "\n".join(lines) + "\n"
 
-
-def parse_generator_matrix(text: str) -> GeneratorMatrix:
-    rows = [ln.split() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not rows or len(rows[0]) != 3:
-        raise InvalidGeneratorError("header must be `p k n`")
-    p, k, n = (int(v) for v in rows[0])
-    gfp.ensure_prime(p)  # first, so that every entry reduced mod p fits int64
-    if len(rows) != k + 1:
-        raise InvalidGeneratorError(f"expected {k} generator rows")
-    mat = []
-    for parts in rows[1:]:
-        if len(parts) != 2 * n:
-            raise InvalidGeneratorError("each row needs 2n residues")
-        mat.append([int(v) % p for v in parts])
-    arr = np.array(mat, dtype=np.int64).reshape(k, 2 * n)
-    return GeneratorMatrix(p, arr[:, :n], arr[:, n:])

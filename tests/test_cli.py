@@ -4,8 +4,8 @@ import re
 import pytest
 
 from amegraph.cli import main
-from amegraph.graph import save_graph
 from amegraph.witnesses import ame44_grouped, c5, quad_weighted
+from support import parse_graph_line, save_graph
 
 
 @pytest.fixture
@@ -114,6 +114,21 @@ def test_entropy_cut(c4_file, capsys):
     assert out.startswith("CUT {1,4} RANK 1 ENTROPY 1.000000")
 
 
+@pytest.mark.parametrize("text, digest", [
+    ("2 2\n", hashlib.sha256(b"CUT {1} RANK 0 ENTROPY 0.000000\n"
+                             b"CUT {2} RANK 0 ENTROPY 0.000000\n").hexdigest()),
+    ("3 4\n1 2 1\n", "52324343911089104c466cd029543f1a9f280efa78cdbf5d22e5cd8851c69387"),
+], ids=["empty-pair", "one-edge"])
+def test_entropy_oracle_prints_rank_zero_cuts_unsigned(tmp_path, capsys, text, digest):
+    # the dense entropy of a rank-0 cut comes out as -0.0 or about -1e-16
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    assert main(["entropy", str(path), "--oracle"]) == 0
+    out = capsys.readouterr().out
+    assert "ENTROPY -" not in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("cut,err", [
     ("0", "error: vertex 0 is not in [1, 4]\n"),
     ("1,9", "error: vertex 9 is not in [1, 4]\n"),
@@ -175,7 +190,6 @@ def test_search_witness_file(tmp_path, capsys):
     assert rc == 0
     lines = out_path.read_text().splitlines()
     assert lines[0].startswith("# search n=5 p=2 mode=random")
-    from amegraph.graph import parse_graph_line
     from amegraph.entanglement import is_ame
 
     assert is_ame(parse_graph_line(lines[1])).is_ame

@@ -5,9 +5,9 @@ import pytest
 
 from amegraph import composite as comp
 from amegraph.entanglement import is_ame
-from amegraph.graph import save_graph
 from amegraph.simulator import build_graph_state, cut_entropy_edits
 from amegraph.witnesses import ame44_grouped, c5, quad_weighted, small_ame
+from support import save_graph
 
 
 @pytest.mark.parametrize("d,factors", [(6, [2, 3]), (4, [2, 2]), (12, [2, 2, 3]),

@@ -16,7 +16,6 @@ from amegraph.graph import (
     canonical_form_grouped,
     circuit_from_graph,
     edge_word,
-    empty_graph,
     format_circuit,
     format_graph,
     format_graph_line,
@@ -26,13 +25,13 @@ from amegraph.graph import (
     op_mult,
     op_star,
     parse_graph,
-    parse_graph_line,
     permute,
     slot_matrix,
     to_dot,
     truncate,
     z_measure_symbolic,
 )
+from support import parse_graph_line
 
 C4_EDGES = [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)]
 QUAD_EDGES = [(0, 1, 1), (0, 2, 1), (1, 3, 2), (2, 3, 1)]
@@ -277,7 +276,8 @@ def test_canonical_form_grouped_is_brute_force_minimum(shape, p, data):
 @pytest.mark.parametrize("gcount, gsize", [(3, 4), (2, 6)])
 def test_canonical_form_grouped_refuses_past_relabeling_bound(gcount, gsize):
     # 3! * 4!^3 = 82,944 and 2! * 6!^2 = 1,036,800 relabelings, over 8!
-    g = empty_graph(2, gcount * gsize)
+    n = gcount * gsize
+    g = Graph(2, np.zeros((n, n), dtype=np.int64))
     with pytest.raises(ValueError, match="at most 40320 relabelings"):
         canonical_form_grouped(g, gsize)
 
@@ -290,7 +290,7 @@ def test_relabeling_bound_is_eight_factorial():
         with pytest.raises(ValueError, match="at most 40320 relabelings"):
             gr.check_relabelings(gcount, gsize)
     with pytest.raises(ValueError, match="at most 40320 relabelings"):
-        canonical_form(empty_graph(2, 9))
+        canonical_form(Graph(2, np.zeros((9, 9), dtype=np.int64)))
 
 
 def test_graph_from_edges_bounds_bytes_before_allocating():
@@ -403,7 +403,8 @@ def test_single_edge_circuit():
 
 
 def test_empty_graph_circuit():
-    assert format_circuit(circuit_from_graph(empty_graph(2, 2))) == "PREP_ALL |0bar>\n"
+    g = Graph(2, np.zeros((2, 2), dtype=np.int64))
+    assert format_circuit(circuit_from_graph(g)) == "PREP_ALL |0bar>\n"
 
 
 @pytest.mark.parametrize("n", range(2, 10))

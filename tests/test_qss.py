@@ -8,6 +8,7 @@ from amegraph import qss
 from amegraph import simulator as sim
 from amegraph.graph import graph_from_edges, truncate
 from amegraph.witnesses import ame62, quad_weighted
+from support import encode_symbolic
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +61,7 @@ def test_encode_symbolic_matches_dense(quad_scheme):
     for outcome in ((0, 0), (1, 0), (0, 2), (2, 1)):
         s = qss.random_secret(3, 1, rng)
         dense = qss.encode(quad_scheme, s, [outcome])
-        terms = qss.encode_symbolic(quad_scheme, s, [outcome])
+        terms = encode_symbolic(quad_scheme, s, [outcome])
         total = sum(abs(c) ** 2 for c, _ in terms)
         assert abs(total - 1) < 1e-9
         rebuilt = sum(c * sim.build_labeled(lg).amps for c, lg in terms)
@@ -75,7 +76,7 @@ def test_encode_symbolic_matches_dense_ramp():
             s = qss.random_secret(2, 2, rng)
             dense = qss.encode(scheme, s, [o1, o2])
             rebuilt = sum(c * sim.build_labeled(lg).amps
-                          for c, lg in qss.encode_symbolic(scheme, s, [o1, o2]))
+                          for c, lg in encode_symbolic(scheme, s, [o1, o2]))
             assert abs(abs(np.vdot(rebuilt, dense.amps)) - 1) < 1e-9
 
 

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from amegraph import gfp
 from amegraph.codes import parse_code
 from amegraph.composite import parse_manifest
-from amegraph.graph import parse_graph, parse_graph_line
-from amegraph.stabilizer import parse_generator_matrix
+from amegraph.graph import parse_graph
 
 # small and huge integers (past int64, and primes past the exact int64
 # bound), negatives, words of the formats, non-integers and comments
@@ -25,7 +24,7 @@ SOUP = st.lists(LINES, max_size=6).map("\n".join)
 @settings(max_examples=300, deadline=None)
 @given(SOUP)
 def test_readers_take_token_soup(text):
-    for reader in (parse_graph, parse_graph_line, parse_code, parse_generator_matrix):
+    for reader in (parse_graph, parse_code):
         try:
             reader(text)
         except ValueError:
@@ -53,7 +52,6 @@ def test_ensure_prime_refuses_inexact_p_before_trial_division(p):
 
 @pytest.mark.parametrize("reader, text", [
     (parse_code, "2 1 1\n99999999999999999999\n"),
-    (parse_generator_matrix, "2 1 1\n99999999999999999999 1\n"),
 ])
 def test_entries_past_int64_are_reduced_mod_p(reader, text):
     big = reader(text)
@@ -62,7 +60,6 @@ def test_entries_past_int64_are_reduced_mod_p(reader, text):
 
 @pytest.mark.parametrize("reader, text", [
     (parse_graph, "1000000000000000003 2\n1 2 99999999999999999999\n"),
-    (parse_graph_line, "1000000000000000003 2 1 2 99999999999999999999"),
 ])
 def test_graph_readers_refuse_huge_p_and_weight(reader, text):
     with pytest.raises(ValueError, match="too large for exact int64"):

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amegraph import qss
 from amegraph import simulator as sim
 from amegraph.entanglement import cut_edits
-from amegraph.graph import Graph, LabeledGraph, graph_from_edges, graph_from_word, z_measure_symbolic
+from amegraph.graph import Graph, LabeledGraph, edge_word, graph_from_edges, graph_from_word, z_measure_symbolic
 from amegraph.stabilizer import apply_local_clifford, from_graph
+from amegraph.witnesses import quad_weighted
+from support import apply_cz, basis_state, bell_state
 from test_stabilizer import random_invertible, random_y
 
 
@@ -24,13 +27,13 @@ def random_state(p, n, rng) -> sim.StateVector:
 
 
 def test_apply_z_on_basis():
-    s = sim.basis_state(3, 1, [1])
+    s = basis_state(3, 1, [1])
     out = sim.apply_z(s, 0)
     assert np.isclose(out.amps[1], np.exp(2j * np.pi / 3))
 
 
 def test_apply_x_wraps():
-    s = sim.basis_state(3, 1, [2])
+    s = basis_state(3, 1, [2])
     out = sim.apply_x(s, 0)
     assert np.isclose(out.amps[0], 1.0)
 
@@ -45,15 +48,15 @@ def test_zx_commutation():
 
 
 def test_cz_examples():
-    s = sim.basis_state(2, 2, [1, 1])
-    assert np.isclose(sim.apply_cz(s, 0, 1).amps[3], -1.0)
-    t = sim.basis_state(3, 2, [1, 2])
-    out = sim.apply_cz(t, 0, 1, power=2)
+    s = basis_state(2, 2, [1, 1])
+    assert np.isclose(apply_cz(s, 0, 1).amps[3], -1.0)
+    t = basis_state(3, 2, [1, 2])
+    out = apply_cz(t, 0, 1, power=2)
     # exponent 2*1*2 = 4 = 1 mod 3
     assert np.isclose(out.amps[m_idx(3, [1, 2])], np.exp(2j * np.pi / 3))
     rng = np.random.default_rng(2)
     s = random_state(3, 2, rng)
-    assert np.allclose(sim.apply_cz(s, 0, 1).amps, sim.apply_cz(s, 1, 0).amps)
+    assert np.allclose(apply_cz(s, 0, 1).amps, apply_cz(s, 1, 0).amps)
 
 
 def m_idx(p, digits):
@@ -68,7 +71,7 @@ def test_gate_orders():
         for _ in range(p):
             z = sim.apply_z(z, 0)
             x = sim.apply_x(x, 0)
-            cz = sim.apply_cz(cz, 0, 1)
+            cz = apply_cz(cz, 0, 1)
         assert np.allclose(z.amps, s.amps)
         assert np.allclose(x.amps, s.amps)
         assert np.allclose(cz.amps, s.amps)
@@ -113,14 +116,14 @@ def test_cz_order_invariance():
     g = graph_from_edges(3, 4, [(0, 1, 1), (0, 2, 1), (1, 3, 2), (2, 3, 1)])
     ref = sim.build_graph_state(g)
     rng = np.random.default_rng(5)
-    s = sim.uniform_state(3, 4)
+    s = sim.build_graph_state(Graph(3, np.zeros((4, 4), dtype=np.int64)))
     edges = g.edges()
     for _ in range(5):
         order = rng.permutation(len(edges))
         t = s
         for k in order:
             i, j, w = edges[k]
-            t = sim.apply_cz(t, i, j, w)
+            t = apply_cz(t, i, j, w)
         assert np.allclose(t.amps, ref.amps)
 
 
@@ -135,7 +138,7 @@ def test_reduced_density_single_edge():
 def test_reduced_density_bounds_its_square_by_the_cap():
     # keeping 15 of 16 qubits asks for 2^15 x 2^15 entries (16 GiB): refused
     # before any is allocated; 10 of them, 2^20 entries, are the cap's edge
-    s = sim.uniform_state(2, 16)
+    s = sim.build_graph_state(Graph(2, np.zeros((16, 16), dtype=np.int64)))
     tracemalloc.start()
     try:
         with pytest.raises(sim.TooLargeError, match="2\\^30 amplitudes exceed the cap"):
@@ -184,7 +187,7 @@ def test_z_measure_dense_uniform_and_crosscheck():
 
 def test_z_measure_stack_refuses_before_dividing():
     # one row of the stack annihilated by the projection: no nan row comes back
-    stack = np.stack([sim.basis_state(2, 1, [1]).amps, sim.basis_state(2, 1, [0]).amps])
+    stack = np.stack([basis_state(2, 1, [1]).amps, basis_state(2, 1, [0]).amps])
     with pytest.raises(sim.ZeroProbabilityError):
         sim.z_measure_stack(stack, 2, 1, 0, 1)
 
@@ -236,14 +239,14 @@ def test_graph_amplitudes_at_the_cap_edge():
 
 
 def test_z_measure_zero_probability():
-    s = sim.basis_state(2, 1, [0])
+    s = basis_state(2, 1, [0])
     with pytest.raises(sim.ZeroProbabilityError):
         sim.z_measure_dense(s, 0, 1)
 
 
 def test_bell_measure_standard_pair():
     # (|00> + |11>)/sqrt(2) projected on Psi_00 leaves certainty
-    s = sim.bell_state(2, 0, 0)
+    s = bell_state(2, 0, 0)
     assert np.allclose(s.amps, np.array([1, 0, 0, 1]) / np.sqrt(2))
     two = sim.StateVector(2, 2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
     prob, _post = sim.bell_measure(two, (0, 1), 0, 0)
@@ -255,7 +258,7 @@ def test_bell_basis_complete():
         acc = np.zeros((p * p, p * p), dtype=complex)
         for g in range(p):
             for h in range(p):
-                v = sim.bell_state(p, g, h).amps
+                v = bell_state(p, g, h).amps
                 acc += np.outer(v, v.conj())
         assert np.allclose(acc, np.eye(p * p), atol=1e-9)
 
@@ -275,15 +278,37 @@ def test_norm_preserved_by_unitaries():
     for out in (
         sim.apply_z(s, 1),
         sim.apply_x(s, 2, 2),
-        sim.apply_cz(s, 0, 2),
+        apply_cz(s, 0, 2),
     ):
         assert abs(np.vdot(out.amps, out.amps).real - 1) < 1e-9
 
 
-def test_too_large_cap():
-    g = graph_from_edges(2, 4, [(0, 1, 1)])
-    with pytest.raises(sim.TooLargeError):
-        sim.build_graph_state(g, cap=8)
+def test_too_large_cap(monkeypatch):
+    # every dense entry point reads DEFAULT_CAP when called: lowered to 2^10,
+    # it refuses states of 2^14 amplitudes and more before allocating them
+    path = graph_from_edges(2, 14, [(i, i + 1, 1) for i in range(13)])
+    m = from_graph(path)
+    state = sim.build_graph_state(path)
+    scheme = qss.ThresholdScheme(quad_weighted(13))  # 13^5 amplitudes with the ancilla
+    secret = np.eye(13)[0]
+    calls = {
+        "graph_amplitudes": lambda: sim.graph_amplitudes(2, 14, edge_word(path)),
+        "build_graph_state": lambda: sim.build_graph_state(path),
+        "build_labeled": lambda: sim.build_labeled(LabeledGraph(path, np.zeros(14, dtype=np.int64))),
+        "stabilizer_state": lambda: sim.stabilizer_state(2, m.x, m.z),
+        "reduced_density": lambda: sim.reduced_density(state, range(6)),  # 2^12 entries
+        "qss.encode": lambda: qss.encode(scheme, secret, [(0, 0)]),
+    }
+    monkeypatch.setattr(sim, "DEFAULT_CAP", 1 << 10)
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(sim.TooLargeError, match=f"amplitudes exceed the cap of {1 << 10}$"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, name
 
 
 def test_stabilizer_state_matches_graph_state():
@@ -367,7 +392,7 @@ def test_stabilizer_state_memory_linear_in_amplitudes():
     m = from_graph(path)
     tracemalloc.start()
     try:
-        psi = sim.stabilizer_state(2, m.x, m.z, cap=1 << 14)
+        psi = sim.stabilizer_state(2, m.x, m.z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -500,7 +525,7 @@ def test_cz_matches_diagonal(p, n):
                          for k in itertools.product(range(p), repeat=n)])
         # product() runs qudit 0 slowest; the amplitude index has it least significant
         diag = diag.reshape([p] * n).transpose().reshape(-1)
-        assert np.allclose(sim.apply_cz(s, i, j, power).amps, diag * s.amps, atol=1e-12)
+        assert np.allclose(apply_cz(s, i, j, power).amps, diag * s.amps, atol=1e-12)
 
 
 def test_build_graph_state_holds_no_tables():
@@ -529,8 +554,8 @@ def test_single_qudit_state_at_large_p():
     lambda s: sim.apply_x(s, 2),
     lambda s: sim.apply_x(s, -1),
     lambda s: sim.apply_z(s, -1),
-    lambda s: sim.apply_cz(s, 0, -2),
-    lambda s: sim.apply_cz(s, 0, 2),
+    lambda s: apply_cz(s, 0, -2),
+    lambda s: apply_cz(s, 0, 2),
     lambda s: sim.z_measure_dense(s, 2, 0),
     lambda s: sim.z_measure_dense(s, -1, 0),
     lambda s: sim.bell_measure(s, (0, 2), 0, 0),
@@ -543,11 +568,11 @@ def test_qudit_index_out_of_range(act):
 
 def test_basis_state_checks_cap_and_digit_count():
     with pytest.raises(sim.TooLargeError):
-        sim.basis_state(2, 30, [0] * 30)
+        basis_state(2, 30, [0] * 30)
     for digits in ([1, 1, 1], [1]):
         with pytest.raises(ValueError, match="expected 2 digits"):
-            sim.basis_state(2, 2, digits)
-    assert sim.basis_state(3, 2, [1, 2]).amps[m_idx(3, [1, 2])] == 1
+            basis_state(2, 2, digits)
+    assert basis_state(3, 2, [1, 2]).amps[m_idx(3, [1, 2])] == 1
 
 
 
