@@ -111,7 +111,6 @@ def cmd_search(args) -> int:
         budget=args.budget,
         weights_one=args.weights_one,
         dense_bias=args.dense_bias,
-        prune_zero_row=args.prune_zero_row,
         prune_rescale=args.prune_rescale,
         prune_canonical=args.prune_canonical,
     )
@@ -242,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--budget", type=int, default=1 << 23)
     s.add_argument("--weights-one", action="store_true")
     s.add_argument("--dense-bias", action="store_true")
-    s.add_argument("--prune-zero-row", action="store_true")
     s.add_argument("--prune-rescale", action="store_true")
     s.add_argument("--prune-canonical", action="store_true")
     s.add_argument("--out")

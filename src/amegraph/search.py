@@ -57,13 +57,14 @@ words numpy would draw from it; that is how numpy makes them, so the
 weights and the generator's state after the draw are unchanged
 (_integers).
 
-The zero-row and rescale pruning layers are row plans split the same
-way. A vertex's slots ascend with its neighbours, so its low slots are a
-prefix of its row: the row is zero iff both parts are, and its first
-nonzero weight lies in the low part unless that part is zero. Two flags
-per vertex over the low ids ("low part zero", "low part leads with a
-weight other than 1") and a row key per block (a bit per vertex whose
-high part decides) give the ids both layers prune.
+The rescale pruning layer is a row plan split the same way. A vertex's
+slots ascend with its neighbours, so its low slots are a prefix of its
+row: its first nonzero weight lies in the low part unless that part is
+zero. Two flags per vertex over the low ids ("low part zero", "low part
+leads with a weight other than 1") and a row key per block (a bit per
+vertex whose high part leads with a weight other than 1) give the ids
+the layer prunes. No layer drops graphs with a zero row: such a vertex is
+a product factor, so every cut that holds it fails the predicate anyway.
 
 The prune_canonical layer is split the same way. Adjacent swap k of
 graph._swap_keys makes a word smaller iff the linear form
@@ -80,8 +81,8 @@ for cuts whose row index would not fit int64.
 Witnesses are reported one per relabeling class (relabelings that keep
 the groups) as graph's canonical form. graph owns the minimality test
 and the relabeling bound, which an exhaustive run checks before it
-scans. The predicate and the zero-row and canonical layers are invariant
-under those relabelings, so the classes are the raw witnesses that
+scans. The predicate and the canonical layer are invariant under those
+relabelings, so the classes are the raw witnesses that
 graph.is_minimal_word keeps, sorted as words into the byte order of
 their adjacency and made Graphs by one graphs_from_words call.
 Scale-normal witnesses (prune_rescale) are not closed under relabeling:
@@ -135,7 +136,6 @@ class SearchSpec:
     budget: int = 1 << 23
     weights_one: bool = False
     dense_bias: bool = False
-    prune_zero_row: bool = False
     prune_rescale: bool = False
     prune_canonical: bool = False
 
@@ -356,10 +356,10 @@ class _BlockScan:
     c * m + m - 1, with a row each of A (`low_index`, in the dtype of
     _chunk_tables, which holds a part's whole index) and their other
     chunk tables (`cut_chunks`, as _chunk_tables gives them), which sum to
-    B; per vertex, its row's high slots (`row_high`) and, when a row layer
-    is on, whether the row's low part is zero (`row_zero`); whether some
-    row's low part leads with a weight other than 1 (`static`, under
-    rescale); and, under prune_canonical, per adjacent swap k of
+    B; under rescale at p > 2, per vertex, its row's high slots
+    (`row_high`) and whether the row's low part is zero (`row_zero`), and
+    whether some row's low part leads with a weight other than 1
+    (`static`); and, under prune_canonical, per adjacent swap k of
     graph._swap_keys, the chunk tables of the int64 linear form (key_0 -
     key_k) . word: its chunk-0 table as row k - 1 of `swaps`, and its other
     chunk tables as part k - 1 of `swap_chunks`.
@@ -386,17 +386,15 @@ class _BlockScan:
             self.low_index, self.cut_chunks = _split_low(chunks, len(coefs), self.size,
                                                          chunks[0][2].dtype)
 
-        rescale = spec.prune_rescale and spec.p > 2
-        slot = slot_matrix(n)
-        rows = [np.delete(slot[v], v) for v in range(n)]  # slots ascend with the neighbour
-        self.row_high = [r[r >= low] - low for r in rows]
-        self.row_zero = self.static = None
-        if spec.prune_zero_row or rescale:
+        self.row_high, self.row_zero, self.static = [], None, None
+        if spec.prune_rescale and spec.p > 2:
+            slot = slot_matrix(n)
+            rows = [np.delete(slot[v], v) for v in range(n)]  # slots ascend with the neighbour
+            self.row_high = [r[r >= low] - low for r in rows]
             digits = gfp.digits(np.arange(self.size), spec.base, low, spec.word_dtype)
             low_parts = [digits[:, r[r < low]] for r in rows]
             self.row_zero = np.stack([~part.any(axis=1) for part in low_parts])
-            if rescale:
-                self.static = np.logical_or.reduce([_first_nonzero_not_one(part) for part in low_parts])
+            self.static = np.logical_or.reduce([_first_nonzero_not_one(part) for part in low_parts])
         self.swaps, self.swap_chunks = None, []
         if spec.prune_canonical:
             # swap k makes a word smaller iff (key_0 - key_k) . word > 0; at
@@ -436,8 +434,8 @@ def _block_scan(spec: SearchSpec) -> _BlockScan:
     least recently used scans making room. A scan larger than the bound
     serves its own call and evicts nothing."""
     _, table, fits = _search_plan(spec)
-    key = (spec.n, spec.p, spec.group_size, spec.base, spec.prune_zero_row, spec.prune_rescale,
-           spec.prune_canonical, _low_slots(spec), table is not None, fits)
+    key = (spec.n, spec.p, spec.group_size, spec.base, spec.prune_rescale, spec.prune_canonical,
+           _low_slots(spec), table is not None, fits)
     scan = _SCANS.pop(key, None)
     if scan is None:
         scan = _BlockScan(spec)
@@ -449,23 +447,19 @@ def _block_scan(spec: SearchSpec) -> _BlockScan:
 
 
 def _row_keys(his: np.ndarray, spec: SearchSpec, scan: _BlockScan) -> list[int]:
-    """Per block hi in `his`: bit v set when vertex v's row is pruned
-    wherever its low part is zero (the high part is zero under the
-    zero-row layer, or leads with a weight other than 1 under rescale)."""
+    """Per block hi in `his`: bit v set when vertex v's high part leads
+    with a weight other than 1, so rescale prunes the row wherever its low
+    part is zero."""
     high = gfp.digits(his, spec.base, spec.edge_slots - scan.low, spec.word_dtype)
     keys = np.zeros(len(his), dtype=np.int64)
     for v, r in enumerate(scan.row_high):
-        part = high[:, r]
-        hit = _first_nonzero_not_one(part) if scan.static is not None else np.zeros(len(his), bool)
-        if spec.prune_zero_row:
-            hit |= ~part.any(axis=1)
-        keys |= hit.astype(np.int64) << v
+        keys |= _first_nonzero_not_one(high[:, r]).astype(np.int64) << v
     return keys.tolist()
 
 
 def _row_survivors(key: int, scan: _BlockScan) -> np.ndarray:
-    """Low ids that the zero-row and rescale layers keep in a block with this row key."""
-    mask = np.zeros(scan.size, dtype=bool) if scan.static is None else scan.static.copy()
+    """Low ids that the rescale layer keeps in a block with this row key."""
+    mask = scan.static.copy()
     for v, zero in enumerate(scan.row_zero):
         if key >> v & 1:
             mask |= zero
@@ -543,19 +537,12 @@ def _prune_mask(weights: np.ndarray, spec: SearchSpec) -> np.ndarray:
     n = spec.n
     slot = slot_matrix(n)
     pruned = np.zeros(weights.shape[0], dtype=bool)
-    if spec.prune_zero_row:
-        for v in range(n):
-            pruned |= (weights[:, np.delete(slot[v], v)] == 0).all(axis=1)
     if spec.prune_rescale and spec.p > 2:
         # a graph is scale-normal when each vertex's first nonzero incident
         # weight (neighbors in ascending order) is 1; every rescaling orbit
         # contains exactly such representatives
         for v in range(n):
-            wv = weights[:, np.delete(slot[v], v)]
-            nz = wv != 0
-            has = nz.any(axis=1)
-            first = wv[np.arange(len(wv)), nz.argmax(axis=1)]
-            pruned |= has & (first != 1)
+            pruned |= _first_nonzero_not_one(weights[:, np.delete(slot[v], v)])
     if spec.prune_canonical:
         # keep one graph per orbit of the relabelings that preserve the
         # groups (the predicate is invariant under exactly these): the one

@@ -171,6 +171,16 @@ def test_search_stats_line(capsys):
     assert out.endswith("exhaustive=yes")
 
 
+def test_search_has_no_zero_row_layer(capsys):
+    # graphs with an isolated vertex fail the predicate at the first cut
+    # that holds it, so the search has no flag to prune them
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--n", "3", "--p", "2", "--prune-zero-row"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--prune-zero-row" in captured.err
+
+
 def test_search_random_requires_seed(capsys):
     assert main(["search", "--n", "5", "--p", "2", "--mode", "random"]) == 2
 

@@ -18,7 +18,7 @@ DIGESTS = {  # sha256 of stdout with each rate=<digits>/s read as rate=N/s
     "03_local_clifford_rewrites.py": "ea63025f7203af1e20b27c0abc7a7a8ccb8a4a3b6ef9ae8abb4f54a34e2d650b",
     "04_codes_to_graphs.py": "4491cb97b80b911fbf01f652c8244c5443fa76e2f0fd899a69f06787124afa64",
     "05_search.py": "ea58227eea5ee718caa2e95c27b681946cafa1974e85e1a1fb8d59d33bd8f4ba",
-    "06_secret_sharing.py": "86a3d8c84522ff8a4adf163449b2ab93d6af1b27cda36dc4144732e11f581015",
+    "06_secret_sharing.py": "8e52e1c8f10629568d3e3569c607f3655ec9d839ce79c0351d9efb072eb9ac50",
     "07_composite_dimensions.py": "5a6a0cf8c398e591c653f677d7fd01e4bef1aaba4d0219a63fedd33f5cc75d32",
 }
 

@@ -73,12 +73,11 @@ def test_engine_matches_reference(n, p):
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7]), st.sampled_from([(2, 1), (3, 1), (4, 1), (4, 2)]),
-       st.booleans(), st.booleans(), st.booleans(), st.booleans())
-def test_engine_matches_reference_on_random_specs(p, shape, weights_one, zero_row, rescale,
-                                                  canonical):
+       st.booleans(), st.booleans(), st.booleans())
+def test_engine_matches_reference_on_random_specs(p, shape, weights_one, rescale, canonical):
     n, group_size = shape
     spec = SearchSpec(n=n, p=p, group_size=group_size, weights_one=weights_one,
-                      prune_zero_row=zero_row, prune_rescale=rescale, prune_canonical=canonical)
+                      prune_rescale=rescale, prune_canonical=canonical)
     assume(spec.base**spec.edge_slots <= 729)  # the scalar reference stays fast
     fast, ref = enumerate_graphs(spec), _reference_search(spec)
     assert fast.witnesses == ref.witnesses
@@ -87,13 +86,13 @@ def test_engine_matches_reference_on_random_specs(p, shape, weights_one, zero_ro
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7]), st.sampled_from([(2, 1), (3, 1), (4, 1), (4, 2)]),
-       st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+       st.booleans(), st.booleans(), st.booleans(),
        st.sampled_from([1, 3, 9, 27]))
-def test_many_blocks_match_reference(p, shape, weights_one, zero_row, rescale, canonical, low_ids):
+def test_many_blocks_match_reference(p, shape, weights_one, rescale, canonical, low_ids):
     # blocks of at most low_ids ids, so every spec spans many high parts
     n, group_size = shape
     spec = SearchSpec(n=n, p=p, group_size=group_size, weights_one=weights_one,
-                      prune_zero_row=zero_row, prune_rescale=rescale, prune_canonical=canonical)
+                      prune_rescale=rescale, prune_canonical=canonical)
     assume(spec.base**spec.edge_slots <= 729)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_LOW_IDS", low_ids)
@@ -112,12 +111,12 @@ def test_many_blocks_match_reference(p, shape, weights_one, zero_row, rescale, c
 
 
 @pytest.mark.parametrize("flags", [
-    dict(n=5, p=2, prune_zero_row=True, prune_canonical=True),
-    dict(n=4, p=3, weights_one=True, prune_zero_row=True, prune_rescale=True),
+    dict(n=5, p=2, prune_canonical=True),
+    dict(n=4, p=3, weights_one=True, prune_rescale=True, prune_canonical=True),
     dict(n=4, p=3, group_size=2, prune_rescale=True),
-    dict(n=4, p=5, prune_zero_row=True, prune_rescale=True),
+    dict(n=4, p=5, prune_rescale=True),
     dict(n=5, p=3, prune_canonical=True),
-    dict(n=4, p=3, group_size=2, prune_zero_row=True, prune_canonical=True),
+    dict(n=4, p=3, group_size=2, prune_canonical=True),
 ])
 def test_many_blocks_match_reference_on_pruned_specs(monkeypatch, flags):
     spec = SearchSpec(**flags)
@@ -210,7 +209,7 @@ def test_scan_expands_digits_only_for_swap_survivors(monkeypatch, flags, survivo
 # p=2: each 3x3 cut is peeled once down to a 2x2 table (the cap alone
 # decides: gfp._REPAY is lifted)
 @pytest.mark.parametrize("flags", [(dict(n=5, p=3), 1), (dict(n=4, p=5, prune_rescale=True), 1),
-                                   (dict(n=4, p=3, group_size=2, prune_zero_row=True), 1),
+                                   (dict(n=4, p=3, group_size=2, prune_rescale=True), 1),
                                    (dict(n=6, p=2), 256)])
 def test_rank_fallback_matches_tables(monkeypatch, flags):
     fields, cap = flags
@@ -228,8 +227,8 @@ def test_rank_fallback_matches_tables(monkeypatch, flags):
     assert enumerate_graphs(spec).witnesses == with_tables.witnesses
 
 
-@pytest.mark.parametrize("flags", [dict(n=6, p=2), dict(n=5, p=3, prune_zero_row=True),
-                                   dict(n=4, p=5, prune_zero_row=True, prune_rescale=True)])
+@pytest.mark.parametrize("flags", [dict(n=6, p=2), dict(n=5, p=3, prune_rescale=True),
+                                   dict(n=4, p=5, prune_rescale=True)])
 def test_first_cut_reuse_matches_fresh_blocks(monkeypatch, flags):
     # blocks of at most 27 ids; reusing first-cut survivors across blocks
     # with the same row key and offset changes no id or count
@@ -243,7 +242,7 @@ def test_first_cut_reuse_matches_fresh_blocks(monkeypatch, flags):
 
 
 @pytest.mark.parametrize("flags", [dict(n=5, p=3), dict(n=4, p=5), dict(n=4, p=3, group_size=2),
-                                   dict(n=4, p=5, group_size=2, prune_zero_row=True),
+                                   dict(n=4, p=5, group_size=2, prune_rescale=True),
                                    dict(n=4, p=5, prune_rescale=True), dict(n=5, p=5, weights_one=True)])
 def test_class_candidates_keep_every_class(flags):
     # the classes found from the raw witnesses' minimal words (or, under
@@ -290,7 +289,7 @@ def test_stacked_chunk_tables_match_digit_sums(base, low, slots, parts, signed, 
 
 
 @pytest.mark.parametrize("flags", [dict(n=6, p=2, prune_canonical=True),
-                                   dict(n=5, p=3, prune_zero_row=True, prune_rescale=True),
+                                   dict(n=5, p=3, prune_rescale=True),
                                    dict(n=4, p=5, group_size=2), dict(n=4, p=5)])
 def test_second_scan_builds_nothing(monkeypatch, flags):
     monkeypatch.setattr(search, "_SCANS", {})
@@ -307,12 +306,12 @@ def test_second_scan_builds_nothing(monkeypatch, flags):
 
 def test_scan_cache_keys_every_value_the_build_reads(monkeypatch):
     monkeypatch.setattr(search, "_SCANS", {})
-    fields = dict(n=4, p=3, prune_zero_row=True)
+    fields = dict(n=4, p=3, prune_rescale=True)
     scan = search._block_scan(SearchSpec(**fields))
     for other in (dict(seed=5), dict(budget=1 << 20), dict(samples=7), dict(workers=3)):
         assert search._block_scan(SearchSpec(**fields, **other)) is scan
-    differ = [dict(n=5), dict(p=5), dict(group_size=2), dict(weights_one=True), dict(prune_zero_row=False),
-              dict(prune_rescale=True), dict(prune_canonical=True)]
+    differ = [dict(n=5), dict(p=5), dict(group_size=2), dict(weights_one=True), dict(prune_rescale=False),
+              dict(prune_canonical=True)]
     scans = [search._block_scan(SearchSpec(**{**fields, **other})) for other in differ]
     assert len({id(s) for s in [scan, *scans]}) == len(search._SCANS) == 1 + len(differ)
     # a patched block size or table cap is a fresh build, not a stale one
@@ -327,8 +326,8 @@ def test_scan_cache_keys_every_value_the_build_reads(monkeypatch):
 
 def test_cached_scans_are_read_only(monkeypatch):
     monkeypatch.setattr(search, "_SCANS", {})
-    scan = search._block_scan(SearchSpec(n=5, p=3, prune_zero_row=True, prune_rescale=True,
-                                         prune_canonical=True, budget=1 << 20))
+    scan = search._block_scan(SearchSpec(n=5, p=3, prune_rescale=True, prune_canonical=True,
+                                         budget=1 << 20))
     owned = [scan.low_index, scan.row_zero, scan.static, scan.swaps, *scan.row_high,
              *(t for _, _, t in scan.cut_chunks + scan.swap_chunks)]
     assert len(owned) == len(scan.arrays) and all(any(a is b for b in scan.arrays) for a in owned)
@@ -339,12 +338,12 @@ def test_cached_scans_are_read_only(monkeypatch):
 
 
 def test_scan_cache_stays_within_the_byte_bound(monkeypatch):
-    # 7.5 KB holds scans a and b (2.2 and 5.1 KB) but not c (0.7 KB) as
+    # 8.5 KB holds scans a and b (2.2 and 5.8 KB) but not c (0.7 KB) as
     # well; the n=5 p=3 scan (131 KB) is never kept and evicts nothing
-    cap = 7_500
+    cap = 8_500
     monkeypatch.setattr(search, "_SCANS", {})
     monkeypatch.setattr(gfp, "_TABLE_CAP", cap)
-    specs = [SearchSpec(n=4, p=3), SearchSpec(n=4, p=3, prune_zero_row=True),
+    specs = [SearchSpec(n=4, p=3), SearchSpec(n=4, p=3, prune_rescale=True),
              SearchSpec(n=4, p=3, group_size=2)]
     big = SearchSpec(n=5, p=3)
     na, nb, nc = (search._BlockScan(s).nbytes for s in specs)
@@ -447,7 +446,7 @@ def test_worker_count_does_not_change_results(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(search, "_LOW_IDS", 16)  # n=5, p=2: 2^10 ids in 64 blocks of 2^4
-    single, *multi = [enumerate_graphs(SearchSpec(n=5, p=2, prune_zero_row=True, workers=w))
+    single, *multi = [enumerate_graphs(SearchSpec(n=5, p=2, prune_canonical=True, workers=w))
                       for w in (1, 3, 5000)]
     assert single.witnesses and single.pruned > 0
     for res in multi:
@@ -474,15 +473,10 @@ def _scale_perm_class(g) -> bytes:
 
 def test_pruning_layers_preserve_witness_classes():
     base = enumerate_graphs(SearchSpec(n=4, p=3))
-    for flags in (
-        dict(prune_zero_row=True),
-        dict(prune_canonical=True),
-        dict(prune_zero_row=True, prune_canonical=True),
-    ):
-        pruned = enumerate_graphs(SearchSpec(n=4, p=3, **flags))
-        assert pruned.witnesses == base.witnesses
-        assert pruned.examined + pruned.pruned == 729
-        assert pruned.pruned > 0
+    pruned = enumerate_graphs(SearchSpec(n=4, p=3, prune_canonical=True))
+    assert pruned.witnesses == base.witnesses
+    assert pruned.examined + pruned.pruned == 729
+    assert pruned.pruned > 0
     # the rescale layer keeps one representative per scaling orbit, so the
     # witness sets match up to rescaling-plus-relabeling equivalence
     rescaled = enumerate_graphs(SearchSpec(n=4, p=3, prune_rescale=True))
@@ -491,7 +485,7 @@ def test_pruning_layers_preserve_witness_classes():
     }
 
     base52 = enumerate_graphs(SearchSpec(n=5, p=2))
-    pruned52 = enumerate_graphs(SearchSpec(n=5, p=2, prune_zero_row=True, prune_canonical=True))
+    pruned52 = enumerate_graphs(SearchSpec(n=5, p=2, prune_canonical=True))
     assert pruned52.witnesses == base52.witnesses
 
     base53 = enumerate_graphs(SearchSpec(n=5, p=3))
@@ -506,6 +500,28 @@ def test_pruning_layers_preserve_witness_classes():
         pruned = enumerate_graphs(SearchSpec(n=4, p=p, group_size=2, prune_canonical=True))
         assert len(grouped.witnesses) == classes
         assert pruned.witnesses == grouped.witnesses and pruned.pruned > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_isolated_vertex_is_never_ame(data):
+    # A vertex with a zero row is a product factor of the state: every cut
+    # that holds it has a zero row in its cross block. So no graph with one
+    # is AME, for the certifiers and the search's predicate alike, and the
+    # search needs no layer of its own to drop such graphs.
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(2, 8))
+    gsize = data.draw(st.sampled_from([d for d in range(1, n // 2 + 1) if n % d == 0]))
+    v = data.draw(st.integers(0, n - 1))
+    spec = SearchSpec(n=n, p=p, group_size=gsize)
+    weights = st.lists(st.integers(0, p - 1), min_size=spec.edge_slots, max_size=spec.edge_slots)
+    word = np.array(data.draw(weights), dtype=spec.word_dtype)
+    word[np.delete(gr.slot_matrix(n)[v], v)] = 0
+    g = graph_from_word(p, n, word)
+    assert not g.adj[v].any() and not g.adj[:, v].any()
+    assert not is_ame(g).is_ame
+    assert not is_ame_grouped(g, [tuple(grp) for grp in spec.groups]).is_ame
+    assert not search._predicate_mask(word[None], spec, {})[0]
 
 
 def test_prune_canonical_bounded_by_relabelings():
@@ -776,7 +792,7 @@ RANDOM_PINS = [
      "5 6 1 4 2 1 5 2 1 6 4 2 3 1 2 4 2 2 5 2 2 6 1 3 4 2 3 5 3 3 6 3 4 5 1 4 6 2 5 6 1"),
     (dict(n=6, p=3, weights_one=True, seed=4, samples=20000), 93, 0,
      "3 6 1 4 1 1 5 1 1 6 1 2 3 1 2 5 1 2 6 1 3 4 1 3 6 1 4 6 1 5 6 1"),
-    (dict(n=6, p=3, prune_zero_row=True, prune_rescale=True, seed=9, samples=20000), 32, 707,
+    (dict(n=6, p=3, prune_rescale=True, seed=9, samples=20000), 34, 705,
      "3 6 1 4 1 1 5 1 1 6 1 2 3 1 2 5 1 2 6 2 3 4 2 3 5 1 3 6 1 4 6 1"),
     (dict(n=6, p=3, prune_canonical=True, seed=8, samples=20000), 28, 19972, None),
     (dict(n=6, p=7, seed=1, samples=2000), 3, 0,
@@ -788,7 +804,7 @@ RANDOM_PINS = [
     (dict(n=10, p=2, seed=1, samples=20000), 20000, 0, None),
     # witnesses found after many draws, so the counts pin the sampling
     # stream itself: dense_bias at p = 2 (its nonzero draw takes no
-    # randomness) and p = 3, uniform p = 2, and pruning at p = 2
+    # randomness) and p = 3, and uniform p = 2 at two seeds
     (dict(n=6, p=2, dense_bias=True, seed=3, samples=20000), 26, 0,
      "2 6 1 4 1 1 5 1 1 6 1 2 3 1 2 5 1 2 6 1 3 4 1 3 6 1 4 6 1 5 6 1"),
     (dict(n=6, p=3, dense_bias=True, seed=3, samples=20000), 157, 0,
@@ -797,7 +813,7 @@ RANDOM_PINS = [
      "2 6 1 4 1 1 5 1 1 6 1 2 3 1 2 5 1 2 6 1 3 4 1 3 6 1 4 5 1"),
     (dict(n=6, p=5, weights_one=True, seed=9, samples=20000), 615, 0,
      "5 6 1 4 1 1 5 1 1 6 1 2 3 1 2 5 1 2 6 1 3 4 1 3 6 1 4 6 1 5 6 1"),
-    (dict(n=6, p=2, prune_zero_row=True, seed=6, samples=20000), 361, 68,
+    (dict(n=6, p=2, seed=6, samples=20000), 429, 0,
      "2 6 1 4 1 1 5 1 1 6 1 2 3 1 2 5 1 2 6 1 3 4 1 3 6 1 4 5 1"),
 ]
 
