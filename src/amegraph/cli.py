@@ -106,7 +106,6 @@ def cmd_search(args) -> int:
         mode=args.mode,
         group_size=args.group_size,
         seed=args.seed,
-        workers=args.workers,
         samples=args.samples,
         budget=args.budget,
         weights_one=args.weights_one,
@@ -168,7 +167,9 @@ def cmd_qss(args) -> int:
         if kind == "AUTH":
             passed, shown = value >= 1 - 1e-9, f"fidelity_min={value:.9f}"
         else:
-            passed, shown = value <= 1e-9, f"distance_max={value:.2e}"
+            # round-off at or below 1e-12 prints as that bound: its digits depend on the BLAS build
+            passed = value <= 1e-9
+            shown = "distance_max<=1e-12" if value <= 1e-12 else f"distance_max={value:.2e}"
         ok = ok and passed
         vset = ",".join(str(v + 1) for v in players)
         print(f"{kind} {{{vset}}} {shown} {'PASS' if passed else 'FAIL'}")
@@ -236,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     s.add_argument("--group-size", type=int, default=1)
     s.add_argument("--seed", type=int)
-    s.add_argument("--workers", type=int, default=1)
     s.add_argument("--samples", type=int, default=10**6)
     s.add_argument("--budget", type=int, default=1 << 23)
     s.add_argument("--weights-one", action="store_true")

@@ -1,11 +1,11 @@
 """Threshold and ramp quantum secret sharing on AME graph states.
 
-An AME graph on 2m vertices yields an ((m, 2m-1)) threshold scheme: one
-vertex plays the dealer, who teleports a p-dimensional secret onto the
-remaining players by a generalized Bell measurement against their graph
-qudit. With L dealers the same construction gives an (m, L, 2m-L) ramp
-scheme carrying a p^L-dimensional secret. Everything here is simulated
-densely, so fidelities and trace distances are exact up to float error.
+An AME graph on 2m vertices with L dealers yields an (m, L, 2m-L) ramp
+scheme: each dealer teleports one p-level register of a p^L-dimensional
+secret onto the remaining players by a generalized Bell measurement
+against their graph qudit. L = 1 is the ((m, 2m-1)) threshold scheme.
+Everything here is simulated densely, so fidelities and trace distances
+are exact up to float error.
 
 Register conventions: secret ancillas are appended after the graph
 qudits and consumed by the Bell measurements, leaving the players in
@@ -39,50 +39,18 @@ class NotAuthorizedError(ValueError):
     pass
 
 
-def _check_scheme_graph(g: Graph) -> None:
-    if g.n % 2:
-        raise ValueError("scheme needs an even number of vertices")
-    if not is_ame(g).is_ame:
-        raise ValueError("graph is not absolutely maximally entangled")
-
-
 @dataclass(frozen=True)
-class ThresholdScheme:
-    """((m, 2m-1)) scheme from an AME graph on 2m vertices."""
+class _Scheme:
+    """An AME graph on 2m vertices whose subclass names its `dealers`, in
+    ascending order; every other vertex is a player."""
 
     graph: Graph
-    dealer: int = 0
 
     def __post_init__(self):
-        _check_scheme_graph(self.graph)
-        if not 0 <= self.dealer < self.graph.n:
-            raise ValueError("dealer must be a vertex")
-
-    @property
-    def m(self) -> int:
-        return self.graph.n // 2
-
-    @property
-    def dealers(self) -> tuple[int, ...]:
-        return (self.dealer,)
-
-    @property
-    def players(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.graph.n) if v != self.dealer)
-
-
-@dataclass(frozen=True)
-class RampScheme:
-    """(m, L, 2m-L) ramp scheme: L dealers on an AME graph with 2m vertices."""
-
-    graph: Graph
-    dealers: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_scheme_graph(self.graph)
-        object.__setattr__(self, "dealers", tuple(sorted(vertex_list(self.graph.n, self.dealers))))
-        if not 1 <= len(self.dealers) <= self.graph.n // 2:
-            raise ValueError("need 1 <= L <= m dealers")
+        if self.graph.n % 2:
+            raise ValueError("scheme needs an even number of vertices")
+        if not is_ame(self.graph).is_ame:
+            raise ValueError("graph is not absolutely maximally entangled")
 
     @property
     def m(self) -> int:
@@ -94,7 +62,36 @@ class RampScheme:
 
     @property
     def players(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.graph.n) if v not in set(self.dealers))
+        return tuple(v for v in range(self.graph.n) if v not in self.dealers)
+
+
+@dataclass(frozen=True)
+class ThresholdScheme(_Scheme):
+    """((m, 2m-1)) scheme from an AME graph on 2m vertices."""
+
+    dealer: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0 <= self.dealer < self.graph.n:
+            raise ValueError("dealer must be a vertex")
+
+    @property
+    def dealers(self) -> tuple[int, ...]:
+        return (self.dealer,)
+
+
+@dataclass(frozen=True)
+class RampScheme(_Scheme):
+    """(m, L, 2m-L) ramp scheme: L dealers on an AME graph with 2m vertices."""
+
+    dealers: tuple[int, ...]
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "dealers", tuple(sorted(vertex_list(self.graph.n, self.dealers))))
+        if not 1 <= len(self.dealers) <= self.graph.n // 2:
+            raise ValueError("need 1 <= L <= m dealers")
 
 
 def random_secret(p: int, registers: int, rng: np.random.Generator) -> np.ndarray:
@@ -104,8 +101,7 @@ def random_secret(p: int, registers: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _secret_array(scheme, secret) -> np.ndarray:
-    p = scheme.graph.p
-    L = len(scheme.dealers)
+    p, L = scheme.graph.p, scheme.L
     s = np.asarray(secret, dtype=np.complex128).reshape(-1)
     if s.shape != (p**L,):
         raise ValueError(f"secret must have {p**L} amplitudes")
@@ -123,9 +119,7 @@ def encode(scheme, secret, outcomes) -> StateVector:
     lives on the players in ascending vertex order.
     """
     g = scheme.graph
-    p, n = g.p, g.n
-    dealers = list(scheme.dealers)
-    L = len(dealers)
+    p, n, L = g.p, g.n, scheme.L
     outcomes = [tuple(o) for o in outcomes]
     if len(outcomes) != L:
         raise ValueError("one Bell outcome per dealer required")
@@ -133,16 +127,11 @@ def encode(scheme, secret, outcomes) -> StateVector:
     check_cap(p, n + L)
     amps = np.multiply.outer(s, _scheme_amplitudes(g)).reshape(-1)  # ancillas are qudits n..n+L-1
     state = StateVector(p, n + L, amps)
-    labels = list(range(n)) + [("anc", l) for l in range(L)]
-    for l, (bg, bh) in enumerate(outcomes):
-        anc = labels.index(("anc", l))
-        dl = labels.index(dealers[l])
-        prob, state = bell_measure(state, (anc, dl), bg, bh)
+    for l, ((bg, bh), dealer) in enumerate(zip(outcomes, scheme.dealers)):
+        # the l measurements so far removed ancillas 0..l-1, above both, and
+        # dealers 0..l-1, below both as the dealers ascend
+        prob, state = bell_measure(state, (n - l, dealer - l), bg, bh)
         assert abs(prob - 1.0 / p**2) < 1e-9, "Bell outcomes must be uniform"
-        removed = sorted((anc, dl), reverse=True)
-        for r in removed:
-            labels.pop(r)
-    assert labels == list(scheme.players)
     return state
 
 
@@ -167,6 +156,20 @@ def recovery_map(scheme, authorized) -> np.ndarray:
     return _recovery_map(scheme, tuple(sorted(vertex_list(scheme.graph.n, authorized))))
 
 
+def _complete_basis(R: np.ndarray, p: int) -> np.ndarray:
+    """R's rows completed to a basis of the label space by unit vectors,
+    the ones that adding e_0, e_1, ... while each stays independent would
+    add: e_t exactly where no vector of R's row space has its last nonzero
+    entry. Those positions are the pivots of one reduction of R with its
+    columns reversed."""
+    width = R.shape[1]
+    _, pivots = gfp.row_reduce(R[:, ::-1], p)
+    if len(pivots) != R.shape[0]:
+        raise NotAuthorizedError("restricted rows are dependent")  # non-AME only
+    last = {width - 1 - c for c in pivots}
+    return np.vstack([R, np.eye(width, dtype=np.int64)[[t for t in range(width) if t not in last]]])
+
+
 @lru_cache(maxsize=1)
 def _recovery_map(scheme, B: tuple) -> np.ndarray:
     g = scheme.graph
@@ -176,25 +179,11 @@ def _recovery_map(scheme, B: tuple) -> np.ndarray:
         raise ValueError("authorized set must consist of players")
     if len(B) < scheme.m:
         raise NotAuthorizedError(f"need at least {scheme.m} players")
-    traced = [v for v in scheme.players if v not in set(B)]
-    R = g.adj[np.ix_(dealers + traced, B)]
-    if gfp.mat_rank(R, p) != R.shape[0]:
-        raise NotAuthorizedError("restricted rows are dependent")  # non-AME only
-    # complete to a basis of the label space with unit vectors
-    full = R
-    for t in range(len(B)):
-        if full.shape[0] == len(B):
-            break
-        e = np.zeros((1, len(B)), dtype=np.int64)
-        e[0, t] = 1
-        cand = np.vstack([full, e])
-        if gfp.mat_rank(cand, p) == cand.shape[0]:
-            full = cand
-    rinv = gfp.mat_inverse(full, p)
+    src = dealers + [v for v in scheme.players if v not in set(B)]  # dealers, then traced players
+    rinv = gfp.mat_inverse(_complete_basis(g.adj[np.ix_(src, B)], p), p)
     check_cap(p, 2 * len(B))  # the p^|B| x p^|B| map
 
-    sub = truncate(g, dealers + traced)
-    base = graph_state_amplitudes(sub)
+    base = graph_state_amplitudes(truncate(g, src))
     dim = p ** len(B)
     labels = gfp.digits(np.arange(dim), p, len(B))  # all label vectors, little-endian enumeration
     # row z of `phases` turns the base graph state into the label-z state
@@ -204,7 +193,6 @@ def _recovery_map(scheme, B: tuple) -> np.ndarray:
     # a projection outcome with coordinates c comes with the phase
     # omega^(sum_{t<t'} A[v_t, v_t'] c_t c_t') from edges inside the
     # dealer-plus-traced set; V must absorb it to reach |c> exactly
-    src = dealers + traced
     c = coords[:, : len(src)]
     fix = np.conj(omega_powers(p)[(c @ np.triu(g.adj[np.ix_(src, src)]) * c).sum(axis=1) % p])
     v = np.zeros((dim, dim), dtype=np.complex128)
@@ -223,9 +211,7 @@ def _trace_to_registers(rho: np.ndarray, p: int, keep: int) -> np.ndarray:
 
 def _recovered_state(scheme, secret, B, outcomes) -> np.ndarray:
     """Density matrix of the dealer registers after recovery on B."""
-    g = scheme.graph
-    p = g.p
-    L = len(scheme.dealers)
+    p = scheme.graph.p
     state = encode(scheme, secret, outcomes)
     B = sorted(B)
     positions = [scheme.players.index(b) for b in B]
@@ -239,15 +225,21 @@ def _recovered_state(scheme, secret, B, outcomes) -> np.ndarray:
             # register l is row axis len(B)-1-l: U on the rows, conj(U) on the columns
             for ax, op in ((len(B) - 1 - l, u), (2 * len(B) - 1 - l, u.conj())):
                 t = np.moveaxis(np.tensordot(op, t, axes=(1, ax)), 0, ax)
-    return _trace_to_registers(t.reshape(rho.shape), p, L)
+    return _trace_to_registers(t.reshape(rho.shape), p, scheme.L)
+
+
+def _fidelity(scheme, secret, authorized, outcomes) -> float:
+    """Encode with one Bell outcome per dealer, recover on `authorized`,
+    undo the Bell corrections; returns the fidelity of the recovered
+    registers with the secret."""
+    s = _secret_array(scheme, secret)
+    rho = _recovered_state(scheme, s, authorized, outcomes)
+    return float(np.real(np.vdot(s, rho @ s)))
 
 
 def run_threshold(scheme: ThresholdScheme, secret, authorized, outcome=(0, 0)) -> float:
-    """Encode, recover on `authorized`, undo the Bell correction; returns
-    the fidelity of the recovered register with the secret."""
-    s = _secret_array(scheme, secret)
-    rho = _recovered_state(scheme, s, authorized, [tuple(outcome)])
-    return float(np.real(np.vdot(s, rho @ s)))
+    """The fidelity of recovery on `authorized` at Bell outcome `outcome`."""
+    return _fidelity(scheme, secret, authorized, [tuple(outcome)])
 
 
 def run_ramp(scheme: RampScheme, secrets, authorized) -> float:
@@ -262,10 +254,8 @@ def run_ramp(scheme: RampScheme, secrets, authorized) -> float:
         for part in secrets:
             s = np.kron(np.asarray(part, dtype=np.complex128), s)
     else:
-        s = np.asarray(secrets, dtype=np.complex128)
-    s = _secret_array(scheme, s)
-    rho = _recovered_state(scheme, s, authorized, [(0, 0)] * scheme.L)
-    return float(np.real(np.vdot(s, rho @ s)))
+        s = secrets
+    return _fidelity(scheme, s, authorized, [(0, 0)] * scheme.L)
 
 
 def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
@@ -277,8 +267,7 @@ def audit_forbidden(scheme, forbidden, trials: int, rng: np.random.Generator) ->
     """Max trace distance between a forbidden set's reduced states over
     `trials` random secret pairs, every Bell outcome (0, 0); ~0 certifies
     the set learns nothing."""
-    g = scheme.graph
-    L = len(scheme.dealers)
+    p, L = scheme.graph.p, scheme.L
     F = sorted(forbidden)
     if not set(F) <= set(scheme.players):
         raise ValueError("forbidden set must consist of players")
@@ -288,7 +277,7 @@ def audit_forbidden(scheme, forbidden, trials: int, rng: np.random.Generator) ->
     for _ in range(trials):
         rhos = []
         for _ in range(2):
-            s = random_secret(g.p, L, rng)
+            s = random_secret(p, L, rng)
             state = encode(scheme, s, outcomes)
             rhos.append(reduced_density(state, positions))
         worst = max(worst, trace_distance(rhos[0], rhos[1]))
@@ -303,16 +292,13 @@ def audit(scheme, secrets: int, rng: np.random.Generator):
     A count below 1 would test nothing: ValueError before the first row."""
     if secrets < 1:
         raise ValueError(f"need at least one secret, got {secrets}")
-    p, m, L = scheme.graph.p, scheme.m, len(scheme.dealers)
-    threshold = isinstance(scheme, ThresholdScheme)
-    outcomes = list(product(range(p), repeat=2)) if threshold else [(0, 0)]
+    p, m, L = scheme.graph.p, scheme.m, scheme.L
+    outcomes = list(product(range(p), repeat=2)) if isinstance(scheme, ThresholdScheme) else [(0, 0)]
     for b in combinations(scheme.players, m):
         worst = 1.0
         for outcome in outcomes:
             for _ in range(secrets):
-                s = random_secret(p, L, rng)
-                fid = run_threshold(scheme, s, b, outcome) if threshold else run_ramp(scheme, s, b)
-                worst = min(worst, fid)
+                worst = min(worst, _fidelity(scheme, random_secret(p, L, rng), b, [outcome] * L))
         yield "AUTH", b, worst
     for size in range(1, m - L + 1):
         for f in combinations(scheme.players, size):

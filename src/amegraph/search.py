@@ -434,8 +434,8 @@ def _block_scan(spec: SearchSpec) -> _BlockScan:
     least recently used scans making room. A scan larger than the bound
     serves its own call and evicts nothing."""
     _, table, fits = _search_plan(spec)
-    key = (spec.n, spec.p, spec.group_size, spec.base, spec.prune_rescale, spec.prune_canonical,
-           _low_slots(spec), table is not None, fits)
+    key = (spec.n, spec.p, spec.group_size, spec.base, spec.prune_rescale and spec.p > 2,
+           spec.prune_canonical, _low_slots(spec), table is not None, fits)
     scan = _SCANS.pop(key, None)
     if scan is None:
         scan = _BlockScan(spec)
@@ -510,12 +510,11 @@ def _scan_blocks(spec: SearchSpec) -> tuple[np.ndarray, int, int]:
                 kept = alive.size
             examined += kept
             pruned_total += scan.size - kept
-            for c in range(cached is not None, len(scan.order)):
-                if not scan.fits:
-                    words = _weights_from_ids(hi * scan.size + alive, spec)
-                    blocks = words[:, plan.cols[scan.order[c]]].reshape(-1, plan.rows, plan.width)
-                    ranks = gfp.rank_stack(blocks, spec.p)
-                elif table is not None:  # table[A[lo] + B] as a lookup in the table shifted by B
+            if not scan.fits:  # the block's words, expanded once, ranked by gfp.rank_stack
+                alive = alive.compress(_predicate_mask(_weights_from_ids(hi * scan.size + alive, spec),
+                                                       spec, {}))
+            for c in range(cached is not None, len(scan.order) if scan.fits else 0):
+                if table is not None:  # table[A[lo] + B] as a lookup in the table shifted by B
                     a = scan.low_index[c]
                     ranks = table[b[c]:].take(a if alive is every else a.take(alive))
                 else:

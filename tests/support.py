@@ -1,6 +1,6 @@
-"""Helpers only the tests read: gate-level state builders and the symbolic
-QSS encoding, which serve as oracles for the library's stacked paths, and
-text writers and readers for fixtures."""
+"""Helpers only the tests read: gate-level state builders, the symbolic
+QSS encoding and the greedy basis completion, which serve as oracles for
+the library's stacked paths, and text writers and readers for fixtures."""
 
 from pathlib import Path
 
@@ -70,6 +70,24 @@ def encode_symbolic(scheme, secret, outcomes):
     # the dealer rows are independent (AME), so all p^L labels are distinct
     # and the coefficients carry unit total weight
     return terms
+
+
+def greedy_basis(R: np.ndarray, p: int) -> np.ndarray:
+    """R's rows completed to a basis by adding e_0, e_1, ... while each
+    keeps the rows independent, one scalar rank per candidate: the oracle
+    for qss._complete_basis, which decides it in one reduction."""
+    if gfp.mat_rank(R, p) != R.shape[0]:
+        raise qss.NotAuthorizedError("restricted rows are dependent")
+    full = R
+    for t in range(R.shape[1]):
+        if full.shape[0] == R.shape[1]:
+            break
+        e = np.zeros((1, R.shape[1]), dtype=np.int64)
+        e[0, t] = 1
+        cand = np.vstack([full, e])
+        if gfp.mat_rank(cand, p) == cand.shape[0]:
+            full = cand
+    return full
 
 
 def save_graph(g: Graph, path) -> None:

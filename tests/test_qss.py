@@ -3,12 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amegraph import qss
+from amegraph import gfp, qss
 from amegraph import simulator as sim
-from amegraph.graph import graph_from_edges, truncate
+from amegraph.codes import code_to_ame_graph, grs_code
+from amegraph.graph import graph_from_edges, op_mult, op_star, permute, truncate
 from amegraph.witnesses import ame62, quad_weighted
-from support import encode_symbolic
+from support import encode_symbolic, greedy_basis
 
 
 @pytest.fixture(scope="module")
@@ -320,3 +323,58 @@ def test_encode_reuses_the_scheme_state_across_alternating_schemes():
         amps = qss._scheme_amplitudes(sc.graph)
         assert not amps.flags.writeable
         assert np.array_equal(amps, sim.graph_state_amplitudes(sc.graph))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_basis_completion_matches_greedy_loop(p, data):
+    cols = data.draw(st.integers(1, 6))
+    rows = data.draw(st.integers(1, cols))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))  # zeros often, so last entries vary
+    R = np.array(data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                    min_size=rows, max_size=rows)), dtype=np.int64)
+    if gfp.mat_rank(R, p) < rows:
+        with pytest.raises(qss.NotAuthorizedError, match="restricted rows are dependent"):
+            qss._complete_basis(R, p)
+    else:
+        assert np.array_equal(qss._complete_basis(R, p), greedy_basis(R, p))
+
+
+# AME graphs whose encodings fit the dense cap at L = 1: the graphs of the
+# [n, n/2] GRS codes, and the shipped witnesses
+_AME_GRAPHS = [code_to_ame_graph(grs_code(p, n, n // 2))
+               for p, n in ((2, 2), (3, 4), (5, 4), (5, 6), (7, 4), (7, 6), (11, 4))]
+_AME_GRAPHS += [quad_weighted(3), ame62()]
+
+
+def _players(draw, scheme, sizes):
+    """Random players of the scheme, as many as a size drawn from `sizes`."""
+    return tuple(draw(st.permutations(scheme.players))[: draw(st.sampled_from(sizes))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_AME_GRAPHS), st.data())
+def test_scrambled_ame_schemes_share_and_hide(g, data):
+    # local rewrites and a relabeling keep a graph AME, so every scheme on
+    # it recovers on >= m players and hides from <= m - L
+    draw = data.draw
+    g = op_star(g, draw(st.integers(0, g.n - 1)), draw(st.integers(0, g.p - 1)))
+    for v in range(g.n):
+        g = op_mult(g, v, draw(st.integers(1, g.p - 1)))
+    g = permute(g, draw(st.permutations(range(g.n))))
+    p, m = g.p, g.n // 2
+    L = draw(st.integers(1, max(L for L in range(1, m + 1) if p ** (g.n + L) <= sim.DEFAULT_CAP)))
+    dealers = draw(st.permutations(range(g.n)))[:L]
+    if L == 1 and draw(st.booleans()):
+        scheme = qss.ThresholdScheme(g, dealers[0])
+        outcome = (draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1)))
+    else:
+        scheme, outcome = qss.RampScheme(g, dealers), None
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # authorized sets whose p^|B| x p^|B| recovery map fits the cap
+    B = _players(draw, scheme, [b for b in range(m, g.n - L + 1) if p ** (2 * b) <= sim.DEFAULT_CAP])
+    s = qss.random_secret(p, L, rng)
+    fid = qss.run_ramp(scheme, s, B) if outcome is None else qss.run_threshold(scheme, s, B, outcome)
+    assert fid >= 1 - 1e-9
+    if m > L:
+        assert qss.audit_forbidden(scheme, _players(draw, scheme, range(1, m - L + 1)), 2, rng) <= 1e-9

@@ -324,6 +324,14 @@ def test_scan_cache_keys_every_value_the_build_reads(monkeypatch):
     assert fallback.table is None and fallback is not small
 
 
+def test_scan_cache_shares_one_scan_for_rescale_at_p2(monkeypatch):
+    # the rescale layer builds nothing at p = 2, so its flag keys no second scan there
+    monkeypatch.setattr(search, "_SCANS", {})
+    scan = search._block_scan(SearchSpec(n=5, p=2))
+    assert search._block_scan(SearchSpec(n=5, p=2, prune_rescale=True)) is scan
+    assert len(search._SCANS) == 1
+
+
 def test_cached_scans_are_read_only(monkeypatch):
     monkeypatch.setattr(search, "_SCANS", {})
     scan = search._block_scan(SearchSpec(n=5, p=3, prune_rescale=True, prune_canonical=True,
@@ -393,11 +401,13 @@ def test_exhaustive_refuses_n_over_8_before_scanning(monkeypatch):
         enumerate_graphs(SearchSpec(n=9, p=2))
 
 
-def test_scan_ranks_rows_past_int64():
+def test_scan_ranks_rows_past_int64(monkeypatch):
     # at p > 2^31 no row of two or more weights packs into int64, so the
-    # scan ranks every cut by gfp.rank_stack on expanded digits
-    for n, classes in ((3, 2), (4, 0)):
-        spec = SearchSpec(n=n, p=2147483659, weights_one=True)
+    # scan ranks every cut by gfp.rank_stack on expanded digits; the last
+    # spec spreads its 8 words over 4 blocks of 2 ids
+    for n, classes, low_ids in ((3, 2, search._LOW_IDS), (4, 0, search._LOW_IDS), (3, 2, 2)):
+        monkeypatch.setattr(search, "_LOW_IDS", low_ids)
+        spec = SearchSpec(n=n, p=2147483659, weights_one=True, prune_rescale=low_ids == 2)
         assert not search._search_plan(spec)[2]  # no part's index fits int64
         fast, ref = enumerate_graphs(spec), _reference_search(spec)
         assert len(fast.witnesses) == classes and fast.witnesses == ref.witnesses
