@@ -195,7 +195,8 @@ def test_search_random_requires_seed(capsys):
     assert main(["search", "--n", "5", "--p", "2", "--mode", "random"]) == 2
 
 
-@pytest.mark.parametrize("flags", [["--samples", "-3"], ["--group-size", "0"]])
+# ids keep the names these cases had while the list also held two --workers cases
+@pytest.mark.parametrize("flags", [["--samples", "-3"], ["--group-size", "0"]], ids=["flags0", "flags3"])
 def test_search_refuses_invalid_sizes(flags, capsys):
     assert main(["search", "--n", "5", "--p", "2", "--mode", "random", "--seed", "1", *flags]) == 2
     captured = capsys.readouterr()
