@@ -50,7 +50,10 @@ def factorize(d: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
 def is_prime(p: int) -> bool:
+    """Decided once per p: every Graph, SearchSpec, StateVector and
+    LinearCode checks its p, and trial division takes sqrt(p) steps."""
     return p >= 2 and factorize(p) == [p]
 
 

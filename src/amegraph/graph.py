@@ -9,7 +9,9 @@ lexicographically smallest relabeling by the permutations that map
 consecutive blocks of vertices onto blocks; canonical_words computes it
 for a batch of edge words, is_minimal_word tells which words already are
 minimal, and check_relabelings bounds both at 8! relabelings before any
-is enumerated.
+is enumerated. is_minimal_word forms no canonical word: it asks whether
+any relabeling's number lies below the identity's, relabelings along the
+leading axis, and canonical_words is its test oracle.
 """
 
 from __future__ import annotations
@@ -325,7 +327,8 @@ def _relabelings(gcount: int, gsize: int, base: int) -> tuple[np.ndarray, list[n
     permute(g, perm_k) when word is the edge word of g. Limb t's matrix
     is (E, relabelings): word @ matrix is the big-endian number of digits
     t*L .. t*L + L - 1 of each relabeled word, L the most base-`base`
-    digits whose number stays within 2^53.
+    digits whose number stays within 2^53. Row 0 of the gathers and
+    column 0 of each limb are the identity, row 0 of _group_perms.
     """
     if base > _EXACT:
         raise ValueError("edge weights beyond 2^53 are not exact in float64")
@@ -407,30 +410,57 @@ def _swap_keys(gcount: int, gsize: int, base: int, dtype=np.float64) -> np.ndarr
     return keys
 
 
+def _below_identity(ids: np.ndarray, tied: np.ndarray | None = None) -> np.ndarray:
+    """Per column of the (relabelings, words) numbers `ids`, whose row 0 is
+    the identity: whether some other row lies below row 0, among the rows
+    still `tied` (all when None). One reduction over the leading axis."""
+    below = ids[1:] < ids[0]
+    if tied is not None:
+        below &= tied
+    return below.any(axis=0)
+
+
 def _swap_smaller(words: np.ndarray, base: int, gcount: int, gsize: int = 1) -> np.ndarray:
     """True where one adjacent swap (_swap_keys) makes the edge word
-    smaller, so that it is not the minimal word of its class."""
-    keys = words @ _swap_keys(gcount, gsize, base)
-    return (keys[:, 1:] < keys[:, :1]).any(axis=1)
+    smaller, so that it is not the minimal word of its class: the
+    relabeling-major test of is_minimal_word on the n - 1 swap keys."""
+    return _below_identity(_swap_keys(gcount, gsize, base).T @ words.T)
 
 
 def is_minimal_word(words, base: int, gcount: int, gsize: int = 1) -> np.ndarray:
-    """True where canonical_words leaves the edge word unchanged. The bound
+    """True where canonical_words leaves the edge word unchanged, that is,
+    where no relabeling of _group_perms makes its number smaller. The bound
     is checked before any word is read. A word that one adjacent swap makes
     smaller (_swap_smaller, exact while base^E <= 2^53; past that every
-    word passes) is not minimal, and only the others go to canonical_words.
-    The swap test runs on blocks whose float64 copy holds at most _BLOCK
-    numbers."""
+    word passes) is not minimal. For the others, a block's numbers are one
+    (relabelings, words) product per limb of _relabelings, row 0 being the
+    identity, and a word is minimal when no row lies below row 0; past
+    2^53 the limbs are compared in turn among the rows still tied. No
+    canonical word is formed. Each block's float64 numbers, and the swap
+    test's copy of its words, hold at most _BLOCK numbers."""
     check_relabelings(gcount, gsize)
     words = np.asarray(words)
-    smaller = np.zeros(len(words), dtype=bool)
-    if base ** words.shape[1] <= _EXACT:  # else every word goes to canonical_words
+    gathers, limbs = _relabelings(gcount, gsize, base)  # refuses past 2^53, whatever the words
+    alive = np.arange(len(words))
+    if base ** words.shape[1] <= _EXACT:  # else every word goes to the full test
         rows = _BLOCK // max(words.shape[1], 1)
+        smaller = np.zeros(len(words), dtype=bool)
         for lo in range(0, len(words), rows):
             smaller[lo : lo + rows] = _swap_smaller(words[lo : lo + rows], base, gcount, gsize)
-    alive = np.flatnonzero(~smaller)
+        alive = alive[~smaller]
     out = np.zeros(len(words), dtype=bool)
-    out[alive] = (canonical_words(words[alive], base, gcount, gsize) == words[alive]).all(axis=1)
+    rows = max(1, _BLOCK // len(gathers))
+    for lo in range(0, len(alive), rows):
+        block = alive[lo : lo + rows]
+        vals = words[block].T.astype(np.float64)
+        smaller, tied = np.zeros(len(block), dtype=bool), None
+        for t, column_powers in enumerate(limbs):
+            ids = column_powers.T @ vals
+            smaller |= _below_identity(ids, tied)
+            if t + 1 < len(limbs):
+                equal = ids[1:] == ids[0]
+                tied = equal if tied is None else tied & equal
+        out[block] = ~smaller
     return out
 
 

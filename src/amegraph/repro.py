@@ -106,8 +106,7 @@ def check_no_ame_7_qubits(quick: bool = False) -> CheckResult:
         warnings.append(f"throughput {res.rate * 60:.0f}/min below the 1e6/min soft gate")
     return CheckResult(
         3, "no-ame-7-qubits", "PASS" if ok else "FAIL",
-        f"examined={res.examined} witnesses={len(res.witnesses)} "
-        f"rate={int(res.rate)}/s elapsed={res.elapsed:.1f}s",
+        f"examined={res.examined} witnesses={len(res.witnesses)} elapsed={res.elapsed:.1f}s",
         warnings,
     )
 
@@ -248,10 +247,11 @@ def _audit_check(ident: int, name: str, seed: int, schemes, limit: float) -> Che
                 worst_dist = max(worst_dist, value)
     elapsed = time.perf_counter() - t0
     ok = worst_fid >= 1 - 1e-9 and worst_dist <= 1e-9 and elapsed <= limit
+    # round-off at or below 1e-12 prints as that bound: its digits depend on the BLAS build
+    dist = "<=1e-12" if worst_dist <= 1e-12 else f"={worst_dist:.2e}"
     return CheckResult(
         ident, name, "PASS" if ok else "FAIL",
-        f"min fidelity={worst_fid:.12f} max forbidden distance={worst_dist:.2e} "
-        f"elapsed={elapsed:.1f}s",
+        f"min fidelity={worst_fid:.12f} max forbidden distance{dist} elapsed={elapsed:.1f}s",
     )
 
 

@@ -75,8 +75,13 @@ graph.is_minimal_word decides. The form lies within (-base^E, base^E)
 and scan ids are int64, so the compare is exact.
 
 Digits in base `base` are still expanded for the row keys, once per
-batch of blocks, and on a block's live ids for those swap survivors and
-for cuts whose row index would not fit int64.
+batch of blocks (their high slots only). Every other expansion reads the
+scan's digit table, `low_digits`, the digits of every low id: id
+hi * size + lo is low_digits[lo] followed by the digits of hi alone
+(_weights_from_ids). That serves a block's swap survivors, a block's
+live ids where a row index would not fit int64, and the raw witnesses'
+classes; enumerate_graphs hands its one scan to the scan and to the
+classes, so a scan too large for the cache is built once per call.
 
 Witnesses are reported one per relabeling class (relabelings that keep
 the groups) as graph's canonical form. graph owns the minimality test
@@ -349,17 +354,18 @@ def _first_nonzero_not_one(part: np.ndarray) -> np.ndarray:
 
 
 class _BlockScan:
-    """What the exhaustive scan looks up per block of `size` ids: the cut
-    plan, its `table`, whether a part's index `fits` int64 and the cut
-    indices in scan `order`, the first cut first; when a part fits, the
-    parts of each cut in that order, cut c's m parts being parts c * m to
-    c * m + m - 1, with a row each of A (`low_index`, in the dtype of
-    _chunk_tables, which holds a part's whole index) and their other
-    chunk tables (`cut_chunks`, as _chunk_tables gives them), which sum to
-    B; under rescale at p > 2, per vertex, its row's high slots
-    (`row_high`) and whether the row's low part is zero (`row_zero`), and
-    whether some row's low part leads with a weight other than 1
-    (`static`); and, under prune_canonical, per adjacent swap k of
+    """What the exhaustive scan looks up per block of `size` ids: the
+    digits of every low id (`low_digits`, (size, low) in the spec's
+    word_dtype); the cut plan, its `table`, whether a part's index `fits`
+    int64 and the cut indices in scan `order`, the first cut first; when
+    a part fits, the parts of each cut in that order, cut c's m parts
+    being parts c * m to c * m + m - 1, with a row each of A
+    (`low_index`, in the dtype of _chunk_tables, which holds a part's
+    whole index) and their other chunk tables (`cut_chunks`, as
+    _chunk_tables gives them), which sum to B; under rescale at p > 2,
+    per vertex, its row's high slots (`row_high`) and whether the row's
+    low part is zero (`row_zero`), and whether some row's low part leads
+    with a weight other than 1 (`static`); and, under prune_canonical, per adjacent swap k of
     graph._swap_keys, the chunk tables of the int64 linear form (key_0 -
     key_k) . word: its chunk-0 table as row k - 1 of `swaps`, and its other
     chunk tables as part k - 1 of `swap_chunks`.
@@ -372,6 +378,7 @@ class _BlockScan:
         n = spec.n
         self.low = low = _low_slots(spec)
         self.size = spec.base**low
+        self.low_digits = gfp.digits(np.arange(self.size), spec.base, low, spec.word_dtype)
         self.plan, self.table, self.fits = _search_plan(spec)
         # first the cut with the fewest high slots: its offset then takes
         # the fewest values, so its survivors repeat the most
@@ -391,8 +398,7 @@ class _BlockScan:
             slot = slot_matrix(n)
             rows = [np.delete(slot[v], v) for v in range(n)]  # slots ascend with the neighbour
             self.row_high = [r[r >= low] - low for r in rows]
-            digits = gfp.digits(np.arange(self.size), spec.base, low, spec.word_dtype)
-            low_parts = [digits[:, r[r < low]] for r in rows]
+            low_parts = [self.low_digits[:, r[r < low]] for r in rows]
             self.row_zero = np.stack([~part.any(axis=1) for part in low_parts])
             self.static = np.logical_or.reduce([_first_nonzero_not_one(part) for part in low_parts])
         self.swaps, self.swap_chunks = None, []
@@ -404,8 +410,8 @@ class _BlockScan:
             chunks = _chunk_tables(keys[0] - keys[1:], low, spec.base, np.int64)
             self.swaps, self.swap_chunks = _split_low(chunks, n - 1, self.size, np.int64)
 
-        owned = [self.low_index, self.row_zero, self.static, self.swaps, *self.row_high,
-                 *(tables for _, _, tables in self.cut_chunks + self.swap_chunks)]
+        owned = [self.low_digits, self.low_index, self.row_zero, self.static, self.swaps,
+                 *self.row_high, *(tables for _, _, tables in self.cut_chunks + self.swap_chunks)]
         self.arrays = [a for a in owned if a is not None]
         for a in self.arrays:
             a.setflags(write=False)
@@ -466,7 +472,7 @@ def _row_survivors(key: int, scan: _BlockScan) -> np.ndarray:
     return np.flatnonzero(~mask)
 
 
-def _scan_blocks(spec: SearchSpec) -> tuple[np.ndarray, int, int]:
+def _scan_blocks(spec: SearchSpec, scan: _BlockScan) -> tuple[np.ndarray, int, int]:
     """Scan every block in order, block hi holding the ids hi * size + lo;
     returns (witness ids in ascending order, examined, pruned).
 
@@ -475,8 +481,8 @@ def _scan_blocks(spec: SearchSpec) -> tuple[np.ndarray, int, int]:
     survivors of the first cut are kept for the next block with both.
     With it, a block drops the ids that an adjacent swap makes smaller,
     those where the swap's low table exceeds minus the swap's offset, and
-    expands digits only for the rest, which graph.is_minimal_word decides."""
-    scan = _block_scan(spec)
+    expands digits only for the rest, which graph.is_minimal_word decides.
+    `scan` is the spec's _block_scan."""
     wit = [np.empty(0, dtype=np.int64)]
     examined = 0
     pruned_total = 0
@@ -504,15 +510,15 @@ def _scan_blocks(spec: SearchSpec) -> tuple[np.ndarray, int, int]:
                 if swap is not None:
                     low = scan.swaps if alive is every else scan.swaps[:, alive]
                     alive = alive[~(low > swap[:, None]).any(axis=0)]
-                    words = _weights_from_ids(hi * scan.size + alive, spec)
+                    words = _weights_from_ids(hi * scan.size + alive, spec, scan)
                     alive = alive[is_minimal_word(words, spec.base, spec.n // spec.group_size,
                                                   spec.group_size)]
                 kept = alive.size
             examined += kept
             pruned_total += scan.size - kept
             if not scan.fits:  # the block's words, expanded once, ranked by gfp.rank_stack
-                alive = alive.compress(_predicate_mask(_weights_from_ids(hi * scan.size + alive, spec),
-                                                       spec, {}))
+                words = _weights_from_ids(hi * scan.size + alive, spec, scan)
+                alive = alive.compress(_predicate_mask(words, spec, {}))
             for c in range(cached is not None, len(scan.order) if scan.fits else 0):
                 if table is not None:  # table[A[lo] + B] as a lookup in the table shifted by B
                     a = scan.low_index[c]
@@ -550,8 +556,17 @@ def _prune_mask(weights: np.ndarray, spec: SearchSpec) -> np.ndarray:
     return pruned
 
 
-def _weights_from_ids(ids: np.ndarray, spec: SearchSpec) -> np.ndarray:
-    return gfp.digits(ids, spec.base, spec.edge_slots, spec.word_dtype)
+def _weights_from_ids(ids: np.ndarray, spec: SearchSpec, scan: _BlockScan | None = None) -> np.ndarray:
+    """The edge words of scan ids, their gfp.digits in base `base`. With a
+    scan, id hi * size + lo reads its low slots off the scan's digit table
+    at lo, and only hi is expanded."""
+    if scan is None:
+        return gfp.digits(ids, spec.base, spec.edge_slots, spec.word_dtype)
+    hi, lo = np.divmod(ids, scan.size)
+    words = np.empty((len(lo), spec.edge_slots), dtype=spec.word_dtype)
+    words[:, : scan.low] = scan.low_digits.take(lo, axis=0)
+    words[:, scan.low :] = gfp.digits(hi, spec.base, spec.edge_slots - scan.low, spec.word_dtype)
+    return words
 
 
 def _dedupe_canonical(graphs: list[Graph], group_size: int = 1) -> list[Graph]:
@@ -563,18 +578,19 @@ def _dedupe_canonical(graphs: list[Graph], group_size: int = 1) -> list[Graph]:
     return [seen[k] for k in sorted(seen)]
 
 
-def _canonical_classes(ids: np.ndarray, spec: SearchSpec) -> list[Graph]:
+def _canonical_classes(ids: np.ndarray, spec: SearchSpec, scan: _BlockScan) -> list[Graph]:
     """One canonical Graph per relabeling class of the raw witnesses with
     these ids, in the order of _dedupe_canonical: the minimal ones, or under
     rescale their deduped canonical forms. Ids become words _CHUNK at a
-    time, and the words are sorted before they become Graphs."""
+    time through the digit table of `scan`, the spec's _block_scan, and
+    the words are sorted before they become Graphs."""
     if len(ids) == 0:
         return []
     gcount, gsize = spec.n // spec.group_size, spec.group_size
     rescale = spec.prune_rescale and spec.p > 2
     kept = []
     for start in range(0, len(ids), _CHUNK):
-        words = _weights_from_ids(ids[start : start + _CHUNK], spec)
+        words = _weights_from_ids(ids[start : start + _CHUNK], spec, scan)
         if not rescale:
             kept.append(words[is_minimal_word(words, spec.base, gcount, gsize)])
             continue
@@ -582,7 +598,10 @@ def _canonical_classes(ids: np.ndarray, spec: SearchSpec) -> list[Graph]:
         for digit in canonical_words(words, spec.base, gcount, gsize).T[::-1]:
             canon = canon * spec.base + digit
         kept.append(canon)
-    words = _weights_from_ids(np.unique(np.concatenate(kept)), spec) if rescale else np.concatenate(kept)
+    if rescale:
+        words = _weights_from_ids(np.unique(np.concatenate(kept)), spec, scan)
+    else:
+        words = np.concatenate(kept)
     # Graph.adj.tobytes() order: slot by slot, each weight as the bytes of a
     # little-endian int64, which is the order of the byte-swapped values
     order = np.lexsort(words.astype("<u8").byteswap().T[::-1])
@@ -602,8 +621,9 @@ def enumerate_graphs(spec: SearchSpec) -> SearchResult:
     if total > 1 << 63:
         raise BudgetExceededError(f"{total} graphs exceed the scan's int64 ids")
     check_relabelings(spec.n // spec.group_size, spec.group_size)  # refuse before scanning, not after
-    ids, examined, pruned = _scan_blocks(spec)
-    witnesses = _canonical_classes(ids, spec)
+    scan = _block_scan(spec)  # one scan for both steps, kept by the cache or not
+    ids, examined, pruned = _scan_blocks(spec, scan)
+    witnesses = _canonical_classes(ids, spec, scan)
     elapsed = time.perf_counter() - t0
     return SearchResult(witnesses, examined, pruned, elapsed, True)
 

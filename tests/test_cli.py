@@ -388,6 +388,34 @@ def test_repro_criterion_out_of_range(capsys):
     assert main(["repro", "--criterion", "13"]) == 2
 
 
+def test_repro_seven_qubit_line_has_no_wall_clock_rate(monkeypatch):
+    # elapsed= is the line's only wall-clock field; the soft gate still reads the rate
+    from amegraph import repro, search
+
+    for elapsed, warned in ((0.5, False), (200.0, True)):  # 2^21 graphs in 200 s: 629,146/min
+        result = search.SearchResult([], 2_097_152, 0, elapsed, True)
+        monkeypatch.setattr(search, "enumerate_graphs", lambda spec, result=result: result)
+        check = repro.check_no_ame_7_qubits()
+        assert check.detail == f"examined=2097152 witnesses=0 elapsed={elapsed:.1f}s"
+        assert bool(check.warnings) == warned and (check.status == "PASS") != warned
+
+
+@pytest.mark.parametrize("dist, shown, status", [
+    (5.27e-16, "distance<=1e-12", "PASS"), (1e-12, "distance<=1e-12", "PASS"),
+    (3.4e-11, "distance=3.40e-11", "PASS"), (2e-9, "distance=2.00e-09", "FAIL"),
+])
+def test_repro_qss_lines_print_round_off_as_its_bound(monkeypatch, dist, shown, status):
+    # checks 9 and 10: a forbidden set's round-off distance prints as the
+    # 1e-12 bound, a larger one as before; the 1e-9 gate is unchanged
+    from amegraph import qss, repro
+
+    lines = [("AUTH", (0, 1), 1.0), ("FORBID", (2,), dist)]
+    monkeypatch.setattr(qss, "audit", lambda scheme, secrets, rng: lines)
+    check = repro._audit_check(9, "threshold-qss", 1, [None], 60)
+    assert check.status == status
+    assert check.detail == f"min fidelity=1.000000000000 max forbidden {shown} elapsed=0.0s"
+
+
 def test_search_grouped_cli(tmp_path, capsys):
     rc = main(["search", "--n", "4", "--p", "2", "--group-size", "2",
                "--mode", "random", "--seed", "2024", "--stats"])

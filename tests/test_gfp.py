@@ -253,6 +253,24 @@ def test_is_prime_is_one_factor():
     assert all(gfp.is_prime(d) == (gfp.factorize(d) == [d]) for d in range(2, 500))
 
 
+def test_primality_is_decided_once_per_p(monkeypatch):
+    # every Graph, SearchSpec, StateVector and LinearCode calls ensure_prime;
+    # at p = 2147483659 one trial division takes milliseconds
+    p, factorize, calls = 2147483659, gfp.factorize, []
+
+    def counted(d):
+        calls.append(d)
+        return factorize(d)
+
+    monkeypatch.setattr(gfp, "factorize", counted)
+    gfp.is_prime.cache_clear()
+    for _ in range(3):
+        assert gfp.ensure_prime(p) == p and gfp.is_prime(p)
+        with pytest.raises(gfp.NotPrimeError):
+            gfp.ensure_prime(p + 2)
+    assert calls == [p, p + 2]
+
+
 def test_row_reduce_refuses_inexact_p():
     # [[p-1, p-2], [1, 2]] is -1 times its second row, so rank 1; at
     # p = 4294967311 the int64 products (p-1)^2 overflow and gave rank 2

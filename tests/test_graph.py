@@ -273,6 +273,50 @@ def test_canonical_form_grouped_is_brute_force_minimum(shape, p, data):
     assert canonical_form_grouped(permute(g, perm.tolist()), gsize) == canonical_form_grouped(g, gsize)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(4, 1), (5, 1), (2, 2), (3, 2)]), st.sampled_from([2, 3, 5, 13, 257]), st.data())
+def test_is_minimal_word_is_brute_force_minimality(shape, p, data):
+    # a word is minimal when no relabeling of _group_perms, applied by
+    # permute and read back by edge_word, gives a smaller word. Weights
+    # often from {0, 1, p - 1} make ties; n = 5 at p = 257 and n = 6 at
+    # p = 13 and 257 are past 2^53, where the later limbs decide them
+    gcount, gsize = shape
+    n = gcount * gsize
+    slots = n * (n - 1) // 2
+    weight = st.sampled_from(sorted({0, 1, p - 1})) | st.integers(0, p - 1)
+    drawn = data.draw(st.lists(st.lists(weight, min_size=slots, max_size=slots), min_size=1, max_size=4))
+    words = np.array(drawn, dtype=np.int64)
+    words = np.vstack([words, gr.canonical_words(words, p, gcount, gsize)])
+    perms = gr._group_perms(gcount, gsize).tolist()
+
+    def minimal(word):
+        g = graph_from_word(p, n, word)
+        return all(tuple(edge_word(permute(g, perm))) >= tuple(word) for perm in perms)
+
+    want = [minimal(w) for w in words]
+    assert all(want[len(drawn):])  # canonical words are minimal
+    assert gr.is_minimal_word(words, p, gcount, gsize).tolist() == want
+
+
+@pytest.mark.parametrize("gcount, gsize", [(2, 1), (4, 1), (5, 1), (2, 2), (3, 2), (2, 3)])
+def test_row_zero_of_the_relabelings_is_the_identity(gcount, gsize):
+    # is_minimal_word and _swap_smaller compare every relabeling with row 0
+    n = gcount * gsize
+    slots = n * (n - 1) // 2
+    assert gr._group_perms(gcount, gsize)[0].tolist() == list(range(n))
+    for base in (2, 13, 257):
+        gathers, limbs = gr._relabelings(gcount, gsize, base)
+        assert gathers[0].tolist() == list(range(slots))
+        big = [float(base**e) for e in range(slots - 1, -1, -1)]  # the word's own big-endian number
+        assert gr._swap_keys(gcount, gsize, base)[:, 0].tolist() == big
+        word = np.arange(slots) % base
+        number = 0
+        for column_powers in limbs:  # limb by limb, the same number
+            identity = column_powers[:, 0]
+            number = number * base ** int(np.count_nonzero(identity)) + int(word @ identity)
+        assert number == sum(int(w) * base ** (slots - 1 - s) for s, w in enumerate(word))
+
+
 @pytest.mark.parametrize("gcount, gsize", [(3, 4), (2, 6)])
 def test_canonical_form_grouped_refuses_past_relabeling_bound(gcount, gsize):
     # 3! * 4!^3 = 82,944 and 2! * 6!^2 = 1,036,800 relabelings, over 8!

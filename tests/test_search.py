@@ -34,6 +34,11 @@ from amegraph.search import (
 )
 
 
+def _scan_blocks(spec):
+    """search._scan_blocks on the spec's _block_scan, as enumerate_graphs calls it."""
+    return search._scan_blocks(spec, search._block_scan(spec))
+
+
 def test_exhaustive_counts_without_pruning():
     for n, p in ((3, 2), (4, 2), (3, 3)):
         res = enumerate_graphs(SearchSpec(n=n, p=p))
@@ -97,7 +102,7 @@ def test_many_blocks_match_reference(p, shape, weights_one, rescale, canonical, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_LOW_IDS", low_ids)
         fast = enumerate_graphs(spec)
-        raw = search._scan_blocks(spec)
+        raw = _scan_blocks(spec)
     ref = _reference_search(spec)
     assert fast.witnesses == ref.witnesses
     assert (fast.examined, fast.pruned) == (ref.examined, ref.pruned)
@@ -195,14 +200,44 @@ def test_scan_expands_digits_only_for_swap_survivors(monkeypatch, flags, survivo
     words = search._weights_from_ids(np.arange(spec.base**spec.edge_slots), spec)
     kept = int((~gr._swap_smaller(words, spec.base, spec.n)).sum())
     rows = []
+    expand = search._weights_from_ids
 
-    def counted(ids, spec):
+    def counted(ids, spec, scan=None):
         rows.append(len(ids))
-        return gfp.digits(ids, spec.base, spec.edge_slots, spec.word_dtype)
+        return expand(ids, spec, scan)
 
     monkeypatch.setattr(search, "_weights_from_ids", counted)
-    search._scan_blocks(spec)
+    _scan_blocks(spec)
     assert sum(rows) == kept == survivors
+
+
+@pytest.mark.parametrize("flags, low_ids", [
+    (dict(n=3, p=2), 4), (dict(n=4, p=3), 27), (dict(n=4, p=3), search._LOW_IDS),
+    (dict(n=4, p=5, group_size=2), 125), (dict(n=5, p=2, prune_rescale=True), 64),
+    (dict(n=4, p=257, weights_one=True), 8),
+])
+def test_digit_table_expands_every_id(monkeypatch, flags, low_ids):
+    # an id hi * size + lo is the scan's low_digits at lo, then hi's digits
+    monkeypatch.setattr(search, "_LOW_IDS", low_ids)
+    spec = SearchSpec(**flags)
+    scan = search._BlockScan(spec)
+    ids = np.arange(spec.base**spec.edge_slots)
+    want = gfp.digits(ids, spec.base, spec.edge_slots, spec.word_dtype)
+    got = search._weights_from_ids(ids, spec, scan)
+    assert got.dtype == want.dtype and (got == want).all()
+    assert any(a is scan.low_digits for a in scan.arrays) and not scan.low_digits.flags.writeable
+    assert scan.nbytes == sum(a.nbytes for a in scan.arrays) >= scan.low_digits.nbytes > 0
+
+
+@pytest.mark.parametrize("flags", [dict(n=7, p=2), dict(n=8, p=2), dict(n=4, p=5, group_size=2),
+                                   dict(n=5, p=3), dict(n=5, p=2147483659, weights_one=True)])
+def test_digit_table_expands_random_ids(flags):
+    spec = SearchSpec(**flags)
+    scan = search._BlockScan(spec)
+    ids = np.random.default_rng(spec.n).integers(0, spec.base**spec.edge_slots, size=3000)
+    want = gfp.digits(ids, spec.base, spec.edge_slots, spec.word_dtype)
+    assert (search._weights_from_ids(ids, spec, scan) == want).all()
+    assert scan.low_digits.shape == (scan.size, scan.low) and scan.size <= search._LOW_IDS
 
 
 # cap 1: no cut has a table and gfp.rank_batch ranks each; cap 256 at n=6
@@ -215,13 +250,13 @@ def test_rank_fallback_matches_tables(monkeypatch, flags):
     fields, cap = flags
     spec = SearchSpec(**fields)
     monkeypatch.setattr(search, "_LOW_IDS", 243)
-    ids, examined, pruned = search._scan_blocks(spec)
+    ids, examined, pruned = _scan_blocks(spec)
     assert len(ids) > 0
     with_tables = enumerate_graphs(spec)
     monkeypatch.setattr(gfp, "_TABLE_CAP", cap)
     monkeypatch.setattr(gfp, "_REPAY", 1 << 62)
     assert search._search_plan(spec)[1] is None
-    fallback_ids, fallback_examined, fallback_pruned = search._scan_blocks(spec)
+    fallback_ids, fallback_examined, fallback_pruned = _scan_blocks(spec)
     assert fallback_ids.tolist() == ids.tolist()
     assert (fallback_examined, fallback_pruned) == (examined, pruned)
     assert enumerate_graphs(spec).witnesses == with_tables.witnesses
@@ -234,10 +269,10 @@ def test_first_cut_reuse_matches_fresh_blocks(monkeypatch, flags):
     # with the same row key and offset changes no id or count
     spec = SearchSpec(**flags)
     monkeypatch.setattr(search, "_LOW_IDS", 27)
-    reused = search._scan_blocks(spec)
+    reused = _scan_blocks(spec)
     for cap in (0, 1):
         monkeypatch.setattr(search, "_REUSE_CAP", cap)
-        fresh = search._scan_blocks(spec)
+        fresh = _scan_blocks(spec)
         assert fresh[0].tolist() == reused[0].tolist() and fresh[1:] == reused[1:]
 
 
@@ -248,9 +283,9 @@ def test_class_candidates_keep_every_class(flags):
     # the classes found from the raw witnesses' minimal words (or, under
     # rescale, their canonical ids) are the scalar dedupe of all of them
     spec = SearchSpec(**flags)
-    ids = search._scan_blocks(spec)[0]
+    ids = _scan_blocks(spec)[0]
     raw = graphs_from_words(spec.p, spec.n, search._weights_from_ids(ids, spec))
-    classes = search._canonical_classes(ids, spec)
+    classes = search._canonical_classes(ids, spec, search._block_scan(spec))
     assert classes == search._dedupe_canonical(raw, spec.group_size)
     assert 0 < len(classes) < len(ids)
 
@@ -336,7 +371,7 @@ def test_cached_scans_are_read_only(monkeypatch):
     monkeypatch.setattr(search, "_SCANS", {})
     scan = search._block_scan(SearchSpec(n=5, p=3, prune_rescale=True, prune_canonical=True,
                                          budget=1 << 20))
-    owned = [scan.low_index, scan.row_zero, scan.static, scan.swaps, *scan.row_high,
+    owned = [scan.low_digits, scan.low_index, scan.row_zero, scan.static, scan.swaps, *scan.row_high,
              *(t for _, _, t in scan.cut_chunks + scan.swap_chunks)]
     assert len(owned) == len(scan.arrays) and all(any(a is b for b in scan.arrays) for a in owned)
     assert scan.nbytes == sum(a.nbytes for a in owned)
@@ -346,9 +381,10 @@ def test_cached_scans_are_read_only(monkeypatch):
 
 
 def test_scan_cache_stays_within_the_byte_bound(monkeypatch):
-    # 8.5 KB holds scans a and b (2.2 and 5.8 KB) but not c (0.7 KB) as
-    # well; the n=5 p=3 scan (131 KB) is never kept and evicts nothing
-    cap = 8_500
+    # 17 KB holds scans a and b (6.6 and 10.2 KB) but not c (5.1 KB) as
+    # well; the n=5 p=3 scan (184 KB) is never kept and evicts nothing.
+    # Each holds its 4.4 KB digit table
+    cap = 17_000
     monkeypatch.setattr(search, "_SCANS", {})
     monkeypatch.setattr(gfp, "_TABLE_CAP", cap)
     specs = [SearchSpec(n=4, p=3), SearchSpec(n=4, p=3, prune_rescale=True),
@@ -382,7 +418,7 @@ def test_classes_in_adjacency_byte_order_past_255(n):
     words = np.unique(gr.canonical_words(words, spec.base, n), axis=0)
     words = words[words.any(axis=1)]
     ids = np.sort(words.astype(np.int64) @ spec.base ** np.arange(spec.edge_slots))
-    classes = search._canonical_classes(ids, spec)
+    classes = search._canonical_classes(ids, spec, search._block_scan(spec))
     graphs = graphs_from_words(spec.p, n, search._weights_from_ids(ids, spec))
     want = sorted(graphs, key=lambda g: g.adj.tobytes())
     assert classes == want and len(classes) == len(ids)
@@ -404,8 +440,9 @@ def test_exhaustive_refuses_n_over_8_before_scanning(monkeypatch):
 def test_scan_ranks_rows_past_int64(monkeypatch):
     # at p > 2^31 no row of two or more weights packs into int64, so the
     # scan ranks every cut by gfp.rank_stack on expanded digits; the last
-    # spec spreads its 8 words over 4 blocks of 2 ids
-    for n, classes, low_ids in ((3, 2, search._LOW_IDS), (4, 0, search._LOW_IDS), (3, 2, 2)):
+    # two specs spread their words over 4 blocks of 2 ids and 64 blocks of 16
+    for n, classes, low_ids in ((3, 2, search._LOW_IDS), (4, 0, search._LOW_IDS), (5, 3, search._LOW_IDS),
+                                (3, 2, 2), (5, 3, 16)):
         monkeypatch.setattr(search, "_LOW_IDS", low_ids)
         spec = SearchSpec(n=n, p=2147483659, weights_one=True, prune_rescale=low_ids == 2)
         assert not search._search_plan(spec)[2]  # no part's index fits int64
